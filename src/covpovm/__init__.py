@@ -79,10 +79,8 @@ from .povm import (
     apply_via_intertwiner,
     build_covariant_povm,
     class_measure,
-    effect,
     equivalence_check,
     intertwiner_matrix,
-    povm_apply,
     recommended_e_dim,
     sector_pointwise_operator,
     validate_rep,

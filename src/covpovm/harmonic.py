@@ -12,6 +12,7 @@ annihilator. Everything downstream inherits that convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -38,7 +39,8 @@ DOMAIN_DUAL_QUOTIENT = "dual_quotient"
 
 @dataclass(frozen=True)
 class WeightedMeasure:
-    """Nonnegative weights on a finite point set; zero weights are dropped.
+    """Finite nonnegative weights on a finite point set; zero weights are
+    dropped, non-finite or negative weights rejected.
 
     Points are group elements, characters, or coset indices depending on
     the domain tag. The support is exactly the stored key set.
@@ -51,6 +53,8 @@ class WeightedMeasure:
         cleaned = {}
         for point, w in self.weights.items():
             w = float(w)
+            if not math.isfinite(w):
+                raise ValueError(f"non-finite weight {w} at {point}")
             if w < 0.0:
                 raise ValueError(f"negative weight {w} at {point}")
             if w > 0.0:

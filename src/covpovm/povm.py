@@ -4,14 +4,16 @@ A representation acting diagonally on weighted character spaces admits,
 for every subgroup, a family of covariant POVMs on the quotient: each one
 is cut out by a field of isometries over the spectral support, scaled by
 the density of the sector measure against the lifted class measure. This
-module builds those POVMs, evaluates them blockwise, and verifies the
-defining axioms, covariance, and the equivalence criterion.
+module builds those POVMs, evaluates them as one dense matrix in the rep
+basis (a :class:`BlockOperator`, whose sector blocks are slices of it at
+the rep's offsets), and verifies the defining axioms, covariance, and the
+equivalence criterion.
 
 Two independent evaluation routes are provided on purpose:
-:meth:`CovariantPOVM.apply` computes the closed-form block kernel, while
-:func:`apply_via_intertwiner` compresses the transported multiplication
-operator of :mod:`covpovm.induction` through the explicit intertwiner.
-They must agree to working precision.
+:meth:`CovariantPOVM.apply` gathers the cotransform of the outcome function
+over a cached kernel table, while :func:`apply_via_intertwiner` compresses
+the transported multiplication operator of :mod:`covpovm.induction`
+through the explicit intertwiner. They must agree to working precision.
 """
 
 from __future__ import annotations
@@ -249,32 +251,25 @@ class IsometryField:
 
 @dataclass(frozen=True, eq=False)
 class BlockOperator:
-    """Operator on a diagonal rep space, stored as sector-indexed blocks in
-    orthonormal coordinates."""
+    """Operator on a diagonal rep space: one dense matrix in the documented
+    sector-major basis, in orthonormal coordinates. Sector blocks are
+    slices of it at the rep's sector offsets."""
 
-    sector_dims: tuple[int, ...]
-    blocks: Mapping[tuple[int, int], np.ndarray]
+    rep: DiagonalRep
+    matrix: np.ndarray
 
     def block(self, j: int, k: int) -> np.ndarray:
-        return self.blocks[(j, k)]
+        rows = slice(self.rep.offsets[j], self.rep.offsets[j] + self.rep.sector_dims[j])
+        cols = slice(self.rep.offsets[k], self.rep.offsets[k] + self.rep.sector_dims[k])
+        return self.matrix[rows, cols]
 
     @property
     def dimension(self) -> int:
-        return sum(self.sector_dims)
+        return self.matrix.shape[0]
 
     def assemble(self) -> np.ndarray:
         """Dense matrix in the documented sector-major basis."""
-        offsets, total = [], 0
-        for d in self.sector_dims:
-            offsets.append(total)
-            total += d
-        out = np.zeros((total, total), dtype=complex)
-        for (j, k), blk in self.blocks.items():
-            out[
-                offsets[j] : offsets[j] + self.sector_dims[j],
-                offsets[k] : offsets[k] + self.sector_dims[k],
-            ] = blk
-        return out
+        return self.matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,60 +303,65 @@ class CovariantPOVM:
         return {y: i for i, y in enumerate(self.ctx.hperp_points)}
 
     @cached_property
-    def _pair_tables(self) -> dict:
-        """Per block (j, k): annihilator index of each support-point difference
-        (or -1), and the omega-independent kernel factors of the POVM formula."""
-        tables = {}
-        n = len(self.rep.sectors)
-        for j in range(n):
-            pts_j = self.rep.sector_points[j]
-            f_j = self.rep.sectors[j].f_dim
-            rho_j = self.rep.sectors[j].rho
-            for k in range(n):
-                pts_k = self.rep.sector_points[k]
-                f_k = self.rep.sectors[k].f_dim
-                rho_k = self.rep.sectors[k].rho
-                diff = -np.ones((len(pts_j), len(pts_k)), dtype=int)
-                kernel = np.zeros((len(pts_j), len(pts_k), f_j, f_k), dtype=complex)
-                for a, x in enumerate(pts_j):
-                    w_j = self.fields[j].matrices[x]
-                    for b, xp in enumerate(pts_k):
-                        idx = self._hperp_index.get(x - xp)
-                        if idx is None:
-                            continue
-                        diff[a, b] = idx
-                        ratio = math.sqrt(
-                            self.densities[k][xp] / self.densities[j][x]
-                        )
-                        # conversion of function values to orthonormal coordinates
-                        scale = math.sqrt(rho_j(x) / rho_k(xp))
-                        w_k = self.fields[k].matrices[xp]
-                        kernel[a, b] = (
-                            self.ctx.hperp_weight
-                            * ratio
-                            * scale
-                            * (w_j.conj().T @ w_k)
-                        )
-                tables[(j, k)] = (diff, kernel)
-        return tables
+    def _kernel(self) -> tuple[np.ndarray, np.ndarray]:
+        """(D, K) over the rep basis. D[r, c] is the annihilator index of the
+        difference of the characters of basis rows r and c, or -1; K is the
+        omega-independent kernel factor of the POVM formula where D >= 0,
+        and 0 elsewhere."""
+        rep, ctx = self.rep, self.ctx
+        factors = np.array(rep.group.factors)
+        points = [(k, x) for k, pts in enumerate(rep.sector_points) for x in pts]
+
+        def coords(chars) -> np.ndarray:
+            return np.array([x.coords for x in chars], dtype=np.int64).reshape(-1, len(factors))
+
+        hperp = coords(ctx.hperp_points)
+        lookup = np.full(rep.group.order, -1, dtype=np.int64)
+        lookup[np.ravel_multi_index(hperp.T, factors)] = np.arange(len(hperp))
+        support = coords(x for _, x in points)
+        diff = (support[:, None] - support[None]) % factors
+        point_d = lookup[np.ravel_multi_index(np.moveaxis(diff, -1, 0), factors)]
+
+        f_dims = np.array([rep.sectors[k].f_dim for k, _ in points], dtype=np.int64)
+        density = np.array([self.densities[k][x] for k, x in points])
+        weight = np.array([rep.sectors[k].rho(x) for k, x in points])
+        # square root of the density ratio, then the conversion of function
+        # values to orthonormal coordinates
+        scale = (
+            ctx.hperp_weight
+            * np.sqrt(density[None, :] / density[:, None])
+            * np.sqrt(weight[:, None] / weight[None, :])
+        )
+
+        # Isometry overlaps W_r^H W_c by one batched matmul per pair of
+        # multiplicities: each product is then the same small-matrix product
+        # as the per-pair formula, bit for bit, which a single GEMM over all
+        # rows is not.
+        mats = [np.asarray(self.fields[k].matrices[x], dtype=complex) for k, x in points]
+        first_row = np.cumsum(f_dims) - f_dims
+        by_f_dim = [(f, np.flatnonzero(f_dims == f)) for f in np.unique(f_dims)]
+        overlap = np.empty((rep.dimension, rep.dimension), dtype=complex)
+        for fa, pa in by_f_dim:
+            adjoints = np.stack([mats[p].conj().T for p in pa])
+            rows = first_row[pa][:, None, None, None] + np.arange(fa)[:, None]
+            for fb, pb in by_f_dim:
+                cols = first_row[pb][None, :, None, None] + np.arange(fb)
+                overlap[rows, cols] = np.matmul(
+                    adjoints[:, None], np.stack([mats[p] for p in pb])[None]
+                )
+
+        row_point = np.repeat(np.arange(len(points)), f_dims)
+        index = point_d[np.ix_(row_point, row_point)]
+        kernel = np.where(index >= 0, scale[np.ix_(row_point, row_point)] * overlap, 0.0)
+        return index, kernel
 
     def apply(self, omega) -> BlockOperator:
-        """Evaluate the POVM on a quotient function through the block kernel:
+        """Evaluate the POVM on a quotient function through the kernel:
         entry (x, x') carries the cotransform of omega at x - x', the square
         root of the density ratio, and the isometry overlap."""
-        omega = np.asarray(omega, dtype=complex)
+        index, kernel = self._kernel
         fo = self.ctx.cotransform(omega)
-        blocks = {}
-        for (j, k), (diff, kernel) in self._pair_tables.items():
-            f_j = self.rep.sectors[j].f_dim
-            f_k = self.rep.sectors[k].f_dim
-            factor = np.where(diff >= 0, fo[diff], 0.0)
-            blk = factor[:, :, None, None] * kernel
-            na, nb = diff.shape
-            blocks[(j, k)] = (
-                blk.transpose(0, 2, 1, 3).reshape(na * f_j, nb * f_k)
-            )
-        return BlockOperator(self.rep.sector_dims, blocks)
+        return BlockOperator(self.rep, np.where(index >= 0, fo[index], 0.0) * kernel)
 
     def effect(self, cosets) -> BlockOperator:
         """The POVM at a subset of quotient cosets."""
@@ -390,8 +390,8 @@ def build_covariant_povm(
     """Construct a covariant POVM from a validated rep and isometry fields.
 
     Rejects overlapping sector supports, an embedding space smaller than
-    the largest multiplicity, missing matrices, shape mismatches, and
-    fields that fail the isometry test beyond ``atol``.
+    the largest multiplicity, missing matrices, shape mismatches, non-finite
+    entries, and fields that fail the isometry test beyond ``atol``.
     """
     validate_rep(rep)
     max_f = max((s.f_dim for s in rep.sectors), default=1)
@@ -432,6 +432,12 @@ def build_covariant_povm(
                     shape=list(w.shape),
                     expected=[e_dim, spec.f_dim],
                 )
+            if not np.isfinite(w).all():
+                raise PovmBuildError(
+                    "isometry matrix has non-finite entries",
+                    sector=k,
+                    point=list(x.coords),
+                )
             dev = float(
                 np.abs(w.conj().T @ w - np.eye(spec.f_dim)).max()
             )
@@ -453,14 +459,6 @@ def build_covariant_povm(
         class_data=data,
         densities=admissibility.densities,
     )
-
-
-def povm_apply(povm: CovariantPOVM, omega) -> BlockOperator:
-    return povm.apply(omega)
-
-
-def effect(povm: CovariantPOVM, cosets) -> BlockOperator:
-    return povm.effect(cosets)
 
 
 def intertwiner_matrix(povm: CovariantPOVM) -> np.ndarray:
@@ -497,15 +495,7 @@ def apply_via_intertwiner(povm: CovariantPOVM, omega) -> BlockOperator:
     w = intertwiner_matrix(povm)
     transported = transported_multiplication_matrix(povm.diagonal_space, omega)
     full = w.conj().T @ transported @ w
-    blocks = {}
-    offs = povm.rep.offsets
-    dims = povm.rep.sector_dims
-    for j in range(len(dims)):
-        for k in range(len(dims)):
-            blocks[(j, k)] = full[
-                offs[j] : offs[j] + dims[j], offs[k] : offs[k] + dims[k]
-            ]
-    return BlockOperator(dims, blocks)
+    return BlockOperator(povm.rep, full)
 
 
 @dataclass(frozen=True)
@@ -532,7 +522,7 @@ class VerificationReport:
 
     @property
     def max_deviation(self) -> float:
-        return max((c.max_deviation for c in self.checks), default=0.0)
+        return _worst([c.max_deviation for c in self.checks])
 
     def as_dict(self) -> dict:
         return {
@@ -544,16 +534,22 @@ class VerificationReport:
         return VerificationReport(self.checks + other.checks)
 
 
+def _worst(deviations) -> float:
+    """Largest deviation; NaN if any is NaN, which Python's ``max`` may drop."""
+    return float(np.max(np.asarray(deviations, dtype=float), initial=0.0))
+
+
 def _positivity_deviation(matrix: np.ndarray) -> float:
     """How far a matrix is from being positive semidefinite: the larger of
-    the hermiticity defect and the most negative eigenvalue."""
-    herm_defect = float(np.abs(matrix - matrix.conj().T).max()) if matrix.size else 0.0
-    if matrix.size:
-        eigenvalues = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0)
-        negative = float(max(0.0, -eigenvalues.min()))
-    else:
-        negative = 0.0
-    return max(herm_defect, negative)
+    the hermiticity defect and the most negative eigenvalue; NaN for a
+    matrix with non-finite entries."""
+    if not matrix.size:
+        return 0.0
+    if not np.isfinite(matrix).all():
+        return math.nan
+    herm_defect = float(np.abs(matrix - matrix.conj().T).max())
+    eigenvalues = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0)
+    return max(herm_defect, float(max(0.0, -eigenvalues.min())))
 
 
 def verify_axioms(
@@ -575,12 +571,11 @@ def verify_axioms(
     for _ in range(n_random_subsets):
         mask = rng.integers(0, 2, size=q)
         subsets.append([i for i in range(q) if mask[i]])
-    pos_dev = 0.0
-    for subset in subsets:
-        e_mat = povm_like.assembled(ctx.indicator(subset))
-        pos_dev = max(pos_dev, _positivity_deviation(e_mat))
+    pos_dev = _worst(
+        [_positivity_deviation(povm_like.assembled(ctx.indicator(s))) for s in subsets]
+    )
     total = povm_like.assembled(ctx.indicator(range(q)))
-    norm_dev = float(np.abs(total - np.eye(povm_like.dimension)).max())
+    norm_dev = _worst(np.abs(total - np.eye(povm_like.dimension)))
     return VerificationReport(
         (
             CheckResult("positivity", pos_dev <= atol, pos_dev),
@@ -594,14 +589,15 @@ def verify_covariance(povm_like, atol: float = DEFAULT_ATOL) -> VerificationRepo
     function, over every group element and a basis of quotient functions."""
     ctx = povm_like.ctx
     q = ctx.n_cosets
-    dev = 0.0
+    devs = []
     basis = [ctx.indicator([i]) for i in range(q)]
     for g in ctx.group.elements():
         u = povm_like.u_matrix(g)
         for omega in basis:
             lhs = u @ povm_like.assembled(omega) @ u.conj().T
             rhs = povm_like.assembled(ctx.translated(g, omega))
-            dev = max(dev, float(np.abs(lhs - rhs).max()))
+            devs.append(_worst(np.abs(lhs - rhs)))
+    dev = _worst(devs)
     return VerificationReport(
         (CheckResult("covariance", dev <= atol, dev),)
     )

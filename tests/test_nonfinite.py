@@ -1,0 +1,109 @@
+"""Non-finite input is rejected at the boundary, and a NaN deviation fails
+the check it belongs to instead of passing quietly."""
+
+import dataclasses
+import json
+import math
+
+import numpy as np
+import pytest
+
+from covpovm import (
+    DOMAIN_DUAL,
+    IsometryField,
+    PovmBuildError,
+    WeightedMeasure,
+    build_covariant_povm,
+    verify_axioms,
+    verify_covariance,
+)
+from covpovm.cli import _oracle_report, main
+from helpers import scalar_z12_povm, standard_instances
+
+
+def nan_field_povm():
+    """A built POVM whose first isometry entry is replaced by NaN after the
+    build, as if the field had slipped past the builder's checks."""
+    povm = standard_instances()[0][1]
+    field = povm.fields[0]
+    matrices = {x: np.array(w, dtype=complex) for x, w in field.matrices.items()}
+    next(iter(matrices.values()))[0, 0] = np.nan
+    fields = (IsometryField(0, matrices),) + povm.fields[1:]
+    return dataclasses.replace(povm, fields=fields)
+
+
+class TestRejectedAtTheBoundary:
+    def test_nan_isometry_names_sector_and_point(self):
+        povm = scalar_z12_povm()
+        x0 = povm.rep.sector_points[0][0]
+        fields = (IsometryField(0, {x0: np.array([[np.nan]], dtype=complex)}),)
+        with pytest.raises(PovmBuildError) as exc:
+            build_covariant_povm(povm.rep, povm.ctx.subgroup, fields, e_dim=1)
+        assert exc.value.details["sector"] == 0
+        assert exc.value.details["point"] == [0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            WeightedMeasure(DOMAIN_DUAL, {0: 1.0, 1: bad})
+
+    def test_cli_nan_isometry_exits_4(self, tmp_path, capsys):
+        scenario = {
+            "spec_version": 1,
+            "group": {"factors": [12]},
+            "subgroup": {"generators": [[4]]},
+            "e_dim": 1,
+            "sectors": [{"f_dim": 1, "support": [[[0], 1.0]]}],
+            "fields": [{"sector": 0, "matrices": [[[0], [[[math.nan, 0.0]]]]]}],
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["verify", str(path)]) == 4
+        rejected = json.loads(capsys.readouterr().out)["rejected"]
+        assert rejected["sector"] == 0
+        assert rejected["point"] == [0]
+
+
+class TestNanFailsItsCheck:
+    def test_verify_axioms(self):
+        report = verify_axioms(nan_field_povm())
+        assert not report.passed
+        for check in report.checks:
+            assert not check.passed
+            assert math.isnan(check.max_deviation)
+        assert math.isnan(report.max_deviation)
+
+    def test_verify_covariance(self):
+        report = verify_covariance(nan_field_povm())
+        assert not report.passed
+        assert math.isnan(report.checks[0].max_deviation)
+
+    def test_nan_in_one_effect_only(self):
+        # a single NaN among finite deviations must not be dropped by the
+        # reduction, wherever it falls in the order of evaluation
+        povm = scalar_z12_povm()
+
+        class OneNan:
+            ctx = povm.ctx
+            dimension = povm.dimension
+
+            def assembled(self, omega):
+                m = povm.assembled(omega)
+                if np.array_equal(np.asarray(omega), povm.ctx.indicator([3])):
+                    m = np.full_like(m, np.nan)
+                return m
+
+            def u_matrix(self, g):
+                return povm.u_matrix(g)
+
+        axioms = {c.check: c for c in verify_axioms(OneNan()).checks}
+        assert not axioms["positivity"].passed
+        assert axioms["normalization"].passed
+        covariance = verify_covariance(OneNan()).checks[0]
+        assert not covariance.passed
+        assert math.isnan(covariance.max_deviation)
+
+    def test_oracle_report(self):
+        report = _oracle_report(nan_field_povm(), 1e-9, [])
+        assert not report.passed
+        assert math.isnan(report.checks[0].max_deviation)
