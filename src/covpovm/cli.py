@@ -71,28 +71,21 @@ def cmd_group(args) -> int:
             "group": {"factors": list(group.factors), "order": group.order},
             "subgroup": {
                 "generators": [list(g.coords) for g in subgroup.generators],
-                "elements": [list(g.coords) for g in subgroup.elements],
+                "elements": group.coords[subgroup.indices].tolist(),
                 "order": subgroup.order,
             },
             "annihilator": {
-                "elements": [list(y.coords) for y in ctx.hperp_points],
-                "order": len(ctx.hperp_points),
+                "elements": group.coords[ctx.annihilator.indices].tolist(),
+                "order": ctx.annihilator.order,
             },
             "cosets": {
                 "count": ctx.n_cosets,
-                "representatives": [
-                    list(r.coords) for r in ctx.quotient.representatives
-                ],
-                "members": [
-                    [list(p.coords) for p in ctx.quotient.coset_members(i)]
-                    for i in range(ctx.n_cosets)
-                ],
+                "representatives": group.coords[ctx.quotient.rep_indices].tolist(),
+                "members": group.coords[ctx.quotient.members].tolist(),
             },
             "dual_cosets": {
                 "count": len(ctx.dual_quotient),
-                "representatives": [
-                    list(r.coords) for r in ctx.dual_quotient.representatives
-                ],
+                "representatives": group.coords[ctx.dual_quotient.rep_indices].tolist(),
             },
             "pairing_table": {
                 "rows": "annihilator elements",

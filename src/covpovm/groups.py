@@ -2,18 +2,28 @@
 
 A group is Z_{n_1} x ... x Z_{n_r} with componentwise addition mod n_j.
 Its dual is presented on the same coordinate tuples through the
-root-of-unity pairing, so characters and elements share one arithmetic.
-Subgroups are explicit element sets closed under the group law, quotients
-are indexed coset tables with lexicographically smallest representatives.
+root-of-unity pairing, so characters and elements share one arithmetic and
+one row-major index map, whose order is the lexicographic one. Subgroups and
+coset tables are index arrays; cosets are indexed by smallest representative.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+
+import numpy as np
+
+
+def _as_int(value, what: str) -> int:
+    """The one integer coercion for factors and coordinates: Python and
+    numpy integers pass; bools, floats and anything else are rejected."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def _reduced(coords: tuple[int, ...], factors: tuple[int, ...]) -> tuple[int, ...]:
@@ -21,7 +31,7 @@ def _reduced(coords: tuple[int, ...], factors: tuple[int, ...]) -> tuple[int, ..
         raise ValueError(
             f"coordinate tuple {coords} does not match factors {factors}"
         )
-    return tuple(int(c) % int(n) for c, n in zip(coords, factors))
+    return tuple(_as_int(c, "coordinate") % n for c, n in zip(coords, factors))
 
 
 @dataclass(frozen=True, order=True)
@@ -32,7 +42,7 @@ class GroupElement:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        factors = tuple(int(n) for n in self.factors)
+        factors = tuple(_as_int(n, "factor") for n in self.factors)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "coords", _reduced(tuple(self.coords), factors))
 
@@ -61,10 +71,6 @@ class GroupElement:
             tuple(a - b for a, b in zip(self.coords, other.coords)), self.factors
         )
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def __repr__(self):
         return f"{type(self).__name__}{self.coords}"
 
@@ -84,7 +90,7 @@ class FiniteAbelianGroup:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        factors = tuple(int(n) for n in self.factors)
+        factors = tuple(_as_int(n, "factor") for n in self.factors)
         if not factors or any(n < 1 for n in factors):
             raise ValueError(f"factors must be integers >= 1, got {self.factors}")
         object.__setattr__(self, "factors", factors)
@@ -117,20 +123,46 @@ class FiniteAbelianGroup:
 
     def elements(self) -> list[GroupElement]:
         """All group elements in lexicographic order."""
-        return [
-            GroupElement(c, self.factors)
-            for c in product(*(range(n) for n in self.factors))
-        ]
+        return list(self.points(GroupElement, slice(None)))
 
     def characters(self) -> list[DualCharacter]:
         """All characters in lexicographic order."""
-        return [
-            DualCharacter(c, self.factors)
-            for c in product(*(range(n) for n in self.factors))
-        ]
+        return list(self.points(DualCharacter, slice(None)))
 
-    def contains(self, point: GroupElement) -> bool:
-        return point.factors == self.factors
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """Coordinates of every point, one row per index."""
+        return np.indices(self.factors).reshape(self.rank, -1).T
+
+    def ravel(self, coords) -> np.ndarray:
+        """Indices of integer coordinates (last axis), reduced mod the factors."""
+        return np.ravel_multi_index(np.moveaxis(coords, -1, 0), self.factors, mode="wrap")
+
+    def index_of(self, point) -> int:
+        """Index of an element or character of this group."""
+        if point.factors != self.factors:
+            raise ValueError(f"{point} does not lie in {self}")
+        return int(np.ravel_multi_index(point.coords, self.factors))
+
+    def points(self, point_type: type, indices) -> tuple:
+        """Point objects (elements or characters) at the given indices."""
+        return tuple(point_type(c, self.factors) for c in self.coords[indices].tolist())
+
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        """exp(2 pi i t / L) for t < L, computed exactly as :func:`pairing` does."""
+        lcm = self.exponent
+        return np.array([cmath.exp(2j * cmath.pi * t / lcm) for t in range(lcm)])
+
+    def exponents(self, x_indices, g_indices) -> np.ndarray:
+        """t[a, b] with <x_a, g_b> = exp(2 pi i t / L), 0 <= t < L, exactly."""
+        lcm = self.exponent
+        scaled = self.coords[x_indices] * (lcm // np.array(self.factors))
+        return scaled @ self.coords[g_indices].T % lcm
+
+    def pairing_matrix(self, x_indices, g_indices) -> np.ndarray:
+        """P[a, b] = <x_a, g_b>, equal entry for entry to :func:`pairing`."""
+        return self._roots[self.exponents(x_indices, g_indices)]
 
     def __repr__(self):
         return f"FiniteAbelianGroup{self.factors}"
@@ -159,105 +191,96 @@ def pairing_is_one(x: GroupElement, g: GroupElement) -> bool:
     return t == 0
 
 
-@dataclass(frozen=True)
+def _trivial_pairing(group: FiniteAbelianGroup, indices) -> np.ndarray:
+    """Mask of the points that pair trivially with every point at the indices."""
+    return (group.exponents(slice(None), indices) == 0).all(axis=1)
+
+
+def _triangular_generators(group: FiniteAbelianGroup, indices) -> np.ndarray:
+    """Generators of the subgroup with these sorted element indices: for each
+    j, its first element with coordinates before j zero and coordinate j not."""
+    low = np.array([math.prod(group.factors[j + 1 :]) for j in range(group.rank)])
+    first = np.append(indices, group.order)[np.searchsorted(indices, low)]
+    return first[first < low * group.factors]
+
+
 class Subgroup:
-    """Subgroup given by generators together with its full element set.
+    """Subgroup of a group or of its dual (GroupElement or DualCharacter points):
+    generators and the sorted indices of the elements. Construction checks that
+    the set holds the identity, is closed under adding each generator and has
+    |G| / |ann(generators)| elements, so it is exactly what they generate."""
 
-    Lives either in a group (elements are GroupElement) or in its dual
-    (elements are DualCharacter); both sides use the same machinery.
-    """
+    def __init__(self, parent: FiniteAbelianGroup, generators, elements):
+        elements = tuple(elements)
+        kinds = {type(p) for p in elements}
+        if len(kinds) != 1:
+            raise ValueError("a subgroup carries the identity and points of one kind only")
+        indices = np.unique([parent.index_of(p) for p in elements])
+        self._setup(parent, generators, kinds.pop(), indices)
 
-    parent: FiniteAbelianGroup
-    generators: tuple[GroupElement, ...]
-    elements: tuple[GroupElement, ...]
+    @classmethod
+    def _of_indices(cls, parent, generators, point_type, indices) -> "Subgroup":
+        subgroup = cls.__new__(cls)
+        subgroup._setup(parent, generators, point_type, indices)
+        return subgroup
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "elements", tuple(sorted(self.elements)))
-        elems = set(self.elements)
-        if not elems:
-            raise ValueError("a subgroup carries at least the identity")
-        point_type = type(self.elements[0])
-        zero = point_type((0,) * self.parent.rank, self.parent.factors)
-        if zero not in elems:
+    def _setup(self, parent, generators, point_type, indices) -> None:
+        self.parent = parent
+        self.generators = tuple(generators)
+        self.point_type = point_type
+        self.indices = indices
+        if any(type(g) is not point_type for g in self.generators):
+            raise ValueError("generators must all be of the elements' kind")
+        generator_indices = [parent.index_of(g) for g in self.generators]
+        if indices[0] != 0:
             raise ValueError("subgroup does not contain the identity")
-        for a in self.elements:
-            for b in self.elements:
-                if a - b not in elems:
-                    raise ValueError(
-                        f"element set is not closed under the group law at {a} - {b}"
-                    )
-        generated = {zero}
-        frontier = [zero]
-        while frontier:
-            current = frontier.pop()
-            for g in self.generators:
-                nxt = current + g
-                if nxt not in generated:
-                    generated.add(nxt)
-                    frontier.append(nxt)
-        if generated != elems:
+        coords = parent.coords[indices]
+        for g, i in zip(self.generators, generator_indices):
+            if (self.position(parent.ravel(coords + parent.coords[i])) < 0).any():
+                raise ValueError(f"element set is not closed under adding {g}")
+        self._annihilator_mask = _trivial_pairing(parent, generator_indices)
+        if len(indices) * np.count_nonzero(self._annihilator_mask) != parent.order:
             raise ValueError("generators do not generate the stored element set")
 
     @cached_property
-    def element_set(self) -> frozenset:
-        return frozenset(self.elements)
+    def elements(self) -> tuple:
+        return self.parent.points(self.point_type, self.indices)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.indices)
 
-    @property
-    def point_type(self) -> type:
-        return type(self.elements[0])
-
-    @property
-    def is_dual_side(self) -> bool:
-        return self.point_type is DualCharacter
+    def position(self, indices) -> np.ndarray:
+        """Position of each index in ``self.indices``, or -1 for non-members."""
+        pos = np.minimum(np.searchsorted(self.indices, indices), len(self.indices) - 1)
+        return np.where(self.indices[pos] == indices, pos, -1)
 
     def __contains__(self, point) -> bool:
-        return point in self.element_set
+        same_side = type(point) is self.point_type and point.factors == self.parent.factors
+        return same_side and self.position(self.parent.index_of(point)) >= 0
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.indices)
 
 
 def subgroup_from_generators(group: FiniteAbelianGroup, generators) -> Subgroup:
-    """Closure of the generating set under the group law.
+    """Closure of the generating set under the group law: its double annihilator.
 
     Accepts GroupElement or DualCharacter generators (all of one kind);
     an empty set yields the trivial subgroup on the element side.
     """
     gens = tuple(generators)
+    dual = np.flatnonzero(_trivial_pairing(group, [group.index_of(g) for g in gens]))
+    member = _trivial_pairing(group, _triangular_generators(group, dual))
     point_type = type(gens[0]) if gens else GroupElement
-    for g in gens:
-        if type(g) is not point_type:
-            raise ValueError("generators must all be of the same kind")
-        if not group.contains(g):
-            raise ValueError(f"generator {g} does not lie in {group}")
-    zero = point_type((0,) * group.rank, group.factors)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        current = frontier.pop()
-        for g in gens:
-            nxt = current + g
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return Subgroup(group, gens, tuple(sorted(seen)))
+    return Subgroup._of_indices(group, gens, point_type, np.flatnonzero(member))
 
 
 def trivial_subgroup(group: FiniteAbelianGroup) -> Subgroup:
     return subgroup_from_generators(group, ())
-
-
-def full_subgroup(group: FiniteAbelianGroup) -> Subgroup:
-    elems = tuple(group.elements())
-    return Subgroup(group, elems, elems)
 
 
 def annihilator(group: FiniteAbelianGroup, subgroup: Subgroup) -> Subgroup:
@@ -270,66 +293,61 @@ def annihilator(group: FiniteAbelianGroup, subgroup: Subgroup) -> Subgroup:
     """
     if subgroup.parent != group:
         raise ValueError("subgroup does not belong to the given group")
-    ambient = group.elements() if subgroup.is_dual_side else group.characters()
-    kept = tuple(
-        p for p in ambient if all(pairing_is_one(p, h) for h in subgroup.generators)
-    )
-    return Subgroup(group, kept, kept)
+    kept = np.flatnonzero(subgroup._annihilator_mask)
+    point_type = GroupElement if subgroup.point_type is DualCharacter else DualCharacter
+    generators = group.points(point_type, _triangular_generators(group, kept))
+    return Subgroup._of_indices(group, generators, point_type, kept)
 
 
 @dataclass(frozen=True, eq=False)
 class QuotientGroup:
-    """Cosets of a subgroup, indexed by lexicographically smallest representative.
+    """Cosets of a subgroup, indexed by smallest representative.
 
-    Index 0 is always the coset of the identity. The projection table is
-    total on the ambient point set of the subgroup's side.
+    Index 0 is always the coset of the identity. ``projection`` maps the
+    index of every point of the subgroup's side to its coset index.
     """
 
-    parent: FiniteAbelianGroup
     subgroup: Subgroup
-    representatives: tuple[GroupElement, ...]
-    projection: dict
+    rep_indices: np.ndarray
+    projection: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.representatives)
+        return len(self.rep_indices)
+
+    @cached_property
+    def representatives(self) -> tuple:
+        return self.subgroup.parent.points(self.subgroup.point_type, self.rep_indices)
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        """members[i] is the sorted index array of coset i."""
+        return np.argsort(self.projection, kind="stable").reshape(len(self), -1)
 
     def index_of(self, point) -> int:
-        try:
-            return self.projection[point]
-        except KeyError:
-            raise ValueError(f"{point} is not a point of the quotiented group") from None
+        if type(point) is not self.subgroup.point_type:
+            raise ValueError(f"{point} is not a point of the quotiented group")
+        return int(self.projection[self.subgroup.parent.index_of(point)])
 
     def coset_members(self, index: int) -> tuple:
-        rep = self.representatives[index]
-        return tuple(sorted(rep + h for h in self.subgroup.elements))
+        return self.subgroup.parent.points(self.subgroup.point_type, self.members[index])
 
     def add(self, i: int, j: int) -> int:
         """Induced coset group law."""
         return self.index_of(self.representatives[i] + self.representatives[j])
-
-    def negate(self, i: int) -> int:
-        return self.index_of(-self.representatives[i])
-
-    def act(self, a, index: int) -> int:
-        """Natural action a[coset] = coset of a + representative."""
-        return self.index_of(a + self.representatives[index])
 
 
 def quotient(group: FiniteAbelianGroup, subgroup: Subgroup) -> QuotientGroup:
     """Enumerate the cosets of a subgroup, on either side of the duality."""
     if subgroup.parent != group:
         raise ValueError("subgroup does not belong to the given group")
-    ambient = group.characters() if subgroup.is_dual_side else group.elements()
-    projection: dict = {}
+    offsets = group.coords[subgroup.indices]
+    projection = np.full(group.order, -1, dtype=np.int64)
     representatives = []
-    for p in ambient:  # lexicographic, so each first-seen point is its coset's minimum
-        if p in projection:
-            continue
-        index = len(representatives)
-        representatives.append(p)
-        for h in subgroup.elements:
-            projection[p + h] = index
-    return QuotientGroup(group, subgroup, tuple(representatives), projection)
+    for p in range(group.order):  # index order, so each first-seen point is its coset's minimum
+        if projection[p] < 0:
+            projection[group.ravel(group.coords[p] + offsets)] = len(representatives)
+            representatives.append(p)
+    return QuotientGroup(subgroup, np.array(representatives), projection)
 
 
 def quotient_pairing(quot: QuotientGroup, character, coset_index: int) -> complex:

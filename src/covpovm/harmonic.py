@@ -20,12 +20,12 @@ from typing import Mapping
 import numpy as np
 
 from .groups import (
+    DualCharacter,
     FiniteAbelianGroup,
     GroupElement,
     QuotientGroup,
     Subgroup,
     annihilator,
-    pairing,
     quotient,
 )
 
@@ -117,9 +117,7 @@ class QuotientContext:
 
     @classmethod
     def build(cls, group: FiniteAbelianGroup, subgroup: Subgroup) -> "QuotientContext":
-        if subgroup.parent != group:
-            raise ValueError("subgroup does not belong to the given group")
-        if subgroup.is_dual_side:
+        if subgroup.point_type is DualCharacter:
             raise ValueError("expected a subgroup on the element side")
         ann = annihilator(group, subgroup)
         return cls(group, subgroup, quotient(group, subgroup), ann, quotient(group, ann))
@@ -140,13 +138,7 @@ class QuotientContext:
     @cached_property
     def _fourier_matrix(self) -> np.ndarray:
         """F[a, i] = <y_a, rep_i> over annihilator points and coset reps."""
-        return np.array(
-            [
-                [pairing(y, rep) for rep in self.quotient.representatives]
-                for y in self.hperp_points
-            ],
-            dtype=complex,
-        )
+        return self.group.pairing_matrix(self.annihilator.indices, self.quotient.rep_indices)
 
     def cotransform(self, omega) -> np.ndarray:
         """Values of the Fourier cotransform of a quotient function, indexed
@@ -168,10 +160,9 @@ class QuotientContext:
     def translated(self, a: GroupElement, omega) -> np.ndarray:
         """The shifted quotient function (a . omega)(coset) = omega(a^-1[coset])."""
         omega = np.asarray(omega, dtype=complex)
-        return np.array(
-            [omega[self.quotient.act(-a, i)] for i in range(self.n_cosets)],
-            dtype=complex,
-        )
+        coords = self.group.coords
+        shifted = coords[self.quotient.rep_indices] - coords[self.group.index_of(a)]
+        return omega[self.quotient.projection[self.group.ravel(shifted)]]
 
     def indicator(self, cosets) -> np.ndarray:
         values = np.zeros(self.n_cosets, dtype=complex)
@@ -214,21 +205,20 @@ def lift_measure(ctx: QuotientContext, nu: WeightedMeasure) -> WeightedMeasure:
     """
     if nu.domain != DOMAIN_DUAL_QUOTIENT:
         raise ValueError(f"expected a measure on the dual quotient, got {nu.domain!r}")
-    weights = {}
-    for x in ctx.group.characters():
-        w = nu(ctx.dual_quotient.index_of(x)) * ctx.hperp_weight
-        if w > 0.0:
-            weights[x] = w
-    return WeightedMeasure(DOMAIN_DUAL, weights)
+    dq = ctx.dual_quotient
+    lifted = (np.array([nu(i) for i in range(len(dq))]) * ctx.hperp_weight)[dq.projection]
+    support = np.flatnonzero(lifted > 0.0)
+    points = ctx.group.points(DualCharacter, support)
+    return WeightedMeasure(DOMAIN_DUAL, dict(zip(points, lifted[support].tolist())))
 
 
 def image_measure(ctx: QuotientContext, rho: WeightedMeasure) -> WeightedMeasure:
     """Push a measure on the dual group down to the dual quotient (fiber sums)."""
     if rho.domain != DOMAIN_DUAL:
         raise ValueError(f"expected a measure on the dual group, got {rho.domain!r}")
+    cosets = ctx.dual_quotient.projection[[ctx.group.index_of(x) for x in rho.weights]]
     weights: dict = {}
-    for x, w in rho.weights.items():
-        i = ctx.dual_quotient.index_of(x)
+    for i, w in zip(cosets.tolist(), rho.weights.values()):
         weights[i] = weights.get(i, 0.0) + w
     return WeightedMeasure(DOMAIN_DUAL_QUOTIENT, weights)
 

@@ -79,7 +79,7 @@ def group_to_json(group: FiniteAbelianGroup) -> dict:
 def group_from_json(obj) -> FiniteAbelianGroup:
     if "factors" not in obj:
         raise ValueError("group spec must carry a 'factors' list")
-    return FiniteAbelianGroup(tuple(int(n) for n in obj["factors"]))
+    return FiniteAbelianGroup(tuple(obj["factors"]))
 
 
 def subgroup_to_json(subgroup: Subgroup) -> dict:
@@ -122,7 +122,10 @@ def quotient_function_to_json(values) -> dict:
 def quotient_function_from_json(obj) -> np.ndarray:
     if "values" not in obj:
         raise ValueError("quotient function file must carry a 'values' list")
-    return vector_from_json(obj["values"])
+    values = vector_from_json(obj["values"])
+    if not np.isfinite(values).all():
+        raise ValueError("quotient function has non-finite values")
+    return values
 
 
 def trig_polynomial_to_json(poly) -> dict:

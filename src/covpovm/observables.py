@@ -93,7 +93,7 @@ class PhaseObservable:
             raise ValueError("all isometries must share the embedding dimension")
         for k, w in mats.items():
             dev = np.abs(w.conj().T @ w - np.eye(w.shape[1])).max()
-            if dev > DEFAULT_ATOL:
+            if not dev <= DEFAULT_ATOL:
                 raise ValueError(f"matrix at frequency {k} is not isometric ({dev:.2e})")
         object.__setattr__(self, "isometries", mats)
 
@@ -156,7 +156,7 @@ class PhaseDifferenceObservable:
         vecs = {}
         for key, v in self.vectors.items():
             v = np.asarray(v, dtype=complex).reshape(-1)
-            if abs(np.linalg.norm(v) - 1.0) > DEFAULT_ATOL:
+            if not abs(np.linalg.norm(v) - 1.0) <= DEFAULT_ATOL:
                 raise ValueError(f"vector at {key} is not normalized")
             vecs[(int(key[0]), int(key[1]))] = v
         object.__setattr__(self, "vectors", vecs)
@@ -260,6 +260,8 @@ def born_distribution(state: np.ndarray, povm: CovariantPOVM, partition) -> np.n
         raise ValueError(
             f"state has dimension {state.shape[0]}, POVM acts on {povm.dimension}"
         )
+    if not np.isfinite(state).all():
+        raise ValueError("state has non-finite entries")
     if abs(np.linalg.norm(state) - 1.0) > DEFAULT_ATOL:
         raise ValueError("state is not normalized")
     cells = [tuple(cell) for cell in partition]

@@ -30,7 +30,6 @@ from .groups import (
     FiniteAbelianGroup,
     GroupElement,
     Subgroup,
-    pairing,
 )
 from .harmonic import (
     DOMAIN_DUAL,
@@ -105,13 +104,16 @@ class DiagonalRep:
     def dimension(self) -> int:
         return sum(self.sector_dims)
 
+    @cached_property
+    def point_indices(self) -> list[int]:
+        """Group index of each support character, sector-major as in the basis."""
+        return [self.group.index_of(x) for points in self.sector_points for x in points]
+
     def u_matrix(self, g: GroupElement) -> np.ndarray:
         """The diagonal unitary of the group element, in the documented basis."""
-        phases = []
-        for points, spec in zip(self.sector_points, self.sectors):
-            for x in points:
-                phases.extend([pairing(x, g)] * spec.f_dim)
-        return np.diag(np.array(phases, dtype=complex))
+        f_dims = [s.f_dim for points, s in zip(self.sector_points, self.sectors) for _ in points]
+        phases = self.group.pairing_matrix(self.point_indices, [self.group.index_of(g)])
+        return np.diag(np.repeat(phases[:, 0], f_dims))
 
 
 def recommended_e_dim(rep: DiagonalRep) -> int:
@@ -299,28 +301,15 @@ class CovariantPOVM:
         return self.rep.u_matrix(g)
 
     @cached_property
-    def _hperp_index(self) -> dict:
-        return {y: i for i, y in enumerate(self.ctx.hperp_points)}
-
-    @cached_property
     def _kernel(self) -> tuple[np.ndarray, np.ndarray]:
         """(D, K) over the rep basis. D[r, c] is the annihilator index of the
         difference of the characters of basis rows r and c, or -1; K is the
         omega-independent kernel factor of the POVM formula where D >= 0,
         and 0 elsewhere."""
         rep, ctx = self.rep, self.ctx
-        factors = np.array(rep.group.factors)
         points = [(k, x) for k, pts in enumerate(rep.sector_points) for x in pts]
-
-        def coords(chars) -> np.ndarray:
-            return np.array([x.coords for x in chars], dtype=np.int64).reshape(-1, len(factors))
-
-        hperp = coords(ctx.hperp_points)
-        lookup = np.full(rep.group.order, -1, dtype=np.int64)
-        lookup[np.ravel_multi_index(hperp.T, factors)] = np.arange(len(hperp))
-        support = coords(x for _, x in points)
-        diff = (support[:, None] - support[None]) % factors
-        point_d = lookup[np.ravel_multi_index(np.moveaxis(diff, -1, 0), factors)]
+        support = rep.group.coords[rep.point_indices]
+        point_d = ctx.annihilator.position(rep.group.ravel(support[:, None] - support[None]))
 
         f_dims = np.array([rep.sectors[k].f_dim for k, _ in points], dtype=np.int64)
         density = np.array([self.densities[k][x] for k, x in points])
@@ -651,9 +640,9 @@ def equivalence_check(
                     f"sector map {k} at {x} has shape {s.shape}, "
                     f"expected ({spec.f_dim}, {spec.f_dim})"
                 )
-            if np.abs(s.conj().T @ s - np.eye(spec.f_dim)).max() > atol:
+            if not np.abs(s.conj().T @ s - np.eye(spec.f_dim)).max() <= atol:
                 raise ValueError(f"sector map {k} at {x} is not unitary")
-    dev = 0.0
+    devs = []
     n = len(rep.sectors)
     for j in range(n):
         for k in range(n):
@@ -662,7 +651,7 @@ def equivalence_check(
                 wp_j = np.asarray(povm_b.fields[j].matrices[x], dtype=complex)
                 s_j = np.asarray(sector_maps[j][x], dtype=complex)
                 for xp in rep.sector_points[k]:
-                    if (x - xp) not in povm_a._hperp_index:
+                    if (x - xp) not in povm_a.ctx.annihilator:
                         continue
                     weight = math.sqrt(povm_a.densities[k][xp])
                     w_k = np.asarray(povm_a.fields[k].matrices[xp], dtype=complex)
@@ -672,5 +661,6 @@ def equivalence_check(
                     rhs = weight * (
                         s_j.conj().T @ wp_j.conj().T @ wp_k @ s_k
                     )
-                    dev = max(dev, float(np.abs(lhs - rhs).max()))
+                    devs.append(np.abs(lhs - rhs).max())
+    dev = _worst(devs)
     return EquivalenceResult(equivalent=dev <= atol, max_deviation=dev)

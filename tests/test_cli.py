@@ -62,6 +62,21 @@ class TestGroupCommand:
         )
         assert main(["group", spec]) == 3
 
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ({"group": {"factors": [12.9]}, "subgroup": {"generators": [[True]]}}, "12.9"),
+            ({"group": {"factors": [12]}, "subgroup": {"generators": [[4.7]]}}, "4.7"),
+            ({"group": {"factors": [12]}, "subgroup": {"generators": [[True]]}}, "True"),
+            ({"group": {"factors": [True, 2]}}, "True"),
+        ],
+    )
+    def test_non_integral_input_exits_3(self, tmp_path, capsys, spec, named):
+        assert main(["group", write(tmp_path, "g.json", spec)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be an integer" in captured.err and named in captured.err
+
     def test_output_reparses(self, tmp_path, capsys):
         spec = write(
             tmp_path,

@@ -1,11 +1,16 @@
 import cmath
+import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covpovm import (
+    DualCharacter,
     FiniteAbelianGroup,
+    Subgroup,
     annihilator,
     pairing,
     pairing_is_one,
@@ -205,3 +210,139 @@ class TestQuotientPairing:
     def test_character_outside_annihilator(self):
         with pytest.raises(ValueError):
             quotient_pairing(self.q, Z12.character([1]), 0)
+
+
+class TestIntegerBoundary:
+    @pytest.mark.parametrize("bad", [12.9, 12.0, True, "12", None])
+    def test_non_integral_factor_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            FiniteAbelianGroup((bad,))
+
+    @pytest.mark.parametrize("bad", [4.7, 4.0, True, np.float64(4.0), np.bool_(True)])
+    def test_non_integral_coordinate_rejected(self, bad):
+        with pytest.raises(ValueError, match="coordinate must be an integer"):
+            Z12.element([bad])
+        with pytest.raises(ValueError, match="coordinate must be an integer"):
+            Z12.character([bad])
+
+    def test_numpy_integers_accepted(self):
+        group = FiniteAbelianGroup((np.int64(12),))
+        assert group.factors == (12,) and type(group.factors[0]) is int
+        g = group.element([np.int32(16)])
+        assert g.coords == (4,) and type(g.coords[0]) is int
+
+
+@st.composite
+def groups_with_generators(draw, max_generators=3):
+    """Groups of 1-3 cyclic factors of order <= 12 (at most 96 elements, so
+    the brute-force oracles stay fast) with a random generator list."""
+    factors = draw(
+        st.lists(st.integers(1, 12), min_size=1, max_size=3).filter(
+            lambda f: math.prod(f) <= 96
+        )
+    )
+    group = FiniteAbelianGroup(tuple(factors))
+    coords = st.tuples(*(st.integers(0, n - 1) for n in factors))
+    gens = draw(st.lists(coords, max_size=max_generators))
+    return group, [group.element(c) for c in gens]
+
+
+class TestIndexLayerProperties:
+    @given(groups_with_generators())
+    @settings(max_examples=60, deadline=None)
+    def test_closure_matches_brute_force(self, case):
+        group, gens = case
+        h = subgroup_from_generators(group, gens)
+        assert set(h.elements) == brute_closure(group, gens)
+        assert list(h.elements) == sorted(h.elements)
+        assert h.generators == tuple(gens)
+
+    @given(groups_with_generators())
+    @settings(max_examples=60, deadline=None)
+    def test_annihilator_matches_brute_pairing(self, case):
+        group, gens = case
+        h = subgroup_from_generators(group, gens)
+        ann = annihilator(group, h)
+        oracle = {
+            y for y in group.characters() if all(pairing(y, e) == 1 for e in h.elements)
+        }
+        assert set(ann.elements) == oracle
+        assert ann.point_type is DualCharacter
+        assert set(annihilator(group, ann).elements) == set(h.elements)
+        respanned = subgroup_from_generators(group, ann.generators)
+        assert {y.coords for y in respanned.elements} == {y.coords for y in oracle}
+
+    @given(groups_with_generators())
+    @settings(max_examples=60, deadline=None)
+    def test_quotient_matches_brute_cosets(self, case):
+        group, gens = case
+        h = subgroup_from_generators(group, gens)
+        q = quotient(group, h)
+        oracle = brute_cosets(group, h.elements)
+        assert list(q.representatives) == [coset[0] for coset in oracle]
+        for i, coset in enumerate(oracle):
+            assert q.coset_members(i) == tuple(sorted(coset))
+            assert {q.index_of(g) for g in coset} == {i}
+
+    @given(groups_with_generators())
+    @settings(max_examples=40, deadline=None)
+    def test_dual_quotient_matches_brute_cosets(self, case):
+        group, gens = case
+        ann = annihilator(group, subgroup_from_generators(group, gens))
+        dq = quotient(group, ann)
+        oracle = []
+        for x in group.characters():
+            for coset in oracle:
+                if x - coset[0] in ann:
+                    coset.append(x)
+                    break
+            else:
+                oracle.append([x])
+        assert list(dq.representatives) == [coset[0] for coset in oracle]
+        for i, coset in enumerate(oracle):
+            assert dq.coset_members(i) == tuple(coset)
+            assert {dq.index_of(x) for x in coset} == {i}
+
+    @given(groups_with_generators(max_generators=0))
+    @settings(max_examples=40, deadline=None)
+    def test_pairing_matrix_equals_pairing_exactly(self, case):
+        group, _ = case
+        everything = np.arange(group.order)
+        matrix = group.pairing_matrix(everything, everything)
+        brute = [[pairing(x, g) for g in group.elements()] for x in group.characters()]
+        assert matrix.tolist() == brute
+
+    @given(groups_with_generators(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_direct_dual_construction_enforces_invariants(self, case, data):
+        group, gens = case
+        dual = annihilator(group, subgroup_from_generators(group, gens))
+        points = list(dual.elements)
+        Subgroup(group, dual.generators, points)  # the valid set is accepted
+        if len(points) > 1:
+            with pytest.raises(ValueError):  # identity missing
+                Subgroup(group, dual.generators, points[1:])
+            dropped = data.draw(st.integers(1, len(points) - 1))
+            with pytest.raises(ValueError):  # not closed under the generators
+                Subgroup(group, dual.generators, points[:dropped] + points[dropped + 1 :])
+            with pytest.raises(ValueError):  # generators do not generate
+                Subgroup(group, (), points)
+        outside = [y for y in group.characters() if y not in dual]
+        if outside:
+            shift = data.draw(st.sampled_from(outside))
+            with pytest.raises(ValueError, match="identity"):  # another coset
+                Subgroup(group, dual.generators, [y + shift for y in points])
+        if outside and len(points) > 1:
+            with pytest.raises(ValueError, match="not closed"):  # right size, not closed
+                Subgroup(group, dual.generators, points[:-1] + [shift])
+
+
+class TestSubgroupValidation:
+    def test_each_check_rejects_on_its_own(self):
+        four = Z12.element([4])
+        with pytest.raises(ValueError, match="identity"):  # a coset of <4>
+            Subgroup(Z12, (four,), [Z12.element([c]) for c in (1, 5, 9)])
+        with pytest.raises(ValueError, match="not closed"):  # holds 0, right size
+            Subgroup(Z12, (four,), [Z12.element([c]) for c in (0, 4, 9)])
+        with pytest.raises(ValueError, match="do not generate"):  # closed, too large
+            Subgroup(Z12, (four,), [Z12.element([c]) for c in range(0, 12, 2)])

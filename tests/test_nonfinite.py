@@ -11,13 +11,19 @@ import pytest
 from covpovm import (
     DOMAIN_DUAL,
     IsometryField,
+    PhaseDifferenceObservable,
+    PhaseObservable,
     PovmBuildError,
     WeightedMeasure,
+    born_distribution,
     build_covariant_povm,
+    equivalence_check,
+    sample_outcomes,
     verify_axioms,
     verify_covariance,
 )
 from covpovm.cli import _oracle_report, main
+from covpovm.iojson import quotient_function_from_json
 from helpers import scalar_z12_povm, standard_instances
 
 
@@ -107,3 +113,83 @@ class TestNanFailsItsCheck:
         report = _oracle_report(nan_field_povm(), 1e-9, [])
         assert not report.passed
         assert math.isnan(report.checks[0].max_deviation)
+
+
+def identity_maps(povm):
+    return [
+        {x: np.eye(spec.f_dim) for x in spec.rho.support}
+        for spec in povm.rep.sectors
+    ]
+
+
+class TestNonFiniteStatesAndOmegas:
+    def test_born_rejects_nan_state(self):
+        povm = scalar_z12_povm()
+        with pytest.raises(ValueError, match="non-finite"):
+            born_distribution(np.array([np.nan]), povm, [[i] for i in range(4)])
+
+    def test_sample_rejects_nan_state(self):
+        povm = scalar_z12_povm()
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_outcomes(np.array([np.nan]), povm, [[i] for i in range(4)], 10, 1)
+
+    def test_omega_reader_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            quotient_function_from_json({"values": [[math.nan, 0.0], [1.0, 0.0]]})
+
+    def cli_files(self, tmp_path):
+        scenario = {
+            "spec_version": 1,
+            "group": {"factors": [12]},
+            "subgroup": {"generators": [[4]]},
+            "e_dim": 1,
+            "sectors": [{"f_dim": 1, "support": [[[0], 1.0]]}],
+            "fields": [{"sector": 0, "matrices": [[[0], [[[1.0, 0.0]]]]]}],
+        }
+        paths = {}
+        for name, obj in (
+            ("scenario", scenario),
+            ("state", {"state": [[math.nan, 0.0]]}),
+            ("omega", {"values": [[math.nan, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}),
+        ):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(obj))
+        return {k: str(v) for k, v in paths.items()}
+
+    def test_cli_sample_nan_state_exits_3(self, tmp_path, capsys):
+        p = self.cli_files(tmp_path)
+        argv = ["sample", p["scenario"], "--state", p["state"], "-n", "10", "--seed", "1"]
+        assert main(argv) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_cli_matrix_nan_omega_exits_3(self, tmp_path, capsys):
+        p = self.cli_files(tmp_path)
+        assert main(["matrix", p["scenario"], "--omega", p["omega"]]) == 3
+        assert "NaN" not in capsys.readouterr().out
+
+    def test_cli_verify_nan_omega_exits_3(self, tmp_path):
+        p = self.cli_files(tmp_path)
+        assert main(["verify", p["scenario"], "--omega", p["omega"]]) == 3
+
+
+class TestNanBlindComparisons:
+    def test_equivalence_rejects_nan_sector_map(self):
+        povm = standard_instances()[0][1]
+        maps = identity_maps(povm)
+        maps[0] = {x: np.full_like(m, np.nan) for x, m in maps[0].items()}
+        with pytest.raises(ValueError, match="not unitary"):
+            equivalence_check(povm, povm, maps)
+
+    def test_equivalence_keeps_nan_deviation(self):
+        povm = nan_field_povm()
+        result = equivalence_check(povm, povm, identity_maps(povm))
+        assert not result.equivalent
+        assert math.isnan(result.max_deviation)
+
+    def test_phase_observable_rejects_nan_isometry(self):
+        with pytest.raises(ValueError, match="not isometric"):
+            PhaseObservable({0: np.array([[1.0]]), 1: np.array([[np.nan]])})
+
+    def test_phase_difference_rejects_nan_vector(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            PhaseDifferenceObservable({(0, 0): np.array([1.0]), (0, 1): np.array([np.nan])})
