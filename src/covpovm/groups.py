@@ -150,9 +150,11 @@ class FiniteAbelianGroup:
 
     @cached_property
     def _roots(self) -> np.ndarray:
-        """exp(2 pi i t / L) for t < L, computed exactly as :func:`pairing` does."""
-        lcm = self.exponent
-        return np.array([cmath.exp(2j * cmath.pi * t / lcm) for t in range(lcm)])
+        """exp(2 pi i t / L) for t < L: the pairing <1, t> on Z_L, by :func:`pairing`
+        itself, so the pairing matrix equals it bit for bit."""
+        cyclic = (self.exponent,)
+        one = DualCharacter((1,), cyclic)
+        return np.array([pairing(one, GroupElement((t,), cyclic)) for t in range(cyclic[0])])
 
     def exponents(self, x_indices, g_indices) -> np.ndarray:
         """t[a, b] with <x_a, g_b> = exp(2 pi i t / L), 0 <= t < L, exactly."""
@@ -206,41 +208,39 @@ def _triangular_generators(group: FiniteAbelianGroup, indices) -> np.ndarray:
 
 class Subgroup:
     """Subgroup of a group or of its dual (GroupElement or DualCharacter points):
-    generators and the sorted indices of the elements. Construction checks that
-    the set holds the identity, is closed under adding each generator and has
-    |G| / |ann(generators)| elements, so it is exactly what they generate."""
+    generators and the sorted indices of the elements. The constructor checks
+    that the set holds the identity, is closed under adding each generator and
+    has |G| / |ann(generators)| elements, so it is exactly what they generate;
+    :func:`subgroup_from_generators` and :func:`annihilator` build correct sets
+    and skip the checks."""
 
     def __init__(self, parent: FiniteAbelianGroup, generators, elements):
-        elements = tuple(elements)
+        elements, generators = tuple(elements), tuple(generators)
         kinds = {type(p) for p in elements}
         if len(kinds) != 1:
             raise ValueError("a subgroup carries the identity and points of one kind only")
-        indices = np.unique([parent.index_of(p) for p in elements])
-        self._setup(parent, generators, kinds.pop(), indices)
-
-    @classmethod
-    def _of_indices(cls, parent, generators, point_type, indices) -> "Subgroup":
-        subgroup = cls.__new__(cls)
-        subgroup._setup(parent, generators, point_type, indices)
-        return subgroup
-
-    def _setup(self, parent, generators, point_type, indices) -> None:
-        self.parent = parent
-        self.generators = tuple(generators)
-        self.point_type = point_type
-        self.indices = indices
-        if any(type(g) is not point_type for g in self.generators):
+        if any(type(g) not in kinds for g in generators):
             raise ValueError("generators must all be of the elements' kind")
-        generator_indices = [parent.index_of(g) for g in self.generators]
-        if indices[0] != 0:
+        self.parent, self.generators, self.point_type = parent, generators, kinds.pop()
+        self.indices = np.unique([parent.index_of(p) for p in elements])
+        if self.indices[0] != 0:
             raise ValueError("subgroup does not contain the identity")
-        coords = parent.coords[indices]
-        for g, i in zip(self.generators, generator_indices):
+        coords = parent.coords[self.indices]
+        generator_indices = [parent.index_of(g) for g in generators]
+        for g, i in zip(generators, generator_indices):
             if (self.position(parent.ravel(coords + parent.coords[i])) < 0).any():
                 raise ValueError(f"element set is not closed under adding {g}")
         self._annihilator_mask = _trivial_pairing(parent, generator_indices)
-        if len(indices) * np.count_nonzero(self._annihilator_mask) != parent.order:
+        if self.order * np.count_nonzero(self._annihilator_mask) != parent.order:
             raise ValueError("generators do not generate the stored element set")
+
+    @classmethod
+    def _of_indices(cls, parent, generators, point_type, indices, annihilator_mask):
+        """A subgroup the caller built correctly, with its annihilator mask: no checks."""
+        subgroup = cls.__new__(cls)
+        subgroup.parent, subgroup.generators, subgroup.point_type = parent, generators, point_type
+        subgroup.indices, subgroup._annihilator_mask = indices, annihilator_mask
+        return subgroup
 
     @cached_property
     def elements(self) -> tuple:
@@ -273,10 +273,12 @@ def subgroup_from_generators(group: FiniteAbelianGroup, generators) -> Subgroup:
     an empty set yields the trivial subgroup on the element side.
     """
     gens = tuple(generators)
-    dual = np.flatnonzero(_trivial_pairing(group, [group.index_of(g) for g in gens]))
-    member = _trivial_pairing(group, _triangular_generators(group, dual))
-    point_type = type(gens[0]) if gens else GroupElement
-    return Subgroup._of_indices(group, gens, point_type, np.flatnonzero(member))
+    kinds = {type(g) for g in gens} or {GroupElement}
+    if len(kinds) != 1:
+        raise ValueError("generators must all be of one kind")
+    dual = _trivial_pairing(group, [group.index_of(g) for g in gens])
+    member = _trivial_pairing(group, _triangular_generators(group, np.flatnonzero(dual)))
+    return Subgroup._of_indices(group, gens, kinds.pop(), np.flatnonzero(member), dual)
 
 
 def trivial_subgroup(group: FiniteAbelianGroup) -> Subgroup:
@@ -296,7 +298,8 @@ def annihilator(group: FiniteAbelianGroup, subgroup: Subgroup) -> Subgroup:
     kept = np.flatnonzero(subgroup._annihilator_mask)
     point_type = GroupElement if subgroup.point_type is DualCharacter else DualCharacter
     generators = group.points(point_type, _triangular_generators(group, kept))
-    return Subgroup._of_indices(group, generators, point_type, kept)
+    member = np.isin(np.arange(group.order), subgroup.indices)
+    return Subgroup._of_indices(group, generators, point_type, kept, member)
 
 
 @dataclass(frozen=True, eq=False)

@@ -300,6 +300,13 @@ class CovariantPOVM:
     def u_matrix(self, g: GroupElement) -> np.ndarray:
         return self.rep.u_matrix(g)
 
+    def _point_differences(self) -> np.ndarray:
+        """Annihilator index of x - x' for every pair of support characters,
+        sector-major as ``rep.point_indices``, or -1."""
+        group = self.rep.group
+        support = group.coords[self.rep.point_indices]
+        return self.ctx.annihilator.position(group.ravel(support[:, None] - support[None]))
+
     @cached_property
     def _kernel(self) -> tuple[np.ndarray, np.ndarray]:
         """(D, K) over the rep basis. D[r, c] is the annihilator index of the
@@ -308,8 +315,7 @@ class CovariantPOVM:
         and 0 elsewhere."""
         rep, ctx = self.rep, self.ctx
         points = [(k, x) for k, pts in enumerate(rep.sector_points) for x in pts]
-        support = rep.group.coords[rep.point_indices]
-        point_d = ctx.annihilator.position(rep.group.ravel(support[:, None] - support[None]))
+        point_d = self._point_differences()
 
         f_dims = np.array([rep.sectors[k].f_dim for k, _ in points], dtype=np.int64)
         density = np.array([self.densities[k][x] for k, x in points])
@@ -642,25 +648,19 @@ def equivalence_check(
                 )
             if not np.abs(s.conj().T @ s - np.eye(spec.f_dim)).max() <= atol:
                 raise ValueError(f"sector map {k} at {x} is not unitary")
+    points = [(k, x) for k, pts in enumerate(rep.sector_points) for x in pts]
     devs = []
-    n = len(rep.sectors)
-    for j in range(n):
-        for k in range(n):
-            for x in rep.sector_points[j]:
-                w_j = np.asarray(povm_a.fields[j].matrices[x], dtype=complex)
-                wp_j = np.asarray(povm_b.fields[j].matrices[x], dtype=complex)
-                s_j = np.asarray(sector_maps[j][x], dtype=complex)
-                for xp in rep.sector_points[k]:
-                    if (x - xp) not in povm_a.ctx.annihilator:
-                        continue
-                    weight = math.sqrt(povm_a.densities[k][xp])
-                    w_k = np.asarray(povm_a.fields[k].matrices[xp], dtype=complex)
-                    wp_k = np.asarray(povm_b.fields[k].matrices[xp], dtype=complex)
-                    s_k = np.asarray(sector_maps[k][xp], dtype=complex)
-                    lhs = weight * (w_j.conj().T @ w_k)
-                    rhs = weight * (
-                        s_j.conj().T @ wp_j.conj().T @ wp_k @ s_k
-                    )
-                    devs.append(np.abs(lhs - rhs).max())
+    for a, b in np.argwhere(povm_a._point_differences() >= 0).tolist():
+        (j, x), (k, xp) = points[a], points[b]
+        w_j = np.asarray(povm_a.fields[j].matrices[x], dtype=complex)
+        wp_j = np.asarray(povm_b.fields[j].matrices[x], dtype=complex)
+        s_j = np.asarray(sector_maps[j][x], dtype=complex)
+        weight = math.sqrt(povm_a.densities[k][xp])
+        w_k = np.asarray(povm_a.fields[k].matrices[xp], dtype=complex)
+        wp_k = np.asarray(povm_b.fields[k].matrices[xp], dtype=complex)
+        s_k = np.asarray(sector_maps[k][xp], dtype=complex)
+        lhs = weight * (w_j.conj().T @ w_k)
+        rhs = weight * (s_j.conj().T @ wp_j.conj().T @ wp_k @ s_k)
+        devs.append(np.abs(lhs - rhs).max())
     dev = _worst(devs)
     return EquivalenceResult(equivalent=dev <= atol, max_deviation=dev)

@@ -303,6 +303,24 @@ class TestIndexLayerProperties:
             assert dq.coset_members(i) == tuple(coset)
             assert {dq.index_of(x) for x in coset} == {i}
 
+    @given(groups_with_generators())
+    @settings(max_examples=60, deadline=None)
+    def test_built_subgroups_pass_the_checked_constructor(self, case):
+        # subgroup_from_generators and annihilator skip the constructor's
+        # checks; what they build must pass them, with the same annihilator
+        group, gens = case
+        h = subgroup_from_generators(group, gens)
+        ann = annihilator(group, h)
+        for built in (h, ann, annihilator(group, ann)):
+            checked = Subgroup(group, built.generators, built.elements)
+            assert checked.point_type is built.point_type
+            assert checked.indices.tolist() == built.indices.tolist()
+            assert checked._annihilator_mask.tolist() == built._annihilator_mask.tolist()
+
+    def test_mixed_generator_kinds_rejected(self):
+        with pytest.raises(ValueError, match="one kind"):
+            subgroup_from_generators(Z12, [Z12.element([4]), Z12.character([3])])
+
     @given(groups_with_generators(max_generators=0))
     @settings(max_examples=40, deadline=None)
     def test_pairing_matrix_equals_pairing_exactly(self, case):
