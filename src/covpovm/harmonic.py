@@ -69,22 +69,12 @@ class WeightedMeasure:
         return self.weights.get(point, 0.0)
 
     @property
-    def mass(self) -> float:
-        return sum(self.weights.values())
-
-    @property
     def is_zero(self) -> bool:
         return not self.weights
 
     def items(self):
         """Deterministic (point, weight) pairs, sorted by point."""
         return sorted(self.weights.items())
-
-    def restricted(self, points) -> "WeightedMeasure":
-        keep = set(points)
-        return WeightedMeasure(
-            self.domain, {p: w for p, w in self.weights.items() if p in keep}
-        )
 
     def __add__(self, other: "WeightedMeasure") -> "WeightedMeasure":
         if self.domain != other.domain:

@@ -18,6 +18,7 @@ conjugate transposes and unitarity is the standard matrix condition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,15 +29,11 @@ from .harmonic import DOMAIN_DUAL_QUOTIENT, QuotientContext, WeightedMeasure
 
 
 @dataclass(frozen=True, eq=False)
-class InducedSpace:
-    """Stored-representative model of the space induced from a diagonal
-    subgroup representation with multiplicity ``e_dim``.
-
-    Basis index order: coset index (major), support point of the dual
-    quotient measure, C^E coordinate (minor). Vectors are arrays of shape
-    (n_cosets, n_support, e_dim) holding function values at the
-    representatives.
-    """
+class _WeightedSpace:
+    """Weighted C^E-valued function space over a measure on the dual
+    quotient. Subclasses give the value-array ``shape`` and the
+    inner-product weight of each entry, ``weight_array``; orthonormal
+    coordinates scale values by the square roots of those weights."""
 
     ctx: QuotientContext
     nu: WeightedMeasure
@@ -50,34 +47,9 @@ class InducedSpace:
         if self.e_dim < 1:
             raise ValueError(f"e_dim must be >= 1, got {self.e_dim}")
 
-    @cached_property
-    def support(self) -> tuple[int, ...]:
-        """Dual-quotient coset indices carrying positive weight, sorted."""
-        return tuple(sorted(self.nu.support))
-
-    @cached_property
-    def support_weights(self) -> np.ndarray:
-        return np.array([self.nu(s) for s in self.support])
-
-    @cached_property
-    def support_characters(self) -> tuple[DualCharacter, ...]:
-        """Canonical character representative of each support coset."""
-        return tuple(self.ctx.dual_quotient.representatives[s] for s in self.support)
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.ctx.n_cosets, len(self.support), self.e_dim)
-
     @property
     def dim(self) -> int:
-        q, s, e = self.shape
-        return q * s * e
-
-    @cached_property
-    def weight_array(self) -> np.ndarray:
-        """Inner-product weight of each basis entry (counting x nu x counting)."""
-        q, s, e = self.shape
-        return np.broadcast_to(self.support_weights[None, :, None], (q, s, e)).copy()
+        return math.prod(self.shape)
 
     @cached_property
     def _sqrt_weights(self) -> np.ndarray:
@@ -103,6 +75,41 @@ class InducedSpace:
     def from_coords(self, coords: np.ndarray) -> np.ndarray:
         return np.asarray(coords, dtype=complex).reshape(self.shape) / self._sqrt_weights
 
+
+class InducedSpace(_WeightedSpace):
+    """Stored-representative model of the space induced from a diagonal
+    subgroup representation with multiplicity ``e_dim``.
+
+    Basis index order: coset index (major), support point of the dual
+    quotient measure, C^E coordinate (minor). Vectors are arrays of shape
+    (n_cosets, n_support, e_dim) holding function values at the
+    representatives.
+    """
+
+    @cached_property
+    def support(self) -> tuple[int, ...]:
+        """Dual-quotient coset indices carrying positive weight, sorted."""
+        return tuple(sorted(self.nu.support))
+
+    @cached_property
+    def support_weights(self) -> np.ndarray:
+        return np.array([self.nu(s) for s in self.support])
+
+    @cached_property
+    def support_characters(self) -> tuple[DualCharacter, ...]:
+        """Canonical character representative of each support coset."""
+        return tuple(self.ctx.dual_quotient.representatives[s] for s in self.support)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (self.ctx.n_cosets, len(self.support), self.e_dim)
+
+    @cached_property
+    def weight_array(self) -> np.ndarray:
+        """Inner-product weight of each basis entry (counting x nu x counting)."""
+        q, s, e = self.shape
+        return np.broadcast_to(self.support_weights[None, :, None], (q, s, e)).copy()
+
     @cached_property
     def diagonal_space(self) -> "DiagonalSpace":
         return DiagonalSpace(self.ctx, self.nu, self.e_dim)
@@ -116,26 +123,13 @@ class InducedSpace:
         return phase * f[i, support_pos, :]
 
 
-@dataclass(frozen=True, eq=False)
-class DiagonalSpace:
+class DiagonalSpace(_WeightedSpace):
     """Weighted function space on the dual-group support of the lifted
     measure, with ``e_dim`` coordinates per character.
 
     Basis order: characters sorted lexicographically (major), C^E
     coordinate (minor). Vectors are arrays of shape (n_points, e_dim).
     """
-
-    ctx: QuotientContext
-    nu: WeightedMeasure
-    e_dim: int
-
-    def __post_init__(self):
-        if self.nu.domain != DOMAIN_DUAL_QUOTIENT:
-            raise ValueError(
-                f"expected a measure on the dual quotient, got {self.nu.domain!r}"
-            )
-        if self.e_dim < 1:
-            raise ValueError(f"e_dim must be >= 1, got {self.e_dim}")
 
     @cached_property
     def points(self) -> tuple[DualCharacter, ...]:
@@ -161,37 +155,11 @@ class DiagonalSpace:
     def shape(self) -> tuple[int, int]:
         return (len(self.points), self.e_dim)
 
-    @property
-    def dim(self) -> int:
-        return len(self.points) * self.e_dim
-
     @cached_property
     def weight_array(self) -> np.ndarray:
         return np.broadcast_to(
             self.point_weights[:, None], (len(self.points), self.e_dim)
         ).copy()
-
-    @cached_property
-    def _sqrt_weights(self) -> np.ndarray:
-        return np.sqrt(self.weight_array)
-
-    def zero(self) -> np.ndarray:
-        return np.zeros(self.shape, dtype=complex)
-
-    def random(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(self.shape) + 1j * rng.standard_normal(self.shape)
-
-    def inner(self, p1: np.ndarray, p2: np.ndarray) -> complex:
-        return complex(np.sum(p1 * p2.conj() * self.weight_array))
-
-    def norm(self, p: np.ndarray) -> float:
-        return float(np.sqrt(max(self.inner(p, p).real, 0.0)))
-
-    def to_coords(self, p: np.ndarray) -> np.ndarray:
-        return (np.asarray(p, dtype=complex) * self._sqrt_weights).reshape(self.dim)
-
-    def from_coords(self, coords: np.ndarray) -> np.ndarray:
-        return np.asarray(coords, dtype=complex).reshape(self.shape) / self._sqrt_weights
 
     @cached_property
     def _shift_table(self) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteAbelianGroup, Subgroup, subgroup_from_generators
+from .groups import FiniteAbelianGroup, Subgroup, _as_int, subgroup_from_generators
 from .harmonic import (
     DOMAIN_DUAL,
     DOMAIN_DUAL_QUOTIENT,
@@ -62,7 +62,7 @@ def matrix_to_json(matrix) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _as_int(obj["rows"], "rows"), _as_int(obj["cols"], "cols")
     entries = obj["entries"]
     if len(entries) != rows * cols:
         raise ValueError(
@@ -108,7 +108,7 @@ def measure_from_json(group: FiniteAbelianGroup, obj) -> WeightedMeasure:
         if domain == DOMAIN_DUAL:
             key = group.character(point)
         elif domain in (DOMAIN_DUAL_QUOTIENT, DOMAIN_QUOTIENT):
-            key = int(point)
+            key = _as_int(point, "coset index")
         else:
             raise ValueError(f"unknown measure domain {domain!r}")
         weights[key] = float(w)
@@ -138,7 +138,7 @@ def trig_polynomial_from_json(obj):
     from .observables import TrigPolynomial
 
     return TrigPolynomial(
-        {int(n): pair_to_complex(c) for n, c in obj.get("coeffs", [])}
+        {_as_int(n, "frequency"): pair_to_complex(c) for n, c in obj.get("coeffs", [])}
     )
 
 
@@ -151,7 +151,7 @@ def state_from_json(obj) -> np.ndarray:
 def partition_from_json(obj) -> list[list[int]]:
     if "partition" not in obj:
         raise ValueError("partition file must carry a 'partition' list")
-    return [[int(i) for i in cell] for cell in obj["partition"]]
+    return [[_as_int(i, "partition entry") for i in cell] for cell in obj["partition"]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,13 +178,12 @@ def scenario_from_json(obj) -> Scenario:
         )
     group = group_from_json(obj["group"])
     subgroup = subgroup_from_json(group, obj.get("subgroup", {}))
-    e_dim = int(obj["e_dim"])
+    e_dim = _as_int(obj["e_dim"], "e_dim")
     sectors = []
     for entry in obj["sectors"]:
         weights = {group.character(c): float(w) for c, w in entry["support"]}
-        sectors.append(
-            SectorSpec(WeightedMeasure(DOMAIN_DUAL, weights), int(entry["f_dim"]))
-        )
+        f_dim = _as_int(entry["f_dim"], "f_dim")
+        sectors.append(SectorSpec(WeightedMeasure(DOMAIN_DUAL, weights), f_dim))
     rep = DiagonalRep(group, tuple(sectors))
     fields = []
     for entry in obj["fields"]:
@@ -193,7 +192,7 @@ def scenario_from_json(obj) -> Scenario:
             matrices[group.character(coords)] = np.array(
                 [[pair_to_complex(p) for p in row] for row in rows], dtype=complex
             )
-        fields.append(IsometryField(int(entry["sector"]), matrices))
+        fields.append(IsometryField(_as_int(entry["sector"], "field sector"), matrices))
     return Scenario(group, subgroup, rep, e_dim, tuple(fields))
 
 

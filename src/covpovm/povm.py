@@ -227,7 +227,12 @@ def admits_covariant_povm(
     construction, so at this scale the answer is always yes and the value
     of the call is the density table.
     """
-    data = class_measure(ctx, rep, quotient_measure)
+    return _admissibility(rep, class_measure(ctx, rep, quotient_measure))
+
+
+def _admissibility(rep: DiagonalRep, data: MeasureClassData) -> AdmissibilityResult:
+    """The density step of the criterion, against class measure data
+    already computed."""
     densities = []
     certificates = []
     for spec in rep.sectors:
@@ -373,6 +378,13 @@ class CovariantPOVM:
         """Target model of the intertwiner, over the class measure."""
         return DiagonalSpace(self.ctx, self.quotient_measure, self.e_dim)
 
+    @cached_property
+    def intertwiner(self) -> np.ndarray:
+        """:func:`intertwiner_matrix` of this POVM, built once; read-only."""
+        w = intertwiner_matrix(self)
+        w.flags.writeable = False
+        return w
+
 
 def build_covariant_povm(
     rep: DiagonalRep,
@@ -444,7 +456,6 @@ def build_covariant_povm(
                     deviation=dev,
                 )
     ctx = QuotientContext.build(rep.group, subgroup)
-    admissibility = admits_covariant_povm(ctx, rep, quotient_measure)
     data = class_measure(ctx, rep, quotient_measure)
     return CovariantPOVM(
         rep=rep,
@@ -452,7 +463,7 @@ def build_covariant_povm(
         e_dim=e_dim,
         fields=fields,
         class_data=data,
-        densities=admissibility.densities,
+        densities=_admissibility(rep, data).densities,
     )
 
 
@@ -487,7 +498,7 @@ def apply_via_intertwiner(povm: CovariantPOVM, omega) -> BlockOperator:
     Independent of :meth:`CovariantPOVM.apply`; the two routes agreeing is
     the core correctness statement of this module.
     """
-    w = intertwiner_matrix(povm)
+    w = povm.intertwiner
     transported = transported_multiplication_matrix(povm.diagonal_space, omega)
     full = w.conj().T @ transported @ w
     return BlockOperator(povm.rep, full)
@@ -547,25 +558,21 @@ def _positivity_deviation(matrix: np.ndarray) -> float:
     return max(herm_defect, float(max(0.0, -eigenvalues.min())))
 
 
-def verify_axioms(
-    povm_like,
-    atol: float = DEFAULT_ATOL,
-    rng: np.random.Generator | None = None,
-    n_random_subsets: int = 30,
-) -> VerificationReport:
+def verify_axioms(povm_like, atol: float = DEFAULT_ATOL) -> VerificationReport:
     """Positivity of effects and normalization of the whole outcome space.
 
-    Accepts any object with ``ctx``, ``dimension``, and
-    ``assembled(omega) -> ndarray``; never raises on numerical failure,
-    the report carries the deviations.
+    Positivity is checked on the q singleton effects, which covers every
+    union of cosets when the effects are linear in omega, and on a sample
+    of 30 random unions drawn from ``default_rng(0)``. Normalization is
+    checked on the effect of the whole quotient. Accepts any object with
+    ``ctx``, ``dimension``, and ``assembled(omega) -> ndarray``; never
+    raises on numerical failure, the report carries the deviations.
     """
     ctx = povm_like.ctx
     q = ctx.n_cosets
-    rng = rng if rng is not None else np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     subsets = [[i] for i in range(q)]
-    for _ in range(n_random_subsets):
-        mask = rng.integers(0, 2, size=q)
-        subsets.append([i for i in range(q) if mask[i]])
+    subsets.extend(np.flatnonzero(rng.integers(0, 2, size=q)) for _ in range(30))
     pos_dev = _worst(
         [_positivity_deviation(povm_like.assembled(ctx.indicator(s))) for s in subsets]
     )
@@ -580,18 +587,26 @@ def verify_axioms(
 
 
 def verify_covariance(povm_like, atol: float = DEFAULT_ATOL) -> VerificationReport:
-    """Check that conjugating by the representation translates the outcome
-    function, over every group element and a basis of quotient functions."""
+    """Check U(g) M(e_j) U(g)* = M(g . e_j) for every g in G and every
+    singleton coset effect e_j, which covers every quotient function when
+    the effects are linear in omega.
+
+    Exhaustive over G. Each of the q singleton effects is evaluated once
+    through ``assembled``, so a ``povm_like`` must return an effect that
+    depends only on omega; ``ctx.translated`` applied to the coset indices
+    gives, for each coset i, the coset j that g carries onto i.
+    """
     ctx = povm_like.ctx
     q = ctx.n_cosets
+    effects = [povm_like.assembled(ctx.indicator([j])) for j in range(q)]
+    cosets = np.arange(q)
     devs = []
-    basis = [ctx.indicator([i]) for i in range(q)]
     for g in ctx.group.elements():
         u = povm_like.u_matrix(g)
-        for omega in basis:
-            lhs = u @ povm_like.assembled(omega) @ u.conj().T
-            rhs = povm_like.assembled(ctx.translated(g, omega))
-            devs.append(_worst(np.abs(lhs - rhs)))
+        source = ctx.translated(g, cosets).real.astype(int)
+        for i, j in enumerate(source):
+            lhs = u @ effects[j] @ u.conj().T
+            devs.append(_worst(np.abs(lhs - effects[i])))
     dev = _worst(devs)
     return VerificationReport(
         (CheckResult("covariance", dev <= atol, dev),)

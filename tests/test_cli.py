@@ -268,3 +268,60 @@ class TestJsonRoundTrips:
     def test_matrix_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             iojson.matrix_from_json({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})
+
+
+def _with(obj, path, value):
+    """Copy of a JSON object with the entry at ``path`` (keys and indices)
+    replaced by ``value``."""
+    obj = json.loads(json.dumps(obj))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+class TestNonIntegralScenarioInput:
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("e_dim",), 1.9),
+            (("sectors", 0, "f_dim"), 1.7),
+            (("fields", 0, "sector"), 0.5),
+            (("e_dim",), True),
+        ],
+    )
+    def test_build_exits_3_naming_the_value(self, tmp_path, capsys, path, value):
+        scen = write(tmp_path, "s.json", _with(scalar_scenario(), path, value))
+        assert main(["build", scen]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be an integer" in captured.err and str(value) in captured.err
+
+    def test_sample_partition_exits_3_naming_the_value(self, tmp_path, capsys):
+        scen = write(tmp_path, "s.json", scalar_scenario())
+        state = write(tmp_path, "st.json", {"state": [[1.0, 0.0]]})
+        part = write(tmp_path, "p.json", {"partition": [[0.9, 1], [2, 3.5]]})
+        argv = ["sample", scen, "--state", state, "--partition", part]
+        assert main(argv + ["-n", "10", "--seed", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be an integer" in captured.err and "0.9" in captured.err
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda: iojson.measure_from_json(
+                FiniteAbelianGroup((12,)),
+                {"domain": "dual_quotient", "weights": [[1.5, 1.0]]},
+            ),
+            lambda: iojson.matrix_from_json(
+                {"rows": 1.0, "cols": 1, "entries": [[1.0, 0.0]]}
+            ),
+            lambda: iojson.trig_polynomial_from_json({"coeffs": [[2.5, [1.0, 0.0]]]}),
+        ],
+        ids=["quotient-point", "matrix-rows", "frequency"],
+    )
+    def test_readers_reject_non_integral_indices(self, read):
+        with pytest.raises(ValueError, match="must be an integer"):
+            read()

@@ -307,6 +307,34 @@ class TestVerification:
         assert not report.passed
         assert report.max_deviation >= 1e-4
 
+    def test_covariance_evaluates_each_effect_once(self):
+        # the q singleton effects settle every covariance relation, and a
+        # perturbation on the last coset is still found
+        povm = standard_instances()[2][1]
+        q = povm.ctx.n_cosets
+        last = povm.ctx.indicator([q - 1])
+        calls = []
+
+        class Counting:
+            ctx = povm.ctx
+            dimension = povm.dimension
+
+            def assembled(self, omega):
+                calls.append(1)
+                m = povm.assembled(omega)
+                if np.array_equal(np.asarray(omega), last):
+                    m = m.copy()
+                    m[0, min(1, m.shape[1] - 1)] += 1e-3
+                return m
+
+            def u_matrix(self, g):
+                return povm.u_matrix(g)
+
+        report = verify_covariance(Counting())
+        assert len(calls) <= q
+        assert not report.passed
+        assert report.max_deviation >= 1e-4
+
     def test_zero_family_fails_normalization(self):
         povm = scalar_z12_povm()
 
@@ -484,3 +512,38 @@ class TestEquivalence:
         other = scalar_z12_povm()
         with pytest.raises(ValueError):
             equivalence_check(povm_a, other, [])
+
+
+class TestNoRepeatedWork:
+    def test_build_computes_the_class_measure_once(self, monkeypatch):
+        import covpovm.povm as povm_module
+
+        calls = {"lift_measure": 0, "image_measure": 0}
+        for name in calls:
+            original = getattr(povm_module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(povm_module, name, counted)
+        scalar_z12_povm()
+        assert calls == {"lift_measure": 1, "image_measure": 1}
+
+    def test_oracle_report_builds_the_intertwiner_once(self, monkeypatch):
+        import covpovm.povm as povm_module
+        from covpovm.cli import _oracle_report
+
+        povm = standard_instances()[2][1]
+        calls = []
+        original = povm_module.intertwiner_matrix
+
+        def counted(p):
+            calls.append(1)
+            return original(p)
+
+        monkeypatch.setattr(povm_module, "intertwiner_matrix", counted)
+        # q indicators, the constant function and 10 random functions
+        report = _oracle_report(povm, 1e-9, [])
+        assert report.passed
+        assert len(calls) == 1
