@@ -7,12 +7,14 @@ output (JSON, CSV) goes to stdout, human messages to stderr. Exit codes:
 
 The default verification tolerance is 1e-9; the COVPOVM_TOLERANCE
 environment variable overrides it and the --tolerance flag overrides both.
+A tolerance that is not finite, or is negative, exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -50,10 +52,16 @@ def _emit(obj) -> None:
 
 
 def _tolerance(args) -> float:
+    """--tolerance, else COVPOVM_TOLERANCE, else 1e-9; it must be finite and
+    nonnegative, or the command exits 3."""
     if getattr(args, "tolerance", None) is not None:
-        return float(args.tolerance)
-    env = os.environ.get("COVPOVM_TOLERANCE")
-    return float(env) if env else 1e-9
+        source, value = "--tolerance", float(args.tolerance)
+    else:
+        env = os.environ.get("COVPOVM_TOLERANCE")
+        source, value = "COVPOVM_TOLERANCE", float(env) if env else 1e-9
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{source} must be finite and >= 0, got {value}")
+    return value
 
 
 def cmd_group(args) -> int:
@@ -139,7 +147,9 @@ def _oracle_report(povm, tolerance: float, extra_omegas) -> VerificationReport:
             rng.standard_normal(ctx.n_cosets) + 1j * rng.standard_normal(ctx.n_cosets)
         )
     devs = [
-        np.abs(povm.assembled(omega) - apply_via_intertwiner(povm, omega).assemble()).max()
+        np.abs(povm.assembled(omega) - apply_via_intertwiner(povm, omega).assemble()).max(
+            initial=0.0
+        )
         for omega in omegas
     ]
     # np.max keeps a NaN deviation, which Python's max may drop

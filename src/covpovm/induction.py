@@ -52,6 +52,16 @@ class _WeightedSpace:
         return math.prod(self.shape)
 
     @cached_property
+    def support(self) -> tuple[int, ...]:
+        """Dual-quotient coset indices carrying positive weight, sorted."""
+        return tuple(sorted(self.nu.support))
+
+    @cached_property
+    def support_weights(self) -> np.ndarray:
+        """Measure weight of each support coset."""
+        return np.array([self.nu(s) for s in self.support])
+
+    @cached_property
     def _sqrt_weights(self) -> np.ndarray:
         return np.sqrt(self.weight_array)
 
@@ -87,18 +97,15 @@ class InducedSpace(_WeightedSpace):
     """
 
     @cached_property
-    def support(self) -> tuple[int, ...]:
-        """Dual-quotient coset indices carrying positive weight, sorted."""
-        return tuple(sorted(self.nu.support))
-
-    @cached_property
-    def support_weights(self) -> np.ndarray:
-        return np.array([self.nu(s) for s in self.support])
+    def support_character_indices(self) -> np.ndarray:
+        """Group index of the canonical character representative of each
+        support coset."""
+        return self.ctx.dual_quotient.rep_indices[list(self.support)]
 
     @cached_property
     def support_characters(self) -> tuple[DualCharacter, ...]:
         """Canonical character representative of each support coset."""
-        return tuple(self.ctx.dual_quotient.representatives[s] for s in self.support)
+        return self.ctx.group.points(DualCharacter, self.support_character_indices)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -132,12 +139,15 @@ class DiagonalSpace(_WeightedSpace):
     """
 
     @cached_property
+    def point_indices(self) -> np.ndarray:
+        """Group indices of the characters in the preimage of the measure
+        support, sorted (index order is lexicographic order)."""
+        return np.flatnonzero(np.isin(self.ctx.dual_quotient.projection, self.support))
+
+    @cached_property
     def points(self) -> tuple[DualCharacter, ...]:
         """Characters in the preimage of the measure support, sorted."""
-        dq = self.ctx.dual_quotient
-        return tuple(
-            x for x in self.ctx.group.characters() if dq.index_of(x) in self.nu.support
-        )
+        return self.ctx.group.points(DualCharacter, self.point_indices)
 
     @cached_property
     def point_index(self) -> dict:
@@ -146,63 +156,60 @@ class DiagonalSpace(_WeightedSpace):
     @cached_property
     def point_weights(self) -> np.ndarray:
         """Lifted-measure weight of each point."""
-        dq = self.ctx.dual_quotient
-        return np.array(
-            [self.nu(dq.index_of(x)) * self.ctx.hperp_weight for x in self.points]
-        )
+        return self.support_weights[self._fiber_position] * self.ctx.hperp_weight
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.points), self.e_dim)
+        return (len(self.point_indices), self.e_dim)
 
     @cached_property
     def weight_array(self) -> np.ndarray:
-        return np.broadcast_to(
-            self.point_weights[:, None], (len(self.points), self.e_dim)
-        ).copy()
+        return np.broadcast_to(self.point_weights[:, None], self.shape).copy()
+
+    def _differences(self, indices) -> np.ndarray:
+        """Group index of points[p] - y for every point and every group index
+        of ``indices``, shape (n_points, len(indices))."""
+        coords = self.ctx.group.coords
+        diff = coords[self.point_indices][:, None] - coords[indices][None]
+        return self.ctx.group.ravel(diff)
 
     @cached_property
     def _shift_table(self) -> np.ndarray:
         """T[p, a] = index of points[p] - hperp[a]; shifts stay in the fiber."""
-        table = np.empty((len(self.points), len(self.ctx.hperp_points)), dtype=int)
-        for p, x in enumerate(self.points):
-            for a, y in enumerate(self.ctx.hperp_points):
-                table[p, a] = self.point_index[x - y]
-        return table
+        return np.searchsorted(
+            self.point_indices, self._differences(self.ctx.annihilator.indices)
+        )
+
+    @cached_property
+    def _shift_index(self) -> np.ndarray:
+        """A[p, j] = a with points[p] - points[j] = hperp[a], or -1 when the
+        two points lie in different fibers."""
+        return self.ctx.annihilator.position(self._differences(self.point_indices))
 
     @cached_property
     def _rep_pairing(self) -> np.ndarray:
         """C[p, i] = <points[p], rep_i> over quotient representatives."""
-        return np.array(
-            [
-                [pairing(x, rep) for rep in self.ctx.quotient.representatives]
-                for x in self.points
-            ],
-            dtype=complex,
+        return self.ctx.group.pairing_matrix(
+            self.point_indices, self.ctx.quotient.rep_indices
         )
 
     @cached_property
     def _fiber_position(self) -> np.ndarray:
         """Position in the induced-space support of each point's coset."""
-        dq = self.ctx.dual_quotient
-        support = tuple(sorted(self.nu.support))
-        pos = {s: i for i, s in enumerate(support)}
-        return np.array([pos[dq.index_of(x)] for x in self.points])
+        cosets = self.ctx.dual_quotient.projection[self.point_indices]
+        return np.searchsorted(self.support, cosets)
 
 
 def translation_act(space: InducedSpace, a: GroupElement, f: np.ndarray) -> np.ndarray:
     """Induced translation: the new value at g is the old value at g - a,
     pulled back to a stored representative through the covariance phase."""
-    out = space.zero()
-    for i, rep in enumerate(space.ctx.quotient.representatives):
-        shifted = rep - a
-        j = space.ctx.quotient.index_of(shifted)
-        h = shifted - space.ctx.quotient.representatives[j]
-        phases = np.array(
-            [pairing(x, h).conjugate() for x in space.support_characters]
-        )
-        out[i] = phases[:, None] * f[j]
-    return out
+    group, quot = space.ctx.group, space.ctx.quotient
+    reps = group.coords[quot.rep_indices]
+    shifted = reps - group.coords[group.index_of(a)]
+    j = quot.projection[group.ravel(shifted)]
+    h = group.ravel(shifted - reps[j])
+    phases = group.pairing_matrix(space.support_character_indices, h).conj()
+    return phases.T[:, :, None] * f[j]
 
 
 def multiplication_act(space: InducedSpace, omega, f: np.ndarray) -> np.ndarray:
@@ -256,8 +263,9 @@ def character_multiplication_act(
     dspace: DiagonalSpace, a: GroupElement, phi: np.ndarray
 ) -> np.ndarray:
     """Diagonal action of a group element: multiply each point by <x, a>."""
-    phases = np.array([pairing(x, a) for x in dspace.points])
-    return phases[:, None] * phi
+    group = dspace.ctx.group
+    phases = group.pairing_matrix(dspace.point_indices, [group.index_of(a)])
+    return phases * phi
 
 
 def _materialize(apply_fn, space_in, space_out) -> np.ndarray:
@@ -290,9 +298,31 @@ def diagonalizer_adjoint_matrix(space: InducedSpace) -> np.ndarray:
 
 
 def transported_multiplication_matrix(dspace: DiagonalSpace, omega) -> np.ndarray:
-    return _materialize(
-        lambda p: transported_multiplication_act(dspace, omega, p), dspace, dspace
+    """Matrix of :func:`transported_multiplication_act` in orthonormal
+    coordinates, read off its response to one impulse.
+
+    The operator is hw * sum_a fo[a] P_a (x) I_E, with fo the cotransform of
+    omega, hw the annihilator Haar weight and P_a the shift by hperp[a], so
+    entry (p, j) of its point matrix is hw * fo[a] where points[p] -
+    points[j] = hperp[a], and 0 across fibers. Weights are equal within a
+    fiber, so these values are the coordinates of the act's response to
+    the impulse at points[0] (its fiber holds every shift); one act call
+    per omega gives them, the shift-index table spreads them, and the
+    Kronecker product with the identity adds the C^E coordinate.
+    """
+    if not dspace.dim:
+        return np.zeros((0, 0), dtype=complex)
+    impulse = np.zeros(dspace.dim, dtype=complex)
+    impulse[0] = 1.0
+    response = dspace.to_coords(
+        transported_multiplication_act(dspace, omega, dspace.from_coords(impulse))
     )
+    shifts = dspace._shift_index
+    in_fiber = shifts[:, 0] >= 0
+    values = np.empty(dspace.ctx.annihilator.order, dtype=complex)
+    values[shifts[in_fiber, 0]] = response[:: dspace.e_dim][in_fiber]
+    block = np.where(shifts >= 0, values[shifts], 0.0)
+    return np.kron(block, np.eye(dspace.e_dim))
 
 
 def character_multiplication_matrix(dspace: DiagonalSpace, a: GroupElement) -> np.ndarray:

@@ -398,8 +398,11 @@ def build_covariant_povm(
 
     Rejects overlapping sector supports, an embedding space smaller than
     the largest multiplicity, missing matrices, shape mismatches, non-finite
-    entries, and fields that fail the isometry test beyond ``atol``.
+    entries, and fields that fail the isometry test beyond ``atol``, which
+    must itself be finite and nonnegative (``ValueError`` otherwise).
     """
+    if not (math.isfinite(atol) and atol >= 0.0):
+        raise ValueError(f"atol must be finite and >= 0, got {atol}")
     validate_rep(rep)
     max_f = max((s.f_dim for s in rep.sectors), default=1)
     if e_dim < max_f:
@@ -594,19 +597,25 @@ def verify_covariance(povm_like, atol: float = DEFAULT_ATOL) -> VerificationRepo
     Exhaustive over G. Each of the q singleton effects is evaluated once
     through ``assembled``, so a ``povm_like`` must return an effect that
     depends only on omega; ``ctx.translated`` applied to the coset indices
-    gives, for each coset i, the coset j that g carries onto i.
+    gives, for each coset i, the coset j that g carries onto i. U(g) must
+    be diagonal, as it is for a :class:`DiagonalRep`: conjugation is then
+    the entrywise product phases[:, None] * M * conj(phases) with the
+    diagonal of U(g), and a U(g) with a nonzero off-diagonal entry raises
+    ``ValueError``.
     """
     ctx = povm_like.ctx
     q = ctx.n_cosets
-    effects = [povm_like.assembled(ctx.indicator([j])) for j in range(q)]
+    effects = np.stack([povm_like.assembled(ctx.indicator([j])) for j in range(q)])
     cosets = np.arange(q)
     devs = []
     for g in ctx.group.elements():
         u = povm_like.u_matrix(g)
+        phases = np.diagonal(u)
+        if np.count_nonzero(u) != np.count_nonzero(phases):
+            raise ValueError(f"U(g) is not diagonal at g = {list(g.coords)}")
         source = ctx.translated(g, cosets).real.astype(int)
-        for i, j in enumerate(source):
-            lhs = u @ effects[j] @ u.conj().T
-            devs.append(_worst(np.abs(lhs - effects[i])))
+        conjugated = phases[:, None] * effects[source] * phases.conj()
+        devs.append(_worst(np.abs(conjugated - effects)))
     dev = _worst(devs)
     return VerificationReport(
         (CheckResult("covariance", dev <= atol, dev),)

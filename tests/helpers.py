@@ -43,6 +43,27 @@ def brute_cosets(group, subgroup_elements):
     return cosets
 
 
+def brute_shift_table(dspace):
+    """T[p, a] = index of points[p] - hperp[a], one point subtraction and
+    dictionary lookup per pair."""
+    hperp = dspace.ctx.hperp_points
+    table = np.empty((len(dspace.points), len(hperp)), dtype=int)
+    for p, x in enumerate(dspace.points):
+        for a, y in enumerate(hperp):
+            table[p, a] = dspace.point_index[x - y]
+    return table
+
+
+def brute_shift_index(dspace):
+    """A[p, j] = a with points[p] - points[j] = hperp[a], or -1, by a
+    dictionary lookup per pair."""
+    hperp = {y: a for a, y in enumerate(dspace.ctx.hperp_points)}
+    return np.array(
+        [[hperp.get(x - y, -1) for y in dspace.points] for x in dspace.points],
+        dtype=int,
+    )
+
+
 def build_rep(group, sector_data, rng, e_dim):
     """Assemble a rep plus random isometry fields from
     [(support weight dict, f_dim), ...] with characters given as coord tuples."""

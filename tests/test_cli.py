@@ -164,6 +164,37 @@ class TestVerifyCommand:
         assert out["tolerance"] == 1e-6
 
 
+class TestToleranceMustBeFinite:
+    """A NaN, infinite or negative tolerance exits 3. NaN and inf accepted
+    the stretched field below (build exited 0, matrix printed a non-POVM),
+    verify with NaN exited 1 and -1 rejected every field as not isometric."""
+
+    @staticmethod
+    def stretched_scenario(tmp_path):
+        bad = scalar_scenario()
+        bad["fields"][0]["matrices"][0][1] = [[[5.0, 0.0]]]
+        return write(tmp_path, "s.json", bad)
+
+    @pytest.mark.parametrize("command", ["build", "verify", "matrix"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_flag_exits_3(self, tmp_path, capsys, command, value):
+        scen = self.stretched_scenario(tmp_path)
+        assert main([command, scen, f"--tolerance={value}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tolerance must be finite and >= 0" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_environment_exits_3(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("COVPOVM_TOLERANCE", value)
+        assert main(["verify", self.stretched_scenario(tmp_path)]) == 3
+        assert "COVPOVM_TOLERANCE must be finite and >= 0" in capsys.readouterr().err
+
+    def test_zero_is_accepted(self, tmp_path, capsys):
+        scen = write(tmp_path, "s.json", scalar_scenario())
+        assert main(["build", scen, "--tolerance", "0"]) == 0
+
+
 class TestMatrixCommand:
     def test_default_omega_is_identity(self, tmp_path, capsys):
         scen = write(tmp_path, "s.json", scalar_scenario())

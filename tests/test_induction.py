@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covpovm import (
     DOMAIN_DUAL_QUOTIENT,
+    DiagonalSpace,
     FiniteAbelianGroup,
     InducedSpace,
     QuotientContext,
@@ -22,6 +25,8 @@ from covpovm import (
     transported_multiplication_act,
     transported_multiplication_matrix,
 )
+from covpovm.induction import _materialize
+from helpers import brute_shift_index, brute_shift_table
 
 Z12 = FiniteAbelianGroup((12,))
 
@@ -295,3 +300,59 @@ class TestSpaces:
         ctx = z12_context()
         with pytest.raises(ValueError):
             InducedSpace(ctx, WeightedMeasure("quotient", {0: 1.0}), 1)
+
+
+def column_by_column(dspace, omega):
+    """The transported multiplication matrix, one act call per basis vector."""
+    return _materialize(
+        lambda p: transported_multiplication_act(dspace, omega, p), dspace, dspace
+    )
+
+
+@st.composite
+def diagonal_spaces(draw):
+    """A group of one or two cyclic factors, a random subgroup, e_dim 1 to 3,
+    and a class measure on a random nonempty set of dual cosets, with one
+    common weight or with random weights."""
+    factors = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)))
+    group = FiniteAbelianGroup(factors)
+    coords = st.tuples(*(st.integers(0, n - 1) for n in factors))
+    generators = draw(st.lists(coords, max_size=2))
+    subgroup = subgroup_from_generators(group, [group.element(g) for g in generators])
+    ctx = QuotientContext.build(group, subgroup)
+    n_dual = len(ctx.dual_quotient)
+    cosets = draw(st.lists(st.integers(0, n_dual - 1), min_size=1, unique=True))
+    uniform = draw(st.booleans())
+    weight = st.floats(0.1, 10.0)
+    if uniform:
+        common = draw(weight)
+        weights = {i: common for i in cosets}
+    else:
+        weights = {i: draw(weight) for i in cosets}
+    nu = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, weights)
+    dspace = DiagonalSpace(ctx, nu, draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = ctx.n_cosets
+    omega = rng.uniform(-1.0, 1.0, q) + 1j * rng.uniform(-1.0, 1.0, q)
+    return dspace, omega, uniform
+
+
+class TestImpulseResponseBuilder:
+    @given(diagonal_spaces())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_column_by_column(self, case):
+        dspace, omega, uniform = case
+        built = transported_multiplication_matrix(dspace, omega)
+        reference = column_by_column(dspace, omega)
+        assert built.shape == reference.shape == (dspace.dim, dspace.dim)
+        if uniform:
+            assert (built == reference).all()
+        else:
+            assert np.abs(built - reference).max() <= 1e-14
+
+    @given(diagonal_spaces())
+    @settings(max_examples=40, deadline=None)
+    def test_index_tables_match_brute_force(self, case):
+        dspace, _, _ = case
+        np.testing.assert_array_equal(dspace._shift_table, brute_shift_table(dspace))
+        np.testing.assert_array_equal(dspace._shift_index, brute_shift_index(dspace))

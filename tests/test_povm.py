@@ -164,6 +164,13 @@ class TestBuildRejections:
         with pytest.raises(PovmBuildError):
             build_covariant_povm(self.rep, self.h, fields, e_dim=1)
 
+    @pytest.mark.parametrize("atol", [float("nan"), float("inf"), -1.0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, atol):
+        # NaN and inf used to accept this stretched field, -1 to reject any
+        fields = (IsometryField(0, {self.x0: np.array([[5.0]])}),)
+        with pytest.raises(ValueError, match="atol must be finite and >= 0"):
+            build_covariant_povm(self.rep, self.h, fields, e_dim=1, atol=atol)
+
 
 class TestApply:
     def test_scalar_z12_average(self):
@@ -334,6 +341,50 @@ class TestVerification:
         assert len(calls) <= q
         assert not report.passed
         assert report.max_deviation >= 1e-4
+
+    def test_non_diagonal_u_is_rejected(self):
+        povm = standard_instances()[1][1]
+        rotation = random_isometry(np.random.default_rng(3), povm.dimension, povm.dimension)
+
+        class Rotated:
+            ctx = povm.ctx
+            dimension = povm.dimension
+
+            def assembled(self, omega):
+                return povm.assembled(omega)
+
+            def u_matrix(self, g):
+                return rotation @ povm.u_matrix(g) @ rotation.conj().T
+
+        with pytest.raises(ValueError, match="not diagonal"):
+            verify_covariance(Rotated())
+
+    def test_kernel_perturbation_fails_oracle_agreement(self):
+        from covpovm.cli import _oracle_report
+
+        povm = standard_instances()[2][1]
+        index, kernel = povm._kernel
+        r, c = np.argwhere(index >= 0)[-1]
+        perturbed = kernel.copy()
+        perturbed[r, c] += 1e-6
+        povm.__dict__["_kernel"] = (index, perturbed)
+        report = _oracle_report(povm, 1e-9, [])
+        assert not report.passed
+        assert report.max_deviation > 5e-7
+
+    def test_empty_rep_passes_every_check(self):
+        from covpovm.cli import _oracle_report
+
+        g4 = FiniteAbelianGroup((4,))
+        povm = build_covariant_povm(DiagonalRep(g4, ()), trivial_subgroup(g4), (), e_dim=1)
+        assert apply_via_intertwiner(povm, np.ones(4)).matrix.shape == (0, 0)
+        report = (
+            verify_axioms(povm)
+            .merged(verify_covariance(povm))
+            .merged(_oracle_report(povm, 1e-9, []))
+        )
+        assert report.passed
+        assert report.max_deviation == 0.0
 
     def test_zero_family_fails_normalization(self):
         povm = scalar_z12_povm()
@@ -547,3 +598,22 @@ class TestNoRepeatedWork:
         report = _oracle_report(povm, 1e-9, [])
         assert report.passed
         assert len(calls) == 1
+
+    def test_oracle_report_calls_the_act_once_per_omega(self, monkeypatch):
+        import covpovm.induction as induction_module
+        from covpovm.cli import _oracle_report
+
+        povm = standard_instances()[2][1]
+        calls = []
+        original = induction_module.transported_multiplication_act
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(induction_module, "transported_multiplication_act", counted)
+        q = povm.ctx.n_cosets
+        report = _oracle_report(povm, 1e-9, [np.arange(q, dtype=complex)])
+        assert report.passed
+        # q indicators, the constant function, one extra and 10 random functions
+        assert len(calls) == q + 12
