@@ -250,10 +250,16 @@ class Subgroup:
     def order(self) -> int:
         return len(self.indices)
 
+    @cached_property
+    def _positions(self) -> np.ndarray:
+        """Position in ``self.indices`` of every parent index, or -1 (int32)."""
+        table = np.full(self.parent.order, -1, dtype=np.int32)
+        table[self.indices] = np.arange(len(self.indices))
+        return table
+
     def position(self, indices) -> np.ndarray:
         """Position of each index in ``self.indices``, or -1 for non-members."""
-        pos = np.minimum(np.searchsorted(self.indices, indices), len(self.indices) - 1)
-        return np.where(self.indices[pos] == indices, pos, -1)
+        return self._positions[indices]
 
     def __contains__(self, point) -> bool:
         same_side = type(point) is self.point_type and point.factors == self.parent.factors

@@ -136,6 +136,8 @@ class QuotientContext:
         omega = np.asarray(omega, dtype=complex)
         if omega.shape != (self.n_cosets,):
             raise ValueError(f"expected {self.n_cosets} coset values, got {omega.shape}")
+        if not np.isfinite(omega).all():
+            raise ValueError("quotient function has non-finite values")
         return self._fourier_matrix @ omega
 
     def cotransform_adjoint(self, phi) -> np.ndarray:
@@ -207,10 +209,8 @@ def image_measure(ctx: QuotientContext, rho: WeightedMeasure) -> WeightedMeasure
     if rho.domain != DOMAIN_DUAL:
         raise ValueError(f"expected a measure on the dual group, got {rho.domain!r}")
     cosets = ctx.dual_quotient.projection[[ctx.group.index_of(x) for x in rho.weights]]
-    weights: dict = {}
-    for i, w in zip(cosets.tolist(), rho.weights.values()):
-        weights[i] = weights.get(i, 0.0) + w
-    return WeightedMeasure(DOMAIN_DUAL_QUOTIENT, weights)
+    sums = np.bincount(cosets, list(rho.weights.values()), len(ctx.dual_quotient))
+    return WeightedMeasure(DOMAIN_DUAL_QUOTIENT, dict(enumerate(sums.tolist())))
 
 
 def decompose_measure(

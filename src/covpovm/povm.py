@@ -7,7 +7,11 @@ the density of the sector measure against the lifted class measure. This
 module builds those POVMs, evaluates them as one dense matrix in the rep
 basis (a :class:`BlockOperator`, whose sector blocks are slices of it at
 the rep's offsets), and verifies the defining axioms, covariance, and the
-equivalence criterion.
+equivalence criterion. A rep's support is one :class:`SupportTable` of
+index arrays in basis order; the kernel, ``u_matrix``, ``validate_rep``
+and the equivalence criterion read it and the isometries stacked per
+multiplicity, and characters and per-character dicts are built only for
+callers.
 
 Two independent evaluation routes are provided on purpose:
 :meth:`CovariantPOVM.apply` gathers the cotransform of the outcome function
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -70,17 +75,60 @@ class SectorSpec:
 
 
 @dataclass(frozen=True, eq=False)
+class SupportTable:
+    """The support of a diagonal rep as arrays with one entry per support
+    point, in basis order (sector-major, group index within a sector): group
+    index, sector, multiplicity and sector-measure weight. ``rows`` is the
+    point of each basis row; ``by_f_dim`` holds the positions of the points
+    of each multiplicity, smallest first."""
+
+    indices: np.ndarray
+    sectors: np.ndarray
+    f_dims: np.ndarray
+    weights: np.ndarray
+    rows: np.ndarray
+    by_f_dim: tuple[np.ndarray, ...]
+
+    def block_rows(self, points: np.ndarray, f_dim: int) -> np.ndarray:
+        """Basis rows of points of one multiplicity, shape (len(points), f_dim)."""
+        return np.searchsorted(self.rows, points)[:, None] + np.arange(f_dim)
+
+
+@dataclass(frozen=True, eq=False)
 class DiagonalRep:
     """Representation acting by character multiplication on an orthogonal sum
     of weighted character spaces.
 
     Basis order: sector (major), support character sorted lexicographically,
     multiplicity coordinate (minor). The inner-product weight of a basis
-    entry is the sector measure at its character.
+    entry is the sector measure at its character. ``support_table`` is the
+    internal form of the support; ``sector_points`` lists the same points as
+    characters, for callers.
     """
 
     group: FiniteAbelianGroup
     sectors: tuple[SectorSpec, ...]
+
+    @cached_property
+    def support_table(self) -> SupportTable:
+        """The support as index arrays; a support point that is not a
+        character of the group raises :class:`PovmBuildError`."""
+        group, points = self.group, [x for s in self.sectors for x in s.rho.weights]
+        bad = [x for x in points if x.factors != group.factors or type(x) is not DualCharacter]
+        if bad:
+            x, foreign = bad[0], bad[0].factors != group.factors
+            what = "does not belong to the dual of" if foreign else "is not a character of"
+            raise PovmBuildError(f"sector support point {what} the group", point=list(x.coords))
+        counts = [len(s.rho.weights) for s in self.sectors]
+        sectors = np.repeat(np.arange(len(self.sectors)), counts)
+        coords = np.array([x.coords for x in points], dtype=np.int64).reshape(-1, group.rank)
+        indices = group.ravel(coords)
+        order = np.lexsort((indices, sectors))
+        weights = np.array([w for s in self.sectors for w in s.rho.weights.values()], dtype=float)
+        f_dims = np.array([s.f_dim for s in self.sectors], dtype=np.int64)[sectors]
+        rows = np.repeat(np.arange(len(points)), f_dims)
+        by_f_dim = tuple(np.flatnonzero(f_dims == f) for f in np.unique(f_dims))
+        return SupportTable(indices[order], sectors, f_dims, weights[order], rows, by_f_dim)
 
     @cached_property
     def sector_points(self) -> tuple[tuple[DualCharacter, ...], ...]:
@@ -94,26 +142,17 @@ class DiagonalRep:
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
-        out, total = [], 0
-        for d in self.sector_dims:
-            out.append(total)
-            total += d
-        return tuple(out)
+        return tuple(accumulate([0, *self.sector_dims][:-1]))
 
     @property
     def dimension(self) -> int:
         return sum(self.sector_dims)
 
-    @cached_property
-    def point_indices(self) -> list[int]:
-        """Group index of each support character, sector-major as in the basis."""
-        return [self.group.index_of(x) for points in self.sector_points for x in points]
-
     def u_matrix(self, g: GroupElement) -> np.ndarray:
         """The diagonal unitary of the group element, in the documented basis."""
-        f_dims = [s.f_dim for points, s in zip(self.sector_points, self.sectors) for _ in points]
-        phases = self.group.pairing_matrix(self.point_indices, [self.group.index_of(g)])
-        return np.diag(np.repeat(phases[:, 0], f_dims))
+        table = self.support_table
+        phases = self.group.pairing_matrix(table.indices, [self.group.index_of(g)])
+        return np.diag(phases[table.rows, 0])
 
 
 def recommended_e_dim(rep: DiagonalRep) -> int:
@@ -124,34 +163,28 @@ def recommended_e_dim(rep: DiagonalRep) -> int:
 
 
 def validate_rep(rep: DiagonalRep) -> None:
-    """Reject sector families whose supports overlap.
+    """Reject support points that are not characters of the group, and
+    sector families whose supports overlap.
 
     Overlapping supports break the canonical diagonal decomposition: the
     assembled isometry field would no longer be isometric and the POVM
     would fail normalization.
     """
-    for spec in rep.sectors:
-        for x in spec.rho.support:
-            if x.factors != rep.group.factors:
-                raise PovmBuildError(
-                    "sector support point does not belong to the dual of the group",
-                    point=list(x.coords),
-                )
-    overlaps = []
-    for j in range(len(rep.sectors)):
-        for k in range(j + 1, len(rep.sectors)):
-            common = rep.sectors[j].rho.support & rep.sectors[k].rho.support
-            if common:
-                overlaps.append(
-                    {
-                        "sectors": [j, k],
-                        "points": sorted(list(x.coords) for x in common),
-                    }
-                )
-    if overlaps:
-        raise PovmBuildError(
-            "sector supports are not pairwise disjoint", overlaps=overlaps
-        )
+    table = rep.support_table
+    points, counts = np.unique(table.indices, return_counts=True)
+    if len(points) == len(table.indices):
+        return
+    shared = np.isin(table.indices, points[counts > 1])
+    # rows (j, k, point) for two memberships of one shared point, j < k, sorted
+    point, sector = table.indices[shared], table.sectors[shared]
+    a, b = np.nonzero((point[:, None] == point) & (sector[:, None] < sector))
+    pairs = np.unique(np.stack([sector[a], sector[b], point[a]], axis=1), axis=0)
+    _, starts = np.unique(pairs[:, :2], axis=0, return_index=True)
+    overlaps = [
+        {"sectors": chunk[0, :2].tolist(), "points": rep.group.coords[chunk[:, 2]].tolist()}
+        for chunk in np.split(pairs, starts[1:])
+    ]
+    raise PovmBuildError("sector supports are not pairwise disjoint", overlaps=overlaps)
 
 
 @dataclass(frozen=True)
@@ -181,10 +214,9 @@ def class_measure(
     A different representative of the class may be supplied; it must carry
     exactly the occupied cosets of the dual quotient.
     """
-    union: set = set()
-    for spec in rep.sectors:
-        union |= spec.rho.support
-    indicator = WeightedMeasure(DOMAIN_DUAL, {x: 1.0 for x in union})
+    points = [x for pts in rep.sector_points for x in pts]
+    _, first = np.unique(rep.support_table.indices, return_index=True)
+    indicator = WeightedMeasure(DOMAIN_DUAL, dict.fromkeys([points[i] for i in first], 1.0))
     image = image_measure(ctx, indicator)
     if quotient_measure is None:
         quotient_measure = WeightedMeasure(
@@ -233,17 +265,14 @@ def admits_covariant_povm(
 def _admissibility(rep: DiagonalRep, data: MeasureClassData) -> AdmissibilityResult:
     """The density step of the criterion, against class measure data
     already computed."""
-    densities = []
-    certificates = []
-    for spec in rep.sectors:
-        certificates.append(spec.rho.support <= data.lifted_measure.support)
-        densities.append(
-            {x: spec.rho(x) / data.lifted_measure(x) for x in sorted(spec.rho.support)}
-        )
+    table = rep.support_table
+    lifted = np.array([data.lifted_measure(x) for pts in rep.sector_points for x in pts])
+    density = iter((table.weights / lifted).tolist())
+    certificates = np.bincount(table.sectors[lifted <= 0.0], minlength=len(rep.sectors)) == 0
     return AdmissibilityResult(
-        admits=all(certificates),
-        densities=tuple(densities),
-        support_certificates=tuple(certificates),
+        admits=bool(certificates.all()),
+        densities=tuple(dict(zip(points, density)) for points in rep.sector_points),
+        support_certificates=tuple(certificates.tolist()),
     )
 
 
@@ -305,11 +334,24 @@ class CovariantPOVM:
     def u_matrix(self, g: GroupElement) -> np.ndarray:
         return self.rep.u_matrix(g)
 
+    @cached_property
+    def _point_densities(self) -> np.ndarray:
+        """Density of each support point, in support-table order."""
+        points = self.rep.sector_points
+        return np.array([d[x] for d, pts in zip(self.densities, points) for x in pts], dtype=float)
+
+    @cached_property
+    def _isometry_stacks(self) -> tuple[np.ndarray, ...]:
+        """The isometries stacked per multiplicity, aligned with
+        ``rep.support_table.by_f_dim``."""
+        maps = [field.matrices for field in self.fields]
+        return _stacked(self.rep, maps, self.e_dim, "isometry field")
+
     def _point_differences(self) -> np.ndarray:
-        """Annihilator index of x - x' for every pair of support characters,
-        sector-major as ``rep.point_indices``, or -1."""
+        """Annihilator index of x - x' for every pair of support points, in
+        support-table order, or -1 (int32)."""
         group = self.rep.group
-        support = group.coords[self.rep.point_indices]
+        support = group.coords[self.rep.support_table.indices]
         return self.ctx.annihilator.position(group.ravel(support[:, None] - support[None]))
 
     @cached_property
@@ -318,41 +360,32 @@ class CovariantPOVM:
         difference of the characters of basis rows r and c, or -1; K is the
         omega-independent kernel factor of the POVM formula where D >= 0,
         and 0 elsewhere."""
-        rep, ctx = self.rep, self.ctx
-        points = [(k, x) for k, pts in enumerate(rep.sector_points) for x in pts]
+        table = self.rep.support_table
         point_d = self._point_differences()
-
-        f_dims = np.array([rep.sectors[k].f_dim for k, _ in points], dtype=np.int64)
-        density = np.array([self.densities[k][x] for k, x in points])
-        weight = np.array([rep.sectors[k].rho(x) for k, x in points])
-        # square root of the density ratio, then the conversion of function
-        # values to orthonormal coordinates
-        scale = (
-            ctx.hperp_weight
-            * np.sqrt(density[None, :] / density[:, None])
-            * np.sqrt(weight[:, None] / weight[None, :])
-        )
 
         # Isometry overlaps W_r^H W_c by one batched matmul per pair of
         # multiplicities: each product is then the same small-matrix product
         # as the per-pair formula, bit for bit, which a single GEMM over all
         # rows is not.
-        mats = [np.asarray(self.fields[k].matrices[x], dtype=complex) for k, x in points]
-        first_row = np.cumsum(f_dims) - f_dims
-        by_f_dim = [(f, np.flatnonzero(f_dims == f)) for f in np.unique(f_dims)]
-        overlap = np.empty((rep.dimension, rep.dimension), dtype=complex)
-        for fa, pa in by_f_dim:
-            adjoints = np.stack([mats[p].conj().T for p in pa])
-            rows = first_row[pa][:, None, None, None] + np.arange(fa)[:, None]
-            for fb, pb in by_f_dim:
-                cols = first_row[pb][None, :, None, None] + np.arange(fb)
-                overlap[rows, cols] = np.matmul(
-                    adjoints[:, None], np.stack([mats[p] for p in pb])[None]
-                )
+        kernel = np.empty((self.dimension, self.dimension), dtype=complex)
+        stacks = list(zip(table.by_f_dim, self._isometry_stacks))
+        for pa, wa in stacks:
+            rows = table.block_rows(pa, wa.shape[2]).ravel()
+            for pb, wb in stacks:
+                cols = table.block_rows(pb, wb.shape[2]).ravel()
+                block = np.matmul(_adjoints(wa)[:, None], wb[None]).transpose(0, 2, 1, 3)
+                kernel[np.ix_(rows, cols)] = block.reshape(len(rows), len(cols))
 
-        row_point = np.repeat(np.arange(len(points)), f_dims)
-        index = point_d[np.ix_(row_point, row_point)]
-        kernel = np.where(index >= 0, scale[np.ix_(row_point, row_point)] * overlap, 0.0)
+        # hw * sqrt(d' / d) * sqrt(w / w'), in place and left to right: the square
+        # root of the density ratio, then the conversion to orthonormal coordinates
+        density, weight = self._point_densities, table.weights
+        scale = np.sqrt(density[None, :] / density[:, None])
+        scale *= self.ctx.hperp_weight
+        scale *= np.sqrt(weight[:, None] / weight[None, :])
+        cells = np.ix_(table.rows, table.rows)
+        index = point_d[cells]
+        kernel *= scale[cells]
+        kernel[index < 0] = 0.0
         return index, kernel
 
     def apply(self, omega) -> BlockOperator:
@@ -360,8 +393,10 @@ class CovariantPOVM:
         entry (x, x') carries the cotransform of omega at x - x', the square
         root of the density ratio, and the isometry overlap."""
         index, kernel = self._kernel
-        fo = self.ctx.cotransform(omega)
-        return BlockOperator(self.rep, np.where(index >= 0, fo[index], 0.0) * kernel)
+        # D = -1 (across fibers, where K is 0 too) reads the appended zero
+        matrix = np.concatenate((self.ctx.cotransform(omega), [0.0])).take(index)
+        matrix *= kernel
+        return BlockOperator(self.rep, matrix)
 
     def effect(self, cosets) -> BlockOperator:
         """The POVM at a subset of quotient cosets."""
@@ -425,39 +460,27 @@ def build_covariant_povm(
                 position=k,
                 field_sector=field.sector,
             )
-        for x in sorted(spec.rho.support):
+        for x in rep.sector_points[k]:
+            where = {"sector": k, "point": list(x.coords)}
             w = field.matrices.get(x)
             if w is None:
-                raise PovmBuildError(
-                    "isometry field is missing a support point",
-                    sector=k,
-                    point=list(x.coords),
-                )
+                raise PovmBuildError("isometry field is missing a support point", **where)
             w = np.asarray(w, dtype=complex)
             if w.shape != (e_dim, spec.f_dim):
                 raise PovmBuildError(
                     "isometry matrix has the wrong shape",
-                    sector=k,
-                    point=list(x.coords),
-                    shape=list(w.shape),
-                    expected=[e_dim, spec.f_dim],
+                    **where, shape=list(w.shape), expected=[e_dim, spec.f_dim],
                 )
             if not np.isfinite(w).all():
-                raise PovmBuildError(
-                    "isometry matrix has non-finite entries",
-                    sector=k,
-                    point=list(x.coords),
-                )
-            dev = float(
-                np.abs(w.conj().T @ w - np.eye(spec.f_dim)).max()
-            )
+                raise PovmBuildError("isometry matrix has non-finite entries", **where)
+            dev = float(np.abs(w.conj().T @ w - np.eye(spec.f_dim)).max())
             if dev > atol:
-                raise PovmBuildError(
-                    "field matrix is not isometric",
-                    sector=k,
-                    point=list(x.coords),
-                    deviation=dev,
-                )
+                raise PovmBuildError("field matrix is not isometric", **where, deviation=dev)
+        if len(field.matrices) > len(spec.rho.support):
+            outside = field.matrices.keys() - spec.rho.support
+            point = list(min(outside, key=lambda x: x.coords).coords)
+            message = "isometry field has a matrix outside its sector's support"
+            raise PovmBuildError(message, sector=k, point=point)
     ctx = QuotientContext.build(rep.group, subgroup)
     data = class_measure(ctx, rep, quotient_measure)
     return CovariantPOVM(
@@ -628,18 +651,36 @@ class EquivalenceResult:
     max_deviation: float
 
 
+def _adjoints(stack: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack, as a transposed view
+    like ``w.conj().T``: matmul takes the same path for both layouts."""
+    return stack.conj().transpose(0, 2, 1)
+
+
+def _stacked(rep: DiagonalRep, maps, rows, what: str) -> tuple[np.ndarray, ...]:
+    """``maps[k][x]`` at every support point x of every sector k, as complex
+    matrices of shape (rows or f_dim, f_dim) stacked per multiplicity like
+    ``rep.support_table.by_f_dim``; another shape raises ValueError."""
+    mats = []
+    for k, (spec, points) in enumerate(zip(rep.sectors, rep.sector_points)):
+        for x in points:
+            mats.append(np.asarray(maps[k][x], dtype=complex))
+            if mats[-1].shape != (rows or spec.f_dim, spec.f_dim):
+                shape = (rows or spec.f_dim, spec.f_dim)
+                raise ValueError(f"{what} {k} at {x} has shape {mats[-1].shape}, expected {shape}")
+    return tuple(np.stack([mats[p] for p in points]) for points in rep.support_table.by_f_dim)
+
+
 def sector_pointwise_operator(
     rep: DiagonalRep, sector_maps: Sequence[Mapping[DualCharacter, np.ndarray]]
 ) -> np.ndarray:
     """Assemble a block-diagonal operator acting within each sector,
     pointwise over its support, in the documented rep basis."""
+    table = rep.support_table
     out = np.zeros((rep.dimension, rep.dimension), dtype=complex)
-    for k, spec in enumerate(rep.sectors):
-        f = spec.f_dim
-        off = rep.offsets[k]
-        for a, x in enumerate(rep.sector_points[k]):
-            block = np.asarray(sector_maps[k][x], dtype=complex)
-            out[off + a * f : off + (a + 1) * f, off + a * f : off + (a + 1) * f] = block
+    for points, stack in zip(table.by_f_dim, _stacked(rep, sector_maps, None, "sector map")):
+        rows = table.block_rows(points, stack.shape[1])
+        out[rows[:, :, None], rows[:, None, :]] = stack
     return out
 
 
@@ -662,29 +703,26 @@ def equivalence_check(
     if povm_a.ctx.subgroup.elements != povm_b.ctx.subgroup.elements:
         raise ValueError("equivalence is defined over one common subgroup")
     rep = povm_a.rep
-    for k, spec in enumerate(rep.sectors):
-        for x in spec.rho.support:
-            s = np.asarray(sector_maps[k][x], dtype=complex)
-            if s.shape != (spec.f_dim, spec.f_dim):
-                raise ValueError(
-                    f"sector map {k} at {x} has shape {s.shape}, "
-                    f"expected ({spec.f_dim}, {spec.f_dim})"
-                )
-            if not np.abs(s.conj().T @ s - np.eye(spec.f_dim)).max() <= atol:
-                raise ValueError(f"sector map {k} at {x} is not unitary")
-    points = [(k, x) for k, pts in enumerate(rep.sector_points) for x in pts]
+    table = rep.support_table
+    maps = _stacked(rep, sector_maps, None, "sector map")
+    for points, s in zip(table.by_f_dim, maps):
+        unitary = np.abs(_adjoints(s) @ s - np.eye(s.shape[1])).max(axis=(1, 2)) <= atol
+        if not unitary.all():
+            p = points[np.argmin(unitary)]
+            x = rep.group.points(DualCharacter, [table.indices[p]])[0]
+            raise ValueError(f"sector map {table.sectors[p]} at {x} is not unitary")
+    # every pair of support points x, x' in one fiber compares
+    # sqrt(density(x')) W_x^H W_x' with the same for W'_x S_x
+    in_fiber = povm_a._point_differences() >= 0
+    weight = np.sqrt(povm_a._point_densities)
+    stacks = list(zip(table.by_f_dim, povm_a._isometry_stacks, povm_b._isometry_stacks, maps))
     devs = []
-    for a, b in np.argwhere(povm_a._point_differences() >= 0).tolist():
-        (j, x), (k, xp) = points[a], points[b]
-        w_j = np.asarray(povm_a.fields[j].matrices[x], dtype=complex)
-        wp_j = np.asarray(povm_b.fields[j].matrices[x], dtype=complex)
-        s_j = np.asarray(sector_maps[j][x], dtype=complex)
-        weight = math.sqrt(povm_a.densities[k][xp])
-        w_k = np.asarray(povm_a.fields[k].matrices[xp], dtype=complex)
-        wp_k = np.asarray(povm_b.fields[k].matrices[xp], dtype=complex)
-        s_k = np.asarray(sector_maps[k][xp], dtype=complex)
-        lhs = weight * (w_j.conj().T @ w_k)
-        rhs = weight * (s_j.conj().T @ wp_j.conj().T @ wp_k @ s_k)
-        devs.append(np.abs(lhs - rhs).max())
+    for pa, wa, va, sa in stacks:
+        for pb, wb, vb, sb in stacks:
+            a, b = np.nonzero(in_fiber[np.ix_(pa, pb)])
+            w = weight[pb[b], None, None]
+            lhs = w * (_adjoints(wa[a]) @ wb[b])
+            rhs = w * (_adjoints(sa[a]) @ _adjoints(va[a]) @ vb[b] @ sb[b])
+            devs.append(np.abs(lhs - rhs).max(initial=0.0))
     dev = _worst(devs)
     return EquivalenceResult(equivalent=dev <= atol, max_deviation=dev)

@@ -1,5 +1,7 @@
 """Shared test utilities: brute-force oracles and instance builders."""
 
+import math
+
 import numpy as np
 
 from covpovm import (
@@ -10,6 +12,7 @@ from covpovm import (
     SectorSpec,
     WeightedMeasure,
     build_covariant_povm,
+    pairing,
     subgroup_from_generators,
 )
 
@@ -134,3 +137,69 @@ def scalar_z12_povm():
     rep = DiagonalRep(g, (SectorSpec(WeightedMeasure(DOMAIN_DUAL, {x0: 1.0}), 1),))
     fields = (IsometryField(0, {x0: np.array([[1.0]], dtype=complex)}),)
     return build_covariant_povm(rep, h, fields, e_dim=1)
+
+
+def brute_overlap_details(rep):
+    """Rejection details of the per-pair support intersection: every pair of
+    sectors j < k intersected as sets of characters, or None if disjoint."""
+    overlaps = []
+    for j in range(len(rep.sectors)):
+        for k in range(j + 1, len(rep.sectors)):
+            common = rep.sectors[j].rho.support & rep.sectors[k].rho.support
+            if common:
+                overlaps.append(
+                    {"sectors": [j, k], "points": sorted(list(x.coords) for x in common)}
+                )
+    if not overlaps:
+        return None
+    return {"error": "sector supports are not pairwise disjoint", "overlaps": overlaps}
+
+
+def brute_basis(rep):
+    """(sector, character, multiplicity coordinate) of each rep basis row,
+    from the sorted sector supports."""
+    return [
+        (k, x, a)
+        for k, spec in enumerate(rep.sectors)
+        for x in sorted(spec.rho.support)
+        for a in range(spec.f_dim)
+    ]
+
+
+def brute_u_matrix(rep, g):
+    """U(g) with one scalar pairing per basis row."""
+    return np.diag([pairing(x, g) for _, x, _ in brute_basis(rep)])
+
+
+def brute_sector_pointwise_operator(rep, sector_maps):
+    """Block-diagonal operator assembled one (sector, point) block at a time."""
+    basis = brute_basis(rep)
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    for r, (k, x, a) in enumerate(basis):
+        for c, (kc, xc, b) in enumerate(basis):
+            if (k, x) == (kc, xc):
+                out[r, c] = np.asarray(sector_maps[k][x], dtype=complex)[a, b]
+    return out
+
+
+def brute_equivalence_deviation(povm_a, povm_b, sector_maps):
+    """The equivalence criterion's deviation, one support-point pair at a
+    time, with fiber membership tested against the annihilator points."""
+    hperp = set(povm_a.ctx.hperp_points)
+    points = [(k, x) for k, spec in enumerate(povm_a.rep.sectors) for x in sorted(spec.rho.support)]
+    dev = 0.0
+    for j, x in points:
+        for k, xp in points:
+            if x - xp not in hperp:
+                continue
+            w_j = np.asarray(povm_a.fields[j].matrices[x], dtype=complex)
+            wp_j = np.asarray(povm_b.fields[j].matrices[x], dtype=complex)
+            s_j = np.asarray(sector_maps[j][x], dtype=complex)
+            weight = math.sqrt(povm_a.densities[k][xp])
+            w_k = np.asarray(povm_a.fields[k].matrices[xp], dtype=complex)
+            wp_k = np.asarray(povm_b.fields[k].matrices[xp], dtype=complex)
+            s_k = np.asarray(sector_maps[k][xp], dtype=complex)
+            lhs = weight * (w_j.conj().T @ w_k)
+            rhs = weight * (s_j.conj().T @ wp_j.conj().T @ wp_k @ s_k)
+            dev = max(dev, float(np.abs(lhs - rhs).max()))
+    return dev

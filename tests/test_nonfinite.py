@@ -193,3 +193,25 @@ class TestNanBlindComparisons:
     def test_phase_difference_rejects_nan_vector(self):
         with pytest.raises(ValueError, match="not normalized"):
             PhaseDifferenceObservable({(0, 0): np.array([1.0]), (0, 1): np.array([np.nan])})
+
+
+class TestNonFiniteOmega:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_cotransform_rejects(self, bad):
+        ctx = scalar_z12_povm().ctx
+        omega = np.ones(ctx.n_cosets, dtype=complex)
+        omega[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ctx.cotransform(omega)
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf)])
+    def test_apply_and_intertwiner_route_reject(self, bad):
+        from covpovm import apply_via_intertwiner
+
+        povm = standard_instances()[2][1]
+        omega = np.ones(povm.ctx.n_cosets, dtype=complex)
+        omega[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            povm.apply(omega)
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_via_intertwiner(povm, omega)
