@@ -149,6 +149,17 @@ class QuotientContext:
             )
         return self.hperp_weight * (self._fourier_matrix.conj().T @ phi)
 
+    def cotransform_transposed(self, phi) -> np.ndarray:
+        """Transpose of :meth:`cotransform`: the coset values
+        sum_a phi[a] <y_a, coset>, so that ``phi @ cotransform(omega)``
+        equals ``cotransform_transposed(phi) @ omega``."""
+        phi = np.asarray(phi, dtype=complex)
+        if phi.shape != (self.annihilator.order,):
+            raise ValueError(
+                f"expected {self.annihilator.order} annihilator values, got {phi.shape}"
+            )
+        return self._fourier_matrix.T @ phi
+
     def translated(self, a: GroupElement, omega) -> np.ndarray:
         """The shifted quotient function (a . omega)(coset) = omega(a^-1[coset])."""
         omega = np.asarray(omega, dtype=complex)

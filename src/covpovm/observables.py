@@ -16,11 +16,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .groups import FiniteAbelianGroup, subgroup_from_generators
+from .groups import FiniteAbelianGroup, _as_int, subgroup_from_generators
 from .harmonic import DOMAIN_DUAL, WeightedMeasure
 from .povm import CovariantPOVM, DiagonalRep, IsometryField, SectorSpec, build_covariant_povm
 
 DEFAULT_ATOL = 1e-9
+# uniforms drawn and sorted at a time by sample_outcomes
+SAMPLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -254,7 +256,14 @@ def position_povm_zn(n: int, unit_vectors: Sequence[np.ndarray]) -> CovariantPOV
 
 
 def born_distribution(state: np.ndarray, povm: CovariantPOVM, partition) -> np.ndarray:
-    """Outcome probabilities of a unit state over a partition of the cosets."""
+    """Outcome probabilities of a unit state over a partition of the cosets.
+
+    Each cell's probability is the sum of the singleton expectations of
+    :meth:`CovariantPOVM.singleton_expectations` (the kernel route: one pass
+    over the kernel and one transposed cotransform, no effect formed) over
+    the cell's cosets. Cell entries must be integers (not bools) naming
+    each coset exactly once; an empty cell has probability 0.
+    """
     state = np.asarray(state, dtype=complex).reshape(-1)
     if state.shape[0] != povm.dimension:
         raise ValueError(
@@ -264,19 +273,44 @@ def born_distribution(state: np.ndarray, povm: CovariantPOVM, partition) -> np.n
         raise ValueError("state has non-finite entries")
     if abs(np.linalg.norm(state) - 1.0) > DEFAULT_ATOL:
         raise ValueError("state is not normalized")
-    cells = [tuple(cell) for cell in partition]
-    seen: set[int] = set()
-    for cell in cells:
-        if seen & set(cell):
-            raise ValueError("partition cells overlap")
-        seen |= set(cell)
-    if seen != set(range(povm.ctx.n_cosets)):
-        raise ValueError("partition does not cover the quotient")
-    probs = [
-        float(np.real(np.vdot(state, povm.assembled_effect(cell) @ state)))
-        for cell in cells
-    ]
-    return np.array(probs)
+    cells = [[_as_int(i, "partition entry") for i in cell] for cell in partition]
+    cosets, q = [i for cell in cells for i in cell], povm.ctx.n_cosets
+    outside = [i for i in cosets if not 0 <= i < q]
+    if outside:
+        raise ValueError(f"partition entry {outside[0]} is not a coset index in [0, {q})")
+    cosets = np.array(cosets, dtype=np.int64)
+    times = np.bincount(cosets, minlength=q)
+    if (times > 1).any():
+        raise ValueError(f"partition cells overlap at coset {int(np.argmax(times > 1))}")
+    if (times == 0).any():
+        raise ValueError(
+            f"partition does not cover the quotient: coset {int(np.argmin(times))} is missing"
+        )
+    owner = np.repeat(np.arange(len(cells)), [len(cell) for cell in cells])
+    singletons = povm.singleton_expectations(state)
+    return np.bincount(owner, singletons[cosets], len(cells))
+
+
+def _inverse_transform_counts(probs: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Outcome counts of n inverse-transform draws over ``probs``.
+
+    Draw i takes the i-th Philox uniform u of the seed and lands in the
+    first cell whose cumulative edge exceeds u, the last cell if none does.
+    The uniforms are drawn in blocks of ``SAMPLE_BLOCK`` and each block is
+    sorted in place, so the draws below cell j's edge are one
+    ``searchsorted`` per block: the counts equal the per-draw ones, with
+    memory independent of n.
+    """
+    edges = np.cumsum(probs)[:-1]
+    below = np.zeros(len(edges), dtype=np.int64)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    block = np.empty(min(n, SAMPLE_BLOCK))
+    for start in range(0, n, SAMPLE_BLOCK):
+        uniforms = block[: min(SAMPLE_BLOCK, n - start)]
+        rng.random(out=uniforms)
+        uniforms.sort()
+        below += np.searchsorted(uniforms, edges, side="left")
+    return np.diff(below, prepend=0, append=n)
 
 
 def sample_outcomes(
@@ -288,19 +322,19 @@ def sample_outcomes(
 ) -> np.ndarray:
     """Draw measurement outcomes by inverse transform over the Born weights.
 
+    The weights come from :func:`born_distribution` on the kernel route.
     Uses the counter-based Philox generator keyed by the seed, so draw i is
     a fixed function of (seed, i) on every platform and batches can be
-    generated independently and merged.
+    generated independently and merged. The counts are those of the
+    per-draw inverse transform, computed from sorted blocks of draws (see
+    :func:`_inverse_transform_counts`). ``n`` must be an integer >= 0 and
+    ``seed`` an integer in [0, 2**128); bools are rejected.
     """
+    n, seed = _as_int(n, "sample count"), _as_int(seed, "seed")
     if n < 0:
         raise ValueError(f"sample count must be >= 0, got {n}")
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
     probs = born_distribution(state, povm, partition)
     probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    uniforms = rng.random(n)
-    edges = np.cumsum(probs)
-    draws = np.minimum(
-        np.searchsorted(edges, uniforms, side="right"), len(probs) - 1
-    )
-    return np.bincount(draws, minlength=len(probs))
+    return _inverse_transform_counts(probs / probs.sum(), n, seed)

@@ -18,6 +18,8 @@ Two independent evaluation routes are provided on purpose:
 over a cached kernel table, while :func:`apply_via_intertwiner` compresses
 the transported multiplication operator of :mod:`covpovm.induction`
 through the explicit intertwiner. They must agree to working precision.
+:meth:`CovariantPOVM.singleton_expectations` reads the Born expectations of
+all singleton cosets off the same kernel table in one pass.
 """
 
 from __future__ import annotations
@@ -397,6 +399,30 @@ class CovariantPOVM:
         matrix = np.concatenate((self.ctx.cotransform(omega), [0.0])).take(index)
         matrix *= kernel
         return BlockOperator(self.rep, matrix)
+
+    def singleton_expectations(self, state) -> np.ndarray:
+        """<psi, M(e_j) psi> for every singleton coset j, on the kernel route.
+
+        The expectation is linear in the outcome function, so with
+        s[a] = sum of conj(psi_r) K[r, c] psi_c over D[r, c] = a (one pass
+        over the kernel) it is the transposed cotransform of s at j; no
+        effect is formed. Returns the real parts, indexed by coset. A state
+        of the wrong shape or with non-finite entries raises ``ValueError``.
+        """
+        state = np.asarray(state, dtype=complex)
+        if state.shape != (self.dimension,):
+            raise ValueError(f"expected a vector of dimension {self.dimension}, got {state.shape}")
+        if not np.isfinite(state).all():
+            raise ValueError("state has non-finite entries")
+        index, kernel = self._kernel
+        terms = state.conj()[:, None] * kernel
+        terms *= state
+        # D = -1 (across fibers, where K is 0) lands in bin 0, which is dropped
+        bins = (index.ravel() + 1).astype(np.intp)
+        size = self.ctx.annihilator.order + 1
+        s = np.bincount(bins, terms.real.ravel(), size)[1:]
+        s = s + 1j * np.bincount(bins, terms.imag.ravel(), size)[1:]
+        return self.ctx.cotransform_transposed(s).real
 
     def effect(self, cosets) -> BlockOperator:
         """The POVM at a subset of quotient cosets."""

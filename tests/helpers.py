@@ -12,8 +12,10 @@ from covpovm import (
     SectorSpec,
     WeightedMeasure,
     build_covariant_povm,
+    intertwiner_matrix,
     pairing,
     subgroup_from_generators,
+    transported_multiplication_act,
 )
 
 
@@ -203,3 +205,40 @@ def brute_equivalence_deviation(povm_a, povm_b, sector_maps):
             rhs = weight * (s_j.conj().T @ wp_j.conj().T @ wp_k @ s_k)
             dev = max(dev, float(np.abs(lhs - rhs).max()))
     return dev
+
+
+def brute_sample_counts(probs, n, seed):
+    """Outcome counts of n inverse-transform draws, one searchsorted lookup
+    per Philox uniform, the last cell taking draws at or past the last edge."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    edges = np.cumsum(probs)
+    draws = np.minimum(np.searchsorted(edges, rng.random(n), side="right"), len(probs) - 1)
+    return np.bincount(draws, minlength=len(probs))
+
+
+def intertwiner_born(povm, state):
+    """<psi, M(e_j) psi> = <W psi, T(e_j) W psi> over singleton cosets j,
+    with W the intertwiner and T the transported multiplication operator."""
+    dspace = povm.diagonal_space
+    phi = intertwiner_matrix(povm) @ state
+    values = dspace.from_coords(phi)
+    probs = []
+    for j in range(povm.ctx.n_cosets):
+        moved = transported_multiplication_act(dspace, povm.ctx.indicator([j]), values)
+        probs.append(np.vdot(phi, dspace.to_coords(moved)).real)
+    return np.array(probs)
+
+
+def fibered_instance(seed=5):
+    """Z_4 x Z_4 with H = <(0, 2)>: two dual fibers of 8 characters, three
+    sectors of multiplicities 1, 2 and 1 spread over both fibers."""
+    rng = np.random.default_rng(seed)
+    group = FiniteAbelianGroup((4, 4))
+    sector_data = [
+        ({(0, 0): 1.0, (1, 2): 0.5, (2, 1): 2.0, (3, 3): 1.0}, 1),
+        ({(0, 1): 1.5, (1, 0): 1.0, (2, 2): 0.25}, 2),
+        ({(0, 2): 1.0, (3, 1): 3.0}, 1),
+    ]
+    rep, fields = build_rep(group, sector_data, rng, e_dim=4)
+    h = subgroup_from_generators(group, [group.element([0, 2])])
+    return build_covariant_povm(rep, h, fields, e_dim=4)

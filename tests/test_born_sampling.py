@@ -1,0 +1,191 @@
+"""Born probabilities on the kernel route against the intertwiner route and
+dense effects, outcome counts from sorted blocks against the per-draw
+inverse transform, and the input both reject."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from covpovm import born_distribution, sample_outcomes
+from covpovm.cli import main
+from covpovm.observables import SAMPLE_BLOCK, _inverse_transform_counts
+from helpers import (
+    brute_sample_counts,
+    fibered_instance,
+    intertwiner_born,
+    scalar_z12_povm,
+    standard_instances,
+)
+
+B = SAMPLE_BLOCK
+INSTANCES = standard_instances() + [("Z4xZ4_fibered", fibered_instance())]
+SINGLETONS = [[0], [1], [2], [3]]
+
+
+def unit_state(rng, dim):
+    state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return state / np.linalg.norm(state)
+
+
+def partitions(q, rng):
+    """Singletons, and a shuffled split into cells that are not contiguous,
+    plus two empty cells."""
+    order = rng.permutation(q)
+    split = [sorted(order[i::3].tolist()) for i in range(min(3, q))]
+    return [[[i] for i in range(q)], [[], *split, []]]
+
+
+class TestKernelBorn:
+    @pytest.mark.parametrize("name, povm", INSTANCES, ids=[n for n, _ in INSTANCES])
+    def test_matches_intertwiner_route(self, name, povm):
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            state = unit_state(rng, povm.dimension)
+            got = povm.singleton_expectations(state)
+            np.testing.assert_allclose(got, intertwiner_born(povm, state), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name, povm", INSTANCES, ids=[n for n, _ in INSTANCES])
+    def test_matches_dense_effects(self, name, povm):
+        rng = np.random.default_rng(4)
+        for partition in partitions(povm.ctx.n_cosets, rng):
+            state = unit_state(rng, povm.dimension)
+            dense = [np.vdot(state, povm.assembled_effect(cell) @ state).real for cell in partition]
+            got = born_distribution(state, povm, partition)
+            np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12)
+
+    def test_fibered_instance_has_fibers_and_multiplicities(self):
+        povm = fibered_instance()
+        table = povm.rep.support_table
+        assert set(table.f_dims.tolist()) == {1, 2}
+        assert povm.ctx.annihilator.order == 8 and povm.ctx.n_cosets == 8
+        index, _ = povm._kernel
+        assert (index < 0).any() and (index >= 0).sum() > povm.dimension
+
+    def test_empty_cells_have_probability_zero(self):
+        povm = scalar_z12_povm()
+        probs = born_distribution(np.array([1.0]), povm, [[], [3, 0], [], [2, 1]])
+        assert probs[0] == 0.0 and probs[2] == 0.0
+        np.testing.assert_allclose(probs, [0.0, 0.5, 0.0, 0.5], atol=1e-15)
+
+    def test_bad_state_rejected(self):
+        povm = scalar_z12_povm()
+        with pytest.raises(ValueError, match="dimension 1"):
+            povm.singleton_expectations(np.ones(2))
+        with pytest.raises(ValueError, match="non-finite"):
+            povm.singleton_expectations(np.array([np.nan]))
+
+
+class TestBlockCounts:
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    def test_block_boundaries(self, n):
+        probs = np.array([0.1, 0.25, 0.05, 0.3, 0.3])
+        for seed in (0, 17):
+            got = _inverse_transform_counts(probs, n, seed)
+            assert np.array_equal(got, brute_sample_counts(probs, n, seed))
+            assert got.sum() == n
+
+    def test_zero_probability_cells(self):
+        probs = np.array([0.0, 0.4, 0.0, 0.0, 0.6, 0.0])
+        got = _inverse_transform_counts(probs, 2 * B + 5, 3)
+        assert np.array_equal(got, brute_sample_counts(probs, 2 * B + 5, 3))
+        assert got[[0, 2, 3, 5]].tolist() == [0, 0, 0, 0]
+
+    def test_one_cell(self):
+        got = _inverse_transform_counts(np.array([1.0]), B + 3, 8)
+        assert got.tolist() == [B + 3]
+        assert np.array_equal(got, brute_sample_counts(np.array([1.0]), B + 3, 8))
+
+    def test_last_edge_below_one(self):
+        # ten times 0.1 sums to 0.9999999999999999; the short vector's edges
+        # stop at 0.5, so half the draws take the last cell by the clamp
+        for probs in (np.full(10, 0.1), np.array([0.2, 0.3])):
+            assert np.cumsum(probs)[-1] < 1.0
+            got = _inverse_transform_counts(probs, 2 * B + 1, 11)
+            assert np.array_equal(got, brute_sample_counts(probs, 2 * B + 1, 11))
+
+    @given(
+        weights=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=12
+        ).filter(any),
+        n=st.integers(0, 2 * B + 3),
+        seed=st.integers(0, 2**64),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_probabilities(self, weights, n, seed):
+        probs = np.array(weights) / np.sum(weights)
+        got = _inverse_transform_counts(probs, n, seed)
+        assert np.array_equal(got, brute_sample_counts(probs, n, seed))
+
+    @pytest.mark.parametrize("name, povm", INSTANCES, ids=[n for n, _ in INSTANCES])
+    def test_sample_outcomes_end_to_end(self, name, povm):
+        rng = np.random.default_rng(6)
+        state = unit_state(rng, povm.dimension)
+        for partition in partitions(povm.ctx.n_cosets, rng):
+            probs = np.clip(born_distribution(state, povm, partition), 0.0, None)
+            want = brute_sample_counts(probs / probs.sum(), B + 9, 21)
+            assert np.array_equal(sample_outcomes(state, povm, partition, B + 9, 21), want)
+
+
+class TestBoundary:
+    @pytest.mark.parametrize(
+        "partition, shown",
+        [
+            ([[0.0], [1], [2], [3]], "0.0"),
+            ([[0], [True], [2], [3]], "True"),
+            ([[0], [1], [2], [3.5]], "3.5"),
+            ([[0], [1], [2], [4]], "4"),
+            ([[0], [1], [2], [-1]], "-1"),
+            ([[0, 1], [1], [2], [3]], "overlap at coset 1"),
+            ([[0, 0], [1], [2], [3]], "overlap at coset 0"),
+            ([[0], [1], [3]], "coset 2 is missing"),
+        ],
+    )
+    def test_bad_partition_names_the_value(self, partition, shown):
+        povm = scalar_z12_povm()
+        for call in (
+            lambda: born_distribution(np.array([1.0]), povm, partition),
+            lambda: sample_outcomes(np.array([1.0]), povm, partition, 10, 1),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert shown in str(info.value)
+
+    @pytest.mark.parametrize("n", [1.5, 10.0, True, -1])
+    def test_bad_count_names_the_value(self, n):
+        with pytest.raises(ValueError, match="sample count") as info:
+            sample_outcomes(np.array([1.0]), scalar_z12_povm(), SINGLETONS, n, 1)
+        assert str(n) in str(info.value)
+
+    @pytest.mark.parametrize("seed", [1.5, False, -1, 2**128])
+    def test_bad_seed_names_the_value(self, seed):
+        with pytest.raises(ValueError, match="seed") as info:
+            sample_outcomes(np.array([1.0]), scalar_z12_povm(), SINGLETONS, 10, seed)
+        assert str(seed) in str(info.value)
+
+    def test_numpy_integers_accepted(self):
+        povm = scalar_z12_povm()
+        partition = [[np.int64(i)] for i in range(4)]
+        counts = sample_outcomes(np.array([1.0]), povm, partition, np.int32(40), np.uint64(2**63))
+        assert counts.sum() == 40
+
+    @pytest.mark.parametrize(
+        "args, shown",
+        [
+            (["-n", "-1", "--seed", "1"], "-1"),
+            (["-n", "5", "--seed", "-1"], "-1"),
+            (["-n", "5", "--seed", "1", "--partition", "p.json"], "overlap at coset 2"),
+        ],
+    )
+    def test_cli_exits_3(self, tmp_path, capsys, monkeypatch, args, shown):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.json").write_text(
+            '{"spec_version": 1, "group": {"factors": [12]}, "subgroup": {"generators": [[4]]},'
+            ' "e_dim": 1, "sectors": [{"f_dim": 1, "support": [[[0], 1.0]]}],'
+            ' "fields": [{"sector": 0, "matrices": [[[0], [[[1.0, 0.0]]]]]}]}'
+        )
+        (tmp_path / "st.json").write_text('{"state": [[1.0, 0.0]]}')
+        (tmp_path / "p.json").write_text('{"partition": [[0], [1], [2], [2, 3]]}')
+        assert main(["sample", "s.json", "--state", "st.json", *args]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and shown in captured.err

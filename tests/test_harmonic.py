@@ -154,6 +154,19 @@ class TestCotransform:
                     ctx.cotransform(ctx.cotransform_adjoint(phi)), phi, atol=1e-9
                 )
 
+    def test_transposed_duality(self):
+        rng = np.random.default_rng(3)
+        for ctx in contexts():
+            omega = rng.standard_normal(ctx.n_cosets) + 1j * rng.standard_normal(ctx.n_cosets)
+            phi = rng.standard_normal(ctx.annihilator.order) + 1j * rng.standard_normal(
+                ctx.annihilator.order
+            )
+            assert ctx.cotransform_transposed(phi) @ omega == pytest.approx(
+                phi @ ctx.cotransform(omega), abs=1e-9
+            )
+            with pytest.raises(ValueError, match="annihilator values"):
+                ctx.cotransform_transposed(np.ones(ctx.annihilator.order + 1))
+
     def test_adjoint_of_constant(self, ctx):
         out = ctx.cotransform_adjoint(np.ones(len(ctx.hperp_points)))
         np.testing.assert_allclose(out, ctx.indicator([0]), atol=1e-12)
