@@ -22,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import iojson
-from .groups import pairing
 from .harmonic import QuotientContext
 from .observables import born_distribution, sample_outcomes
 from .povm import (
+    DEFAULT_ATOL,
     CheckResult,
     PovmBuildError,
     VerificationReport,
@@ -52,13 +52,13 @@ def _emit(obj) -> None:
 
 
 def _tolerance(args) -> float:
-    """--tolerance, else COVPOVM_TOLERANCE, else 1e-9; it must be finite and
-    nonnegative, or the command exits 3."""
+    """--tolerance, else COVPOVM_TOLERANCE, else ``DEFAULT_ATOL`` (1e-9); it
+    must be finite and nonnegative, or the command exits 3."""
     if getattr(args, "tolerance", None) is not None:
         source, value = "--tolerance", float(args.tolerance)
     else:
         env = os.environ.get("COVPOVM_TOLERANCE")
-        source, value = "COVPOVM_TOLERANCE", float(env) if env else 1e-9
+        source, value = "COVPOVM_TOLERANCE", float(env) if env else DEFAULT_ATOL
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{source} must be finite and >= 0, got {value}")
     return value
@@ -69,10 +69,9 @@ def cmd_group(args) -> int:
     group = iojson.group_from_json(obj["group"] if "group" in obj else obj)
     subgroup = iojson.subgroup_from_json(group, obj.get("subgroup", {}))
     ctx = QuotientContext.build(group, subgroup)
-    pairing_table = [
-        [iojson.complex_to_pair(pairing(y, h)) for h in subgroup.generators]
-        for y in ctx.hperp_points
-    ]
+    pairing_table = group.pairing_matrix(
+        ctx.annihilator.indices, [group.index_of(h) for h in subgroup.generators]
+    )
     _emit(
         {
             "spec_version": iojson.SPEC_VERSION,
@@ -98,7 +97,7 @@ def cmd_group(args) -> int:
             "pairing_table": {
                 "rows": "annihilator elements",
                 "cols": "subgroup generators",
-                "values": pairing_table,
+                "values": [iojson.vector_to_json(row) for row in pairing_table],
             },
         }
     )

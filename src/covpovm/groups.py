@@ -26,6 +26,14 @@ def _as_int(value, what: str) -> int:
     return operator.index(value)
 
 
+def _as_real(value, what: str) -> float:
+    """The one real-number coercion for JSON numbers: Python and numpy ints
+    and floats pass; bools, strings, None and anything else are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _reduced(coords: tuple[int, ...], factors: tuple[int, ...]) -> tuple[int, ...]:
     if len(coords) != len(factors):
         raise ValueError(
@@ -346,17 +354,25 @@ class QuotientGroup:
 
 
 def quotient(group: FiniteAbelianGroup, subgroup: Subgroup) -> QuotientGroup:
-    """Enumerate the cosets of a subgroup, on either side of the duality."""
+    """Enumerate the cosets of a subgroup, on either side of the duality.
+
+    Each point is reduced to its coset's lexicographically smallest member
+    (Hermite normal form). The triangular generator t_j is zero before
+    coordinate j and holds there d_j, the least positive j-th coordinate of
+    a subgroup element zero before j; those coordinates form a subgroup of
+    Z_{n_j}, so d_j divides n_j. Subtracting floor(c_j / d_j) t_j, j in
+    order, leaves c_j mod d_j, the least value given the coordinates before
+    j, which it keeps. A point represents its coset iff it reduces to itself.
+    """
     if subgroup.parent != group:
         raise ValueError("subgroup does not belong to the given group")
-    offsets = group.coords[subgroup.indices]
-    projection = np.full(group.order, -1, dtype=np.int64)
-    representatives = []
-    for p in range(group.order):  # index order, so each first-seen point is its coset's minimum
-        if projection[p] < 0:
-            projection[group.ravel(group.coords[p] + offsets)] = len(representatives)
-            representatives.append(p)
-    return QuotientGroup(subgroup, np.array(representatives), projection)
+    coords = group.coords
+    for t in group.coords[_triangular_generators(group, subgroup.indices)]:
+        j = np.flatnonzero(t)[0]
+        coords = (coords - (coords[:, j] // t[j])[:, None] * t) % group.factors
+    reduced = group.ravel(coords)
+    rep_indices = np.flatnonzero(reduced == np.arange(group.order))
+    return QuotientGroup(subgroup, rep_indices, np.searchsorted(rep_indices, reduced))
 
 
 def quotient_pairing(quot: QuotientGroup, character, coset_index: int) -> complex:

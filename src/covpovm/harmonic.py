@@ -142,12 +142,7 @@ class QuotientContext:
 
     def cotransform_adjoint(self, phi) -> np.ndarray:
         """Adjoint of :meth:`cotransform`; inverse of it, by unitarity."""
-        phi = np.asarray(phi, dtype=complex)
-        if phi.shape != (len(self.hperp_points),):
-            raise ValueError(
-                f"expected {len(self.hperp_points)} annihilator values, got {phi.shape}"
-            )
-        return self.hperp_weight * (self._fourier_matrix.conj().T @ phi)
+        return self.hperp_weight * self.cotransform_transposed(np.conj(phi)).conj()
 
     def cotransform_transposed(self, phi) -> np.ndarray:
         """Transpose of :meth:`cotransform`: the coset values

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteAbelianGroup, Subgroup, _as_int, subgroup_from_generators
+from .groups import FiniteAbelianGroup, Subgroup, _as_int, _as_real, subgroup_from_generators
 from .harmonic import (
     DOMAIN_DUAL,
     DOMAIN_DUAL_QUOTIENT,
@@ -20,6 +20,7 @@ from .harmonic import (
     WeightedMeasure,
 )
 from .povm import (
+    DEFAULT_ATOL,
     CovariantPOVM,
     DiagonalRep,
     IsometryField,
@@ -39,7 +40,7 @@ def complex_to_pair(z: complex) -> list[float]:
 def pair_to_complex(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"expected a [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(_as_real(pair[0], "real part"), _as_real(pair[1], "imaginary part"))
 
 
 def vector_to_json(vec) -> list:
@@ -111,12 +112,8 @@ def measure_from_json(group: FiniteAbelianGroup, obj) -> WeightedMeasure:
             key = _as_int(point, "coset index")
         else:
             raise ValueError(f"unknown measure domain {domain!r}")
-        weights[key] = float(w)
+        weights[key] = _as_real(w, "measure weight")
     return WeightedMeasure(domain, weights)
-
-
-def quotient_function_to_json(values) -> dict:
-    return {"values": vector_to_json(values)}
 
 
 def quotient_function_from_json(obj) -> np.ndarray:
@@ -164,7 +161,7 @@ class Scenario:
     e_dim: int
     fields: tuple[IsometryField, ...]
 
-    def build(self, atol: float = 1e-9) -> CovariantPOVM:
+    def build(self, atol: float = DEFAULT_ATOL) -> CovariantPOVM:
         return build_covariant_povm(
             self.rep, self.subgroup, self.fields, self.e_dim, atol=atol
         )
@@ -181,7 +178,7 @@ def scenario_from_json(obj) -> Scenario:
     e_dim = _as_int(obj["e_dim"], "e_dim")
     sectors = []
     for entry in obj["sectors"]:
-        weights = {group.character(c): float(w) for c, w in entry["support"]}
+        weights = {group.character(c): _as_real(w, "support weight") for c, w in entry["support"]}
         f_dim = _as_int(entry["f_dim"], "f_dim")
         sectors.append(SectorSpec(WeightedMeasure(DOMAIN_DUAL, weights), f_dim))
     rep = DiagonalRep(group, tuple(sectors))

@@ -18,9 +18,10 @@ import numpy as np
 
 from .groups import FiniteAbelianGroup, _as_int, subgroup_from_generators
 from .harmonic import DOMAIN_DUAL, WeightedMeasure
-from .povm import CovariantPOVM, DiagonalRep, IsometryField, SectorSpec, build_covariant_povm
+from .povm import (
+    DEFAULT_ATOL, CovariantPOVM, DiagonalRep, IsometryField, SectorSpec, build_covariant_povm
+)
 
-DEFAULT_ATOL = 1e-9
 # uniforms drawn and sorted at a time by sample_outcomes
 SAMPLE_BLOCK = 1 << 16
 

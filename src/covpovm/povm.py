@@ -424,15 +424,11 @@ class CovariantPOVM:
         s = s + 1j * np.bincount(bins, terms.imag.ravel(), size)[1:]
         return self.ctx.cotransform_transposed(s).real
 
-    def effect(self, cosets) -> BlockOperator:
-        """The POVM at a subset of quotient cosets."""
-        return self.apply(self.ctx.indicator(cosets))
-
     def assembled(self, omega) -> np.ndarray:
         return self.apply(omega).assemble()
 
     def assembled_effect(self, cosets) -> np.ndarray:
-        return self.effect(cosets).assemble()
+        return self.assembled(self.ctx.indicator(cosets))
 
     @cached_property
     def diagonal_space(self) -> DiagonalSpace:

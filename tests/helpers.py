@@ -9,6 +9,7 @@ from covpovm import (
     DiagonalRep,
     FiniteAbelianGroup,
     IsometryField,
+    QuotientGroup,
     SectorSpec,
     WeightedMeasure,
     build_covariant_povm,
@@ -46,6 +47,21 @@ def brute_cosets(group, subgroup_elements):
         else:
             cosets.append([g])
     return cosets
+
+
+def brute_quotient(group, subgroup):
+    """Cosets by flood fill over the indices of the group: each index not yet
+    assigned starts a coset, and index order makes it the coset's minimum."""
+    if subgroup.parent != group:
+        raise ValueError("subgroup does not belong to the given group")
+    offsets = group.coords[subgroup.indices]
+    projection = np.full(group.order, -1, dtype=np.int64)
+    representatives = []
+    for p in range(group.order):  # index order, so each first-seen point is its coset's minimum
+        if projection[p] < 0:
+            projection[group.ravel(group.coords[p] + offsets)] = len(representatives)
+            representatives.append(p)
+    return QuotientGroup(subgroup, np.array(representatives), projection)
 
 
 def brute_shift_table(dspace):

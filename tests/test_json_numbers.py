@@ -1,0 +1,143 @@
+"""JSON values that are not numbers (bools, strings, null) are rejected
+where a real number is read, and the default tolerance has one definition."""
+
+import json
+
+import numpy as np
+import pytest
+
+from covpovm import FiniteAbelianGroup, iojson, observables, povm
+from covpovm.cli import _tolerance, build_parser, main
+from covpovm.groups import _as_real
+
+NOT_NUMBERS = [True, False, "1.0", None]
+
+
+def write(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def z12_scenario():
+    return {
+        "spec_version": 1,
+        "group": {"factors": [12]},
+        "subgroup": {"generators": [[4]]},
+        "e_dim": 1,
+        "sectors": [{"f_dim": 1, "support": [[[0], 1.0]]}],
+        "fields": [{"sector": 0, "matrices": [[[0], [[[1.0, 0.0]]]]]}],
+    }
+
+
+def with_weight(value):
+    scen = z12_scenario()
+    scen["sectors"][0]["support"][0][1] = value
+    return scen
+
+
+def with_entry(pair):
+    scen = z12_scenario()
+    scen["fields"][0]["matrices"][0][1] = [[pair]]
+    return scen
+
+
+class TestRealCoercion:
+    @pytest.mark.parametrize("value", NOT_NUMBERS + [[1.0], {"re": 1.0}])
+    def test_rejects_non_numbers_naming_the_value(self, value):
+        with pytest.raises(ValueError, match="weight must be a real number") as err:
+            _as_real(value, "weight")
+        assert repr(value) in str(err.value)
+
+    @pytest.mark.parametrize("value", [0, 3, -2.5, 1e300, np.int32(4), np.float32(0.5)])
+    def test_accepts_ints_and_floats(self, value):
+        got = _as_real(value, "weight")
+        assert type(got) is float and got == float(value)
+
+
+class TestReadersReject:
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    def test_pair_parts(self, value):
+        with pytest.raises(ValueError, match="real part must be a real number"):
+            iojson.pair_to_complex([value, 0.0])
+        with pytest.raises(ValueError, match="imaginary part must be a real number"):
+            iojson.pair_to_complex([1.0, value])
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    def test_support_weight(self, value):
+        with pytest.raises(ValueError, match="support weight must be a real number"):
+            iojson.scenario_from_json(with_weight(value))
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    def test_field_matrix_entry(self, value):
+        with pytest.raises(ValueError, match="must be a real number"):
+            iojson.scenario_from_json(with_entry([1.0, value]))
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    def test_measure_weight(self, value):
+        obj = {"domain": "dual_quotient", "weights": [[0, value]]}
+        with pytest.raises(ValueError, match="measure weight must be a real number"):
+            iojson.measure_from_json(FiniteAbelianGroup((12,)), obj)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda v: iojson.state_from_json({"state": [[v, 0.0]]}),
+            lambda v: iojson.quotient_function_from_json({"values": [[0.0, v]]}),
+            lambda v: iojson.matrix_from_json({"rows": 1, "cols": 1, "entries": [[v, 0.0]]}),
+            lambda v: iojson.trig_polynomial_from_json({"coeffs": [[1, [v, 0.0]]]}),
+        ],
+        ids=["state", "omega", "matrix", "trig-coefficient"],
+    )
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    def test_vector_and_matrix_files(self, read, value):
+        with pytest.raises(ValueError, match="must be a real number"):
+            read(value)
+
+    def test_integer_pairs_accepted(self):
+        assert iojson.pair_to_complex([1, 0]) == 1 + 0j
+        scenario = iojson.scenario_from_json(with_entry([1, 0]))
+        assert scenario.fields[0].matrices[scenario.group.character([0])][0, 0] == 1.0
+        assert iojson.scenario_from_json(with_weight(2)).rep.sectors[0].rho.items()[0][1] == 2.0
+
+
+class TestCliExits3:
+    @pytest.mark.parametrize("value", [True, "1.0"])
+    def test_build_support_weight(self, tmp_path, capsys, value):
+        assert main(["build", write(tmp_path, "s.json", with_weight(value))]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"support weight must be a real number, got {value!r}" in captured.err
+
+    @pytest.mark.parametrize("pair", [["1.0", 0.0], [1.0, False]])
+    def test_build_matrix_entry(self, tmp_path, capsys, pair):
+        assert main(["build", write(tmp_path, "s.json", with_entry(pair))]) == 3
+        assert "must be a real number" in capsys.readouterr().err
+
+    def test_verify_omega(self, tmp_path, capsys):
+        scen = write(tmp_path, "s.json", z12_scenario())
+        omega = write(tmp_path, "o.json", {"values": [[1.0, 0.0]] * 3 + [["1", 0.0]]})
+        assert main(["verify", scen, "--omega", omega]) == 3
+        assert "real part must be a real number, got '1'" in capsys.readouterr().err
+
+    def test_sample_state(self, tmp_path, capsys):
+        scen = write(tmp_path, "s.json", z12_scenario())
+        state = write(tmp_path, "st.json", {"state": [[True, 0.0]]})
+        assert main(["sample", scen, "--state", state, "-n", "10", "--seed", "1"]) == 3
+        assert "real part must be a real number, got True" in capsys.readouterr().err
+
+    def test_integer_pairs_still_run(self, tmp_path, capsys):
+        scen = write(tmp_path, "s.json", with_entry([1, 0]))
+        state = write(tmp_path, "st.json", {"state": [[1, 0]]})
+        assert main(["sample", scen, "--state", state, "-n", "10", "--seed", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "outcome,count"
+
+
+class TestOneDefaultTolerance:
+    def test_every_default_reads_povm_default(self, monkeypatch):
+        monkeypatch.delenv("COVPOVM_TOLERANCE", raising=False)
+        assert povm.DEFAULT_ATOL == 1e-9
+        assert observables.DEFAULT_ATOL is povm.DEFAULT_ATOL
+        assert iojson.Scenario.build.__defaults__ == (povm.DEFAULT_ATOL,)
+        args = build_parser().parse_args(["build", "s.json"])
+        assert _tolerance(args) is povm.DEFAULT_ATOL
