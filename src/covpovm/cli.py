@@ -47,7 +47,7 @@ def _load_json(path: str):
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
+    sys.stdout.write(iojson.dumps(obj))
     sys.stdout.write("\n")
 
 
@@ -97,7 +97,7 @@ def cmd_group(args) -> int:
             "pairing_table": {
                 "rows": "annihilator elements",
                 "cols": "subgroup generators",
-                "values": [iojson.vector_to_json(row) for row in pairing_table],
+                "values": iojson.pairs_to_json(pairing_table),
             },
         }
     )
@@ -184,11 +184,11 @@ def cmd_verify(args) -> int:
             range(povm.ctx.n_cosets)
         )
         (dump_dir / "m_omega.json").write_text(
-            json.dumps(iojson.matrix_to_json(povm.assembled(shown)), indent=2)
+            iojson.dumps(iojson.matrix_to_json(povm.assembled(shown)))
         )
         for i in range(povm.ctx.n_cosets):
             (dump_dir / f"effect_{i}.json").write_text(
-                json.dumps(iojson.matrix_to_json(povm.assembled_effect([i])), indent=2)
+                iojson.dumps(iojson.matrix_to_json(povm.assembled_effect([i])))
             )
     _emit(iojson.report_to_json(report, tolerance))
     if not report.passed:

@@ -171,8 +171,12 @@ class FiniteAbelianGroup:
         return scaled @ self.coords[g_indices].T % lcm
 
     def pairing_matrix(self, x_indices, g_indices) -> np.ndarray:
-        """P[a, b] = <x_a, g_b>, equal entry for entry to :func:`pairing`."""
-        return self._roots[self.exponents(x_indices, g_indices)]
+        """P[a, b] = <x_a, g_b>, equal entry for entry to :func:`pairing`. An
+        empty table does not fill the root table."""
+        exponents = self.exponents(x_indices, g_indices)
+        if exponents.size == 0:
+            return np.empty(exponents.shape, dtype=complex)
+        return self._roots[exponents]
 
     def __repr__(self):
         return f"FiniteAbelianGroup{self.factors}"

@@ -330,6 +330,15 @@ class TestIndexLayerProperties:
         brute = [[pairing(x, g) for g in group.elements()] for x in group.characters()]
         assert matrix.tolist() == brute
 
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (5, 0), (0, 3)])
+    def test_empty_pairing_matrix_leaves_the_root_table_unfilled(self, rows, cols):
+        group = FiniteAbelianGroup((4096,))
+        matrix = group.pairing_matrix(list(range(rows)), list(range(cols)))
+        assert matrix.shape == (rows, cols) and matrix.dtype == complex
+        assert "_roots" not in vars(group)
+        group.pairing_matrix([1], [1])
+        assert "_roots" in vars(group)
+
     @given(groups_with_generators(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_direct_dual_construction_enforces_invariants(self, case, data):

@@ -1,0 +1,261 @@
+"""iojson.dumps writes exactly the text of json.dumps(obj, indent=2), and
+every JSON output of the CLI is that text plus a newline."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from covpovm import iojson
+from covpovm.cli import main
+
+from helpers import fibered_instance
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, -1e16, 1e-7, math.nan, math.inf, -math.inf]
+AWKWARD_TEXT = ['"', ",", "[", "]", "],[", "[]", "{}", "\n", "é", "π ∑", "\x00", '"],["']
+
+numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=10**40),
+    st.integers(max_value=-(2**64), min_value=-(10**40)),
+)
+scalars = st.one_of(numbers, st.booleans(), st.none())
+texts = st.one_of(st.text(max_size=8), st.sampled_from(AWKWARD_TEXT))
+keys = st.one_of(texts, st.integers(), st.floats(), st.booleans(), st.none())
+odd_items = st.one_of(
+    texts,
+    st.dictionaries(texts, scalars, max_size=2),
+    st.just([]),
+    st.just({}),
+    st.lists(st.one_of(scalars, texts), min_size=2, max_size=2),
+)
+
+
+def uniform(depth):
+    """Non-empty lists nested ``depth`` deep with scalar leaves, such as [re,
+    im] pairs (depth 1) or rows of coordinate pairs (depth 2)."""
+    strategy = scalars
+    for _ in range(depth):
+        strategy = st.lists(strategy, min_size=1, max_size=4)
+    return strategy
+
+
+@st.composite
+def numeric_lists_with_an_odd_item(draw):
+    """A list of uniform depth 1, 2 or 3 with one odd item inserted at the
+    top or inside its first row: a string, a dict, [], or a list of another
+    depth."""
+    depth = draw(st.integers(min_value=1, max_value=3))
+    items = draw(st.lists(uniform(depth - 1), min_size=1, max_size=5))
+    target = items[0] if depth > 1 and draw(st.booleans()) else items
+    position = draw(st.integers(min_value=0, max_value=len(target)))
+    target.insert(position, draw(st.one_of(odd_items, *(uniform(d) for d in range(4)))))
+    return items
+
+
+leaves = st.one_of(
+    scalars,
+    texts,
+    st.lists(scalars, max_size=6),
+    st.lists(st.lists(numbers, min_size=2, max_size=2), max_size=6),
+    uniform(2),
+    uniform(3),
+    numeric_lists_with_an_odd_item(),
+)
+trees = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(keys, children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+def stock(obj) -> str:
+    return json.dumps(obj, indent=2)
+
+
+class TestDumps:
+    @given(trees)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_stock_encoder(self, obj):
+        assert iojson.dumps(obj) == stock(obj)
+
+    @given(numeric_lists_with_an_odd_item(), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=300, deadline=None)
+    def test_odd_item_in_numeric_list(self, items, depth):
+        obj = items
+        for _ in range(depth):
+            obj = {"k": [obj]}
+        assert iojson.dumps(obj) == stock(obj)
+
+    @given(st.integers(min_value=1, max_value=4).flatmap(uniform))
+    @settings(max_examples=200, deadline=None)
+    def test_uniform_numeric_lists_take_one_compact_call(self, obj):
+        # lists of numbers at one depth are the bulk of CLI output; they must
+        # not fall back to the per-value path
+        assert iojson._numeric_list_chunks(obj, 2) is not None
+        assert iojson.dumps({"k": [obj]}) == stock({"k": [obj]})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [],
+            {},
+            [[]],
+            [[], [1]],
+            [[1], []],
+            [[1], 2, [3]],
+            [1, [2], 3],
+            [[1, [2]], [3]],
+            [[1], [[2]], [3]],
+            [[[1, 2], [3]], [[4]]],
+            [[[1]], [[]], [[2]]],
+            [[[1]], [], [[2]]],
+            [[[1], 2], [[3], 4]],
+            [[[1]], [[2, [3]]]],
+            [[1.5, -0.0], [5e-324, 1e16]],
+            [math.nan, math.inf, -math.inf, 10**40, True, False, None],
+            {"a": [[1.0, 2.0]] * 3, 1: None, 2.5: [1], True: {}, None: [[[1]]], False: ()},
+            [(1, 2), (3, 4)],
+            ("]", "[", 1),
+            "x\n\"é",
+            np.float64(0.1),
+            [np.float64(0.1), 2],
+            {np.float64(2.0): [np.float64(-0.0)]},
+        ],
+    )
+    def test_edge_cases(self, obj):
+        assert iojson.dumps(obj) == stock(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {(1, 2): 1},
+            {"a": [[1.0, 2.0], {(0,): 1}]},
+            np.int64(3),
+            [np.int64(3)],
+            [1.0, np.int64(3)],
+            [[1.0, 2.0], [np.int64(3), 4.0]],
+            [np.float32(0.5)],
+            {"a": object()},
+            [1j],
+            [[1.0], {np.int64(1): 2}, [3.0]],
+            [1.0, {np.int64(1): 2}, 3.0],
+        ],
+    )
+    def test_rejects_what_the_stock_encoder_rejects(self, obj):
+        with pytest.raises(TypeError) as expected:
+            stock(obj)
+        with pytest.raises(TypeError) as got:
+            iojson.dumps(obj)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("wrap", [lambda a: a, lambda a: {"k": a}, lambda a: [[1], a]])
+    def test_circular_reference(self, wrap):
+        loop = [1.0, 2.0]
+        loop.append(loop)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            iojson.dumps(wrap(loop))
+
+    def test_matrix_entries_equal_complex_to_pair(self):
+        rng = np.random.default_rng(9)
+        m = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+        m[0, 0] = complex(-0.0, 0.0)
+        m[1, 1] = complex(5e-324, -0.0)
+        entries = iojson.matrix_to_json(m)["entries"]
+        assert entries == [iojson.complex_to_pair(z) for z in m.reshape(-1)]
+        assert all(type(x) is float for pair in entries for x in pair)
+        assert math.copysign(1.0, entries[0][0]) == -1.0
+
+
+# --- CLI byte identity -------------------------------------------------------
+
+
+def write(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def z12_files():
+    """README's scalar Z_12 scenario (H = <4>) and its group spec."""
+    scenario = {
+        "spec_version": 1,
+        "group": {"factors": [12]},
+        "subgroup": {"generators": [[4]]},
+        "e_dim": 1,
+        "sectors": [{"f_dim": 1, "support": [[[0], 1.0]]}],
+        "fields": [{"sector": 0, "matrices": [[[0], [[[1.0, 0.0]]]]]}],
+    }
+    return scenario, {"group": scenario["group"], "subgroup": scenario["subgroup"]}
+
+
+def fibered_files():
+    """helpers.fibered_instance (Z_4 x Z_4, H = <(0, 2)>) as a scenario file."""
+    povm = fibered_instance()
+    scenario = iojson.scenario_to_json(
+        iojson.Scenario(povm.rep.group, povm.ctx.subgroup, povm.rep, povm.e_dim, povm.fields)
+    )
+    return scenario, {"group": scenario["group"], "subgroup": scenario["subgroup"]}
+
+
+def rejected(scenario):
+    """The scenario with its first isometry entry scaled off the unit sphere."""
+    bad = json.loads(json.dumps(scenario))
+    pair = bad["fields"][0]["matrices"][0][1][0][0]
+    pair[0] = 1.5 * pair[0] + 0.25
+    return bad
+
+
+def assert_stock_text(out: str):
+    assert out == stock(json.loads(out)) + "\n"
+
+
+@pytest.mark.parametrize("files", [z12_files, fibered_files], ids=["z12", "fibered"])
+class TestCliByteIdentity:
+    def test_group(self, tmp_path, capsys, files):
+        _, spec = files()
+        assert main(["group", write(tmp_path, "g.json", spec)]) == 0
+        assert_stock_text(capsys.readouterr().out)
+
+    def test_build(self, tmp_path, capsys, files):
+        scenario, _ = files()
+        assert main(["build", write(tmp_path, "s.json", scenario)]) == 0
+        assert_stock_text(capsys.readouterr().out)
+
+    def test_matrix(self, tmp_path, capsys, files):
+        scenario, _ = files()
+        scen = write(tmp_path, "s.json", scenario)
+        assert main(["matrix", scen]) == 0
+        assert_stock_text(capsys.readouterr().out)
+        q = iojson.scenario_from_json(scenario).build().ctx.n_cosets
+        rng = np.random.default_rng(q)
+        omega = write(tmp_path, "o.json", {"values": rng.standard_normal((q, 2)).tolist()})
+        assert main(["matrix", scen, "--omega", omega]) == 0
+        assert_stock_text(capsys.readouterr().out)
+
+    def test_verify_and_dumped_matrices(self, tmp_path, capsys, files):
+        scenario, _ = files()
+        dump = tmp_path / "dump"
+        assert main(["verify", write(tmp_path, "s.json", scenario), "--dump-matrices", str(dump)]) == 0
+        assert_stock_text(capsys.readouterr().out)
+        dumped = sorted(dump.iterdir())
+        assert len(dumped) == 1 + iojson.scenario_from_json(scenario).build().ctx.n_cosets
+        for path in dumped:
+            text = path.read_text()
+            assert text == stock(json.loads(text))
+
+    def test_rejection_exits_4(self, tmp_path, capsys, files):
+        scenario, _ = files()
+        assert main(["build", write(tmp_path, "bad.json", rejected(scenario))]) == 4
+        out = capsys.readouterr().out
+        assert json.loads(out)["rejected"]["sector"] == 0
+        assert_stock_text(out)
