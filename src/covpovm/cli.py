@@ -13,6 +13,7 @@ A tolerance that is not finite, or is negative, exits 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -224,7 +225,10 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="covpovm",
         description="Construct, evaluate, and verify covariant POVMs "

@@ -129,6 +129,19 @@ class FiniteAbelianGroup:
     def trivial_character(self) -> DualCharacter:
         return DualCharacter((0,) * self.rank, self.factors)
 
+    def doubling_generators(self) -> tuple[GroupElement, ...]:
+        """2^k e_i for every factor i and every k < (n_i - 1).bit_length().
+
+        The binary digits of an element's coordinates name distinct
+        generators summing to it, so every element is a word of length at
+        most the number of generators.
+        """
+        return tuple(
+            self.element([1 << k if j == i else 0 for j in range(self.rank)])
+            for i, n in enumerate(self.factors)
+            for k in range((n - 1).bit_length())
+        )
+
     def elements(self) -> list[GroupElement]:
         """All group elements in lexicographic order."""
         return list(self.points(GroupElement, slice(None)))

@@ -25,6 +25,7 @@ from .groups import (
     GroupElement,
     QuotientGroup,
     Subgroup,
+    _as_int,
     annihilator,
     quotient,
 )
@@ -163,8 +164,12 @@ class QuotientContext:
         return omega[self.quotient.projection[self.group.ravel(shifted)]]
 
     def indicator(self, cosets) -> np.ndarray:
+        """The 0/1 function of a set of coset indices. Each index must be an
+        integer (Python or numpy; bools, floats and strings are rejected)
+        in range, or ``ValueError`` names it."""
         values = np.zeros(self.n_cosets, dtype=complex)
         for i in cosets:
+            i = _as_int(i, "coset index")
             if not 0 <= i < self.n_cosets:
                 raise ValueError(f"coset index {i} out of range")
             values[i] = 1.0

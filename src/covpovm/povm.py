@@ -49,6 +49,8 @@ from .harmonic import (
 from .induction import DiagonalSpace, transported_multiplication_matrix
 
 DEFAULT_ATOL = 1e-9
+# entries per block of conjugated effects in verify_covariance (4 MB complex)
+_BLOCK_ENTRIES = 1 << 18
 
 
 class PovmBuildError(ValueError):
@@ -606,24 +608,57 @@ def _positivity_deviation(matrix: np.ndarray) -> float:
     return max(herm_defect, float(max(0.0, -eigenvalues.min())))
 
 
-def verify_axioms(povm_like, atol: float = DEFAULT_ATOL) -> VerificationReport:
-    """Positivity of effects and normalization of the whole outcome space.
+def _diagonal_phases(povm_like, g: GroupElement) -> np.ndarray:
+    """The diagonal of U(g); a U(g) with a nonzero off-diagonal entry raises
+    ``ValueError``."""
+    u = povm_like.u_matrix(g)
+    phases = np.diagonal(u)
+    if np.count_nonzero(u) != np.count_nonzero(phases):
+        raise ValueError(f"U(g) is not diagonal at g = {list(g.coords)}")
+    return phases
 
-    Positivity is checked on the q singleton effects, which covers every
-    union of cosets when the effects are linear in omega, and on a sample
-    of 30 random unions drawn from ``default_rng(0)``. Normalization is
-    checked on the effect of the whole quotient. Accepts any object with
-    ``ctx``, ``dimension``, and ``assembled(omega) -> ndarray``; never
-    raises on numerical failure, the report carries the deviations.
+
+def verify_axioms(povm_like, atol: float = DEFAULT_ATOL) -> VerificationReport:
+    """Positivity of the singleton effects and normalization of the whole
+    outcome space.
+
+    Positivity by transitivity: G acts transitively on G/H, so M(e_j)
+    should be U(r_j) M(e_0) U(r_j)*, r_j the representative of coset j,
+    which has the spectrum of M(e_0). One ``eigvalsh`` reads the positivity
+    deviation p_0 of M(e_0) (the larger of its hermiticity defect and its
+    most negative eigenvalue); delta is the worst entrywise gap between
+    M(e_j) and U(r_j) M(e_0) U(r_j)* over all j. By Weyl's inequality, with
+    the spectral norm of the gap at most dim * delta and its hermiticity
+    defect at most 2 * delta, the reported
+
+        max(p_0, a) + max(dim, 2) * delta
+
+    bounds the positivity deviation of every singleton effect. a is the
+    entrywise gap between M(e_0) + M(e_1) and M({0, 1}), one probe of
+    additivity that fails a family which is not linear in omega; for a
+    linear family, positive singletons make every union positive.
+    Normalization is exhaustive: the effect of the whole quotient against
+    the identity, entrywise.
+
+    Accepts any object with ``ctx``, ``dimension``, ``assembled(omega) ->
+    ndarray`` and ``u_matrix(g)``; U(g) must be diagonal, as it is for a
+    :class:`DiagonalRep`, and a U(r_j) with a nonzero off-diagonal entry
+    raises ``ValueError``. Never raises on numerical failure otherwise: the
+    report carries the deviations, NaN included.
     """
     ctx = povm_like.ctx
     q = ctx.n_cosets
-    rng = np.random.default_rng(0)
-    subsets = [[i] for i in range(q)]
-    subsets.extend(np.flatnonzero(rng.integers(0, 2, size=q)) for _ in range(30))
-    pos_dev = _worst(
-        [_positivity_deviation(povm_like.assembled(ctx.indicator(s))) for s in subsets]
-    )
+    first = povm_like.assembled(ctx.indicator([0]))
+    gaps, additivity = [], 0.0
+    for j, r in enumerate(ctx.quotient.representatives[1:], start=1):
+        phases = _diagonal_phases(povm_like, r)
+        effect = povm_like.assembled(ctx.indicator([j]))
+        gaps.append(_worst(np.abs(phases[:, None] * first * phases.conj() - effect)))
+        if j == 1:
+            union = povm_like.assembled(ctx.indicator([0, 1]))
+            additivity = _worst(np.abs(first + effect - union))
+    delta = _worst(gaps)
+    pos_dev = max(_positivity_deviation(first), additivity) + max(first.shape[0], 2) * delta
     total = povm_like.assembled(ctx.indicator(range(q)))
     norm_dev = _worst(np.abs(total - np.eye(povm_like.dimension)))
     return VerificationReport(
@@ -635,33 +670,46 @@ def verify_axioms(povm_like, atol: float = DEFAULT_ATOL) -> VerificationReport:
 
 
 def verify_covariance(povm_like, atol: float = DEFAULT_ATOL) -> VerificationReport:
-    """Check U(g) M(e_j) U(g)* = M(g . e_j) for every g in G and every
+    """Check U(s) M(e_j) U(s)* = M(s . e_j) for every doubling generator s
+    of G (:meth:`FiniteAbelianGroup.doubling_generators`) and every
     singleton coset effect e_j, which covers every quotient function when
     the effects are linear in omega.
 
-    Exhaustive over G. Each of the q singleton effects is evaluated once
-    through ``assembled``, so a ``povm_like`` must return an effect that
-    depends only on omega; ``ctx.translated`` applied to the coset indices
-    gives, for each coset i, the coset j that g carries onto i. U(g) must
-    be diagonal, as it is for a :class:`DiagonalRep`: conjugation is then
-    the entrywise product phases[:, None] * M * conj(phases) with the
-    diagonal of U(g), and a U(g) with a nonzero off-diagonal entry raises
-    ``ValueError``.
+    Reports L * eps, L the number of generators and eps the worst entrywise
+    deviation over them. That bounds the deviation at every g in G: g is a
+    word of at most L generators, U is a homomorphism, and conjugation by
+    a diagonal unitary keeps the modulus of every entry, so the per-step
+    deviations add along the word. Each of the q singleton effects is
+    evaluated once through ``assembled`` into one stack, so a ``povm_like``
+    must return an effect that depends only on omega; ``ctx.translated``
+    applied to the coset indices gives, for each coset i, the coset j that
+    s carries onto i. U(s) must be diagonal, as it is for a
+    :class:`DiagonalRep`: conjugation is then the entrywise product of M
+    with phases[:, None] * conj(phases), phases the diagonal of U(s), taken
+    a block of cosets at a time, and a U(s) with a nonzero off-diagonal
+    entry raises ``ValueError``.
     """
     ctx = povm_like.ctx
     q = ctx.n_cosets
-    effects = np.stack([povm_like.assembled(ctx.indicator([j])) for j in range(q)])
+    first = povm_like.assembled(ctx.indicator([0]))
+    effects = np.empty((q, *first.shape), dtype=complex)
+    effects[0] = first
+    for j in range(1, q):
+        effects[j] = povm_like.assembled(ctx.indicator([j]))
     cosets = np.arange(q)
+    block = max(1, _BLOCK_ENTRIES // max(first.size, 1))
+    generators = ctx.group.doubling_generators()
     devs = []
-    for g in ctx.group.elements():
-        u = povm_like.u_matrix(g)
-        phases = np.diagonal(u)
-        if np.count_nonzero(u) != np.count_nonzero(phases):
-            raise ValueError(f"U(g) is not diagonal at g = {list(g.coords)}")
-        source = ctx.translated(g, cosets).real.astype(int)
-        conjugated = phases[:, None] * effects[source] * phases.conj()
-        devs.append(_worst(np.abs(conjugated - effects)))
-    dev = _worst(devs)
+    for s in generators:
+        phases = _diagonal_phases(povm_like, s)
+        source = ctx.translated(s, cosets).real.astype(int)
+        outer = phases[:, None] * phases.conj()
+        for start in range(0, q, block):
+            conjugated = effects[source[start : start + block]]
+            conjugated *= outer
+            conjugated -= effects[start : start + block]
+            devs.append(_worst(np.abs(conjugated)))
+    dev = len(generators) * _worst(devs)
     return VerificationReport(
         (CheckResult("covariance", dev <= atol, dev),)
     )

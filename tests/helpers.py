@@ -258,3 +258,36 @@ def fibered_instance(seed=5):
     rep, fields = build_rep(group, sector_data, rng, e_dim=4)
     h = subgroup_from_generators(group, [group.element([0, 2])])
     return build_covariant_povm(rep, h, fields, e_dim=4)
+
+
+def brute_covariance_deviation(povm_like):
+    """max |U(g) M(e_j) U(g)* - M(g . e_j)| over every g in G and every
+    singleton coset j, with dense U(g) products and the coset of
+    rep_j + g looked up per pair; NaN if any entry is NaN."""
+    ctx = povm_like.ctx
+    effects = [povm_like.assembled(ctx.indicator([j])) for j in range(ctx.n_cosets)]
+    reps = ctx.quotient.representatives
+    devs = [0.0]
+    for g in ctx.group.elements():
+        u = povm_like.u_matrix(g)
+        for j, m in enumerate(effects):
+            moved = ctx.quotient.index_of(reps[j] + g)
+            devs.append(np.abs(u @ m @ u.conj().T - effects[moved]).max(initial=0.0))
+    return float(np.max(devs))
+
+
+def brute_positivity_deviation(povm_like):
+    """Largest positivity defect over all q singleton effects: hermiticity
+    defect or most negative eigenvalue of the Hermitian part, one
+    ``eigvalsh`` per effect; NaN for an effect with non-finite entries."""
+    ctx = povm_like.ctx
+    devs = [0.0]
+    for j in range(ctx.n_cosets):
+        m = povm_like.assembled(ctx.indicator([j]))
+        if not m.size:
+            continue
+        if not np.isfinite(m).all():
+            return math.nan
+        devs.append(np.abs(m - m.conj().T).max())
+        devs.append(-np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
+    return float(np.max(devs))
