@@ -70,10 +70,12 @@ from .povm import (
     CovariantPOVM,
     DiagonalRep,
     EquivalenceResult,
+    FieldTable,
     IsometryField,
     MeasureClassData,
     PovmBuildError,
     SectorSpec,
+    SupportTable,
     VerificationReport,
     admits_covariant_povm,
     apply_via_intertwiner,

@@ -108,18 +108,13 @@ def cmd_group(args) -> int:
 def cmd_build(args) -> int:
     scenario = iojson.scenario_from_json(_load_json(args.scenario))
     povm = scenario.build(atol=_tolerance(args))
-    sectors = []
-    for k, spec in enumerate(povm.rep.sectors):
-        sectors.append(
-            {
-                "f_dim": spec.f_dim,
-                "support_size": len(spec.rho.support),
-                "densities": [
-                    [list(x.coords), povm.densities[k][x]]
-                    for x in povm.rep.sector_points[k]
-                ],
-            }
-        )
+    table = povm.rep.support_table
+    points = povm.rep.group.coords[table.indices].tolist()
+    densities = [list(row) for row in zip(points, povm.point_densities.tolist())]
+    sectors = [
+        {"f_dim": f, "support_size": len(rows), "densities": rows}
+        for f, rows in zip(table.sector_f_dims.tolist(), table.per_sector(densities))
+    ]
     _emit(
         {
             "spec_version": iojson.SPEC_VERSION,

@@ -199,29 +199,25 @@ def haar_conventions(ctx: QuotientContext) -> HaarConventions:
     )
 
 
-def lift_measure(ctx: QuotientContext, nu: WeightedMeasure) -> WeightedMeasure:
-    """Lift a measure on the dual quotient to the dual group.
+def lift_measure(ctx: QuotientContext, nu) -> np.ndarray:
+    """Lift a measure on the dual quotient, given as its weight at each
+    coset, to the dual group: the weight at every character index.
 
     The lifted weight at a character x is nu(coset of x) times the Haar
     weight of the annihilator, so integrating any function against the
     lift equals integrating its fiber averages against nu.
     """
-    if nu.domain != DOMAIN_DUAL_QUOTIENT:
-        raise ValueError(f"expected a measure on the dual quotient, got {nu.domain!r}")
-    dq = ctx.dual_quotient
-    lifted = (np.array([nu(i) for i in range(len(dq))]) * ctx.hperp_weight)[dq.projection]
-    support = np.flatnonzero(lifted > 0.0)
-    points = ctx.group.points(DualCharacter, support)
-    return WeightedMeasure(DOMAIN_DUAL, dict(zip(points, lifted[support].tolist())))
+    nu = np.asarray(nu, dtype=float)
+    if nu.shape != (len(ctx.dual_quotient),):
+        raise ValueError(f"expected {len(ctx.dual_quotient)} dual coset weights, got {nu.shape}")
+    return (nu * ctx.hperp_weight)[ctx.dual_quotient.projection]
 
 
-def image_measure(ctx: QuotientContext, rho: WeightedMeasure) -> WeightedMeasure:
-    """Push a measure on the dual group down to the dual quotient (fiber sums)."""
-    if rho.domain != DOMAIN_DUAL:
-        raise ValueError(f"expected a measure on the dual group, got {rho.domain!r}")
-    cosets = ctx.dual_quotient.projection[[ctx.group.index_of(x) for x in rho.weights]]
-    sums = np.bincount(cosets, list(rho.weights.values()), len(ctx.dual_quotient))
-    return WeightedMeasure(DOMAIN_DUAL_QUOTIENT, dict(enumerate(sums.tolist())))
+def image_measure(ctx: QuotientContext, indices, weights) -> np.ndarray:
+    """Push a measure on the dual group, given as weights at character
+    indices, down to the dual quotient: the fiber sum at each coset."""
+    cosets = ctx.dual_quotient.projection[np.asarray(indices, dtype=np.intp)]
+    return np.bincount(cosets, weights, len(ctx.dual_quotient))
 
 
 def decompose_measure(

@@ -150,10 +150,6 @@ class DiagonalSpace(_WeightedSpace):
         return self.ctx.group.points(DualCharacter, self.point_indices)
 
     @cached_property
-    def point_index(self) -> dict:
-        return {x: i for i, x in enumerate(self.points)}
-
-    @cached_property
     def point_weights(self) -> np.ndarray:
         """Lifted-measure weight of each point."""
         return self.support_weights[self._fiber_position] * self.ctx.hperp_weight

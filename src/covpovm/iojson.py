@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -26,8 +30,8 @@ from .povm import (
     DEFAULT_ATOL,
     CovariantPOVM,
     DiagonalRep,
+    FieldTable,
     IsometryField,
-    SectorSpec,
     VerificationReport,
     build_covariant_povm,
 )
@@ -165,7 +169,7 @@ class Scenario:
     subgroup: Subgroup
     rep: DiagonalRep
     e_dim: int
-    fields: tuple[IsometryField, ...]
+    fields: Sequence[IsometryField]
 
     def build(self, atol: float = DEFAULT_ATOL) -> CovariantPOVM:
         return build_covariant_povm(
@@ -174,6 +178,9 @@ class Scenario:
 
 
 def scenario_from_json(obj) -> Scenario:
+    """Read a scenario into arrays, checking each list in bulk (README lists
+    the checks); a failure raises ``ValueError`` naming the sector and the
+    point. Whether the fields fit the sectors is checked by the build."""
     version = obj.get("spec_version")
     if version != SPEC_VERSION:
         raise ValueError(
@@ -182,45 +189,134 @@ def scenario_from_json(obj) -> Scenario:
     group = group_from_json(obj["group"])
     subgroup = subgroup_from_json(group, obj.get("subgroup", {}))
     e_dim = _as_int(obj["e_dim"], "e_dim")
-    sectors = []
-    for entry in obj["sectors"]:
-        weights = {group.character(c): _as_real(w, "support weight") for c, w in entry["support"]}
-        f_dim = _as_int(entry["f_dim"], "f_dim")
-        sectors.append(SectorSpec(WeightedMeasure(DOMAIN_DUAL, weights), f_dim))
-    rep = DiagonalRep(group, tuple(sectors))
-    fields = []
-    for entry in obj["fields"]:
-        matrices = {}
-        for coords, rows in entry["matrices"]:
-            matrices[group.character(coords)] = np.array(
-                [[pair_to_complex(p) for p in row] for row in rows], dtype=complex
-            )
-        fields.append(IsometryField(_as_int(entry["sector"], "field sector"), matrices))
-    return Scenario(group, subgroup, rep, e_dim, tuple(fields))
+    f_dims = [s["f_dim"] for s in obj["sectors"]]
+    f_dims = _checked(f_dims, {int}, partial(_as_int, what="f_dim"), lambda k: f" (sector {k})")
+    sectors, coords, weights = _pairs([s["support"] for s in obj["sectors"]], "support entry")
+    where = _locator(sectors, coords)
+    indices = _indices(group, coords, sectors, where)
+    weights = _checked(weights, {int, float}, partial(_as_real, what="support weight"), where)
+    weights = np.array(weights, dtype=float)
+    for bad, what in ((~np.isfinite(weights), "non-finite"), (weights < 0.0, "negative")):
+        if bad.any():
+            raise ValueError(f"{what} weight {weights[bad][0]}{where(np.argmax(bad))}")
+    kept = weights > 0.0
+    rep = DiagonalRep.of_arrays(group, sectors[kept], indices[kept], weights[kept], f_dims)
+
+    declared = [f["sector"] for f in obj["fields"]]
+    declared = _checked(
+        declared, {int}, partial(_as_int, what="field sector"), lambda k: f" (field {k})"
+    )
+    declared = np.array(declared, dtype=np.int64)
+    owners, coords, matrices = _pairs([f["matrices"] for f in obj["fields"]], "matrices entry")
+    where = _locator(declared[owners], coords)
+    indices = _indices(group, coords, owners, where)
+    fields = FieldTable(group, declared, owners, indices, *_matrices(matrices, where))
+    return Scenario(group, subgroup, rep, e_dim, fields)
+
+
+def _locator(sectors, coords: list):
+    """where(i): the sector and the listed point of entry i, for messages."""
+    return lambda i: f" (sector {sectors[i]}, point {coords[i]!r})"
+
+
+def _checked(values: list, types: set, coerce, where) -> list:
+    """The values if all have one of the types, else each passed through
+    ``coerce``; a ``ValueError`` from it gets where(i) appended."""
+    if set(map(type, values)) <= types:
+        return values
+    out = []
+    for i, value in enumerate(values):
+        try:
+            out.append(coerce(value))
+        except ValueError as exc:
+            raise ValueError(f"{exc}{where(i)}") from None
+    return out
+
+
+def _pairs(lists: list, what: str) -> tuple[np.ndarray, list, list]:
+    """Position of the list each [point, value] pair is in, the points and
+    the values, over one list per sector or field."""
+    flat = list(chain.from_iterable(lists))
+    if set(map(len, flat)) - {2}:
+        raise ValueError(f"each {what} must be a [point, value] pair")
+    owners = np.repeat(np.arange(len(lists)), list(map(len, lists)))
+    return owners, list(map(itemgetter(0), flat)), list(map(itemgetter(1), flat))
+
+
+def _indices(group: FiniteAbelianGroup, coords: list, owners: np.ndarray, where) -> np.ndarray:
+    """Group index of each coordinate row (``rank`` integers, bools
+    rejected), reduced mod the factors; a point listed twice for one owner
+    raises ``ValueError``."""
+    if set(map(len, coords)) - {group.rank}:
+        i = next(i for i, row in enumerate(coords) if len(row) != group.rank)
+        message = f"coordinate tuple {tuple(coords[i])} does not match factors {group.factors}"
+        raise ValueError(message + where(i))
+    flat = list(chain.from_iterable(coords))
+    coerce = partial(_as_int, what="coordinate")
+    flat = _checked(flat, {int}, coerce, lambda j: where(j // group.rank))
+    try:
+        flat = np.array(flat, dtype=np.int64)
+    except OverflowError:  # reduce huge integers first
+        flat = np.array([c % n for c, n in zip(flat, group.factors * len(coords))], dtype=np.int64)
+    indices = group.ravel(flat.reshape(-1, group.rank))
+    keys = owners * group.order + indices
+    order = np.argsort(keys, kind="stable")
+    repeated = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if len(repeated):
+        i = repeated.min()
+        raise ValueError(f"point {group.coords[indices[i]].tolist()} is listed twice{where(i)}")
+    return indices
+
+
+def _matrices(matrices: list, where) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, cols) shape of each matrix, given as rows of [re, im]
+    pairs, and all entries row-major, matrix after matrix, in one complex
+    array: a view of the float pairs, exact to the signed zero."""
+    n_rows = np.array(list(map(len, matrices)), dtype=np.int64)
+    rows = list(chain.from_iterable(matrices))
+    n_cols = np.array(list(map(len, rows)), dtype=np.int64)
+    cols = np.where(n_rows > 0, np.append(n_cols, 0)[np.cumsum(n_rows) - n_rows], 0)
+    ragged = np.flatnonzero(n_cols != np.repeat(cols, n_rows))
+    if len(ragged):
+        i = np.repeat(np.arange(len(matrices)), n_rows)[ragged[0]]
+        raise ValueError(f"isometry matrix rows differ in length{where(i)}")
+    pairs = list(chain.from_iterable(rows))
+    regular = set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+    leaves = list(chain.from_iterable(pairs)) if regular else []
+    if regular and set(map(type, leaves)) <= {int, float}:
+        data = np.array(leaves, dtype=float).view(complex)
+    else:  # the first pair that is not two real numbers, named
+        entry = np.repeat(np.repeat(np.arange(len(matrices)), n_rows), n_cols)
+        data = _checked(pairs, set(), pair_to_complex, lambda j: where(entry[j]))
+        data = np.array(data, dtype=complex)
+    return np.stack((n_rows, cols), axis=1), data
 
 
 def scenario_to_json(scenario: Scenario) -> dict:
-    sectors = []
-    for spec in scenario.rep.sectors:
-        sectors.append(
-            {
-                "f_dim": spec.f_dim,
-                "support": [[list(x.coords), w] for x, w in spec.rho.items()],
-            }
-        )
-    fields = []
-    for field in scenario.fields:
-        matrices = []
-        for x in sorted(field.matrices):
-            matrices.append([list(x.coords), pairs_to_json(field.matrices[x])])
-        fields.append({"sector": field.sector, "matrices": matrices})
+    """The JSON form of a scenario, written from its arrays: supports and
+    matrices in basis order."""
+    group, table = scenario.rep.group, scenario.rep.support_table
+    points = group.coords[table.indices].tolist()
+    supports = table.per_sector([list(entry) for entry in zip(points, table.weights.tolist())])
+    fields = FieldTable.of(group, scenario.fields)
+    pairs, matrices = pairs_to_json(fields.data), [[] for _ in fields.sectors]
+    entries = zip(
+        fields.owners.tolist(), group.coords[fields.indices].tolist(),
+        fields.starts.tolist(), fields.shapes.tolist(),
+    )
+    for owner, point, start, (n_rows, n_cols) in sorted(entries):
+        rows = [pairs[start + r * n_cols : start + (r + 1) * n_cols] for r in range(n_rows)]
+        matrices[owner].append([point, rows])
     return {
         "spec_version": SPEC_VERSION,
         "group": group_to_json(scenario.group),
         "subgroup": subgroup_to_json(scenario.subgroup),
         "e_dim": scenario.e_dim,
-        "sectors": sectors,
-        "fields": fields,
+        "sectors": [
+            {"f_dim": f, "support": support}
+            for f, support in zip(table.sector_f_dims.tolist(), supports)
+        ],
+        "fields": [{"sector": k, "matrices": m} for k, m in zip(fields.sectors.tolist(), matrices)],
     }
 
 

@@ -17,10 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .groups import FiniteAbelianGroup, _as_int, subgroup_from_generators
-from .harmonic import DOMAIN_DUAL, WeightedMeasure
-from .povm import (
-    DEFAULT_ATOL, CovariantPOVM, DiagonalRep, IsometryField, SectorSpec, build_covariant_povm
-)
+from .povm import DEFAULT_ATOL, CovariantPOVM, DiagonalRep, FieldTable, build_covariant_povm
 
 # uniforms drawn and sorted at a time by sample_outcomes
 SAMPLE_BLOCK = 1 << 16
@@ -239,21 +236,19 @@ def position_povm_zn(n: int, unit_vectors: Sequence[np.ndarray]) -> CovariantPOV
         raise ValueError(f"expected {n} unit vectors, got {len(unit_vectors)}")
     vectors = [np.asarray(v, dtype=complex).reshape(-1) for v in unit_vectors]
     e_dim = vectors[0].shape[0]
-    for x, v in enumerate(vectors):
-        if v.shape[0] != e_dim:
-            raise ValueError("all vectors must share the embedding dimension")
-        if abs(np.linalg.norm(v) - 1.0) > DEFAULT_ATOL:
-            raise ValueError(f"vector at {x} is not normalized")
+    if any(v.shape[0] != e_dim for v in vectors):
+        raise ValueError("all vectors must share the embedding dimension")
+    vectors = np.array(vectors)
+    unnormalized = np.flatnonzero(np.abs(np.linalg.norm(vectors, axis=1) - 1.0) > DEFAULT_ATOL)
+    if len(unnormalized):
+        raise ValueError(f"vector at {unnormalized[0]} is not normalized")
+    # sector x carries character x with weight 1 and the column vectors[x]
     group = FiniteAbelianGroup((n,))
-    trivial = subgroup_from_generators(group, ())
-    sectors = []
-    fields = []
-    for x in range(n):
-        char = group.character([x])
-        sectors.append(SectorSpec(WeightedMeasure(DOMAIN_DUAL, {char: 1.0}), 1))
-        fields.append(IsometryField(x, {char: vectors[x][:, None]}))
-    rep = DiagonalRep(group, tuple(sectors))
-    return build_covariant_povm(rep, trivial, tuple(fields), e_dim=e_dim)
+    points = np.arange(n)
+    rep = DiagonalRep.of_arrays(group, points, points, np.ones(n), np.ones(n, dtype=np.int64))
+    shapes = np.tile([e_dim, 1], (n, 1))
+    fields = FieldTable(group, points, points, points, shapes, vectors.ravel())
+    return build_covariant_povm(rep, subgroup_from_generators(group, ()), fields, e_dim=e_dim)
 
 
 def born_distribution(state: np.ndarray, povm: CovariantPOVM, partition) -> np.ndarray:

@@ -8,8 +8,9 @@ module builds those POVMs, evaluates them as one dense matrix in the rep
 basis (a :class:`BlockOperator`, whose sector blocks are slices of it at
 the rep's offsets), and verifies the defining axioms, covariance, and the
 equivalence criterion. A rep's support is one :class:`SupportTable` of
-index arrays in basis order; the kernel, ``u_matrix``, ``validate_rep``
-and the equivalence criterion read it and the isometries stacked per
+index arrays in basis order and its isometry fields one :class:`FieldTable`;
+the build, the kernel, the intertwiner, ``u_matrix``, ``validate_rep`` and
+the equivalence criterion read them, with the isometries stacked per
 multiplicity, and characters and per-character dicts are built only for
 callers.
 
@@ -25,10 +26,10 @@ all singleton cosets off the same kernel table in one pass.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -84,7 +85,8 @@ class SupportTable:
     point, in basis order (sector-major, group index within a sector): group
     index, sector, multiplicity and sector-measure weight. ``rows`` is the
     point of each basis row; ``by_f_dim`` holds the positions of the points
-    of each multiplicity, smallest first."""
+    of each multiplicity, smallest first; ``sector_f_dims`` holds the
+    multiplicity of every sector, one with an empty support included."""
 
     indices: np.ndarray
     sectors: np.ndarray
@@ -92,13 +94,36 @@ class SupportTable:
     weights: np.ndarray
     rows: np.ndarray
     by_f_dim: tuple[np.ndarray, ...]
+    sector_f_dims: np.ndarray
+
+    @classmethod
+    def of(cls, sectors, indices, weights, sector_f_dims) -> "SupportTable":
+        """The table of support points given in any order by sector, group
+        index and weight, with the multiplicity of each sector."""
+        order = np.lexsort((indices, sectors))
+        sectors = np.asarray(sectors, dtype=np.int64)[order]
+        sector_f_dims = np.asarray(sector_f_dims, dtype=np.int64)
+        f_dims = sector_f_dims[sectors]
+        rows = np.repeat(np.arange(len(order)), f_dims)
+        by_f_dim = tuple(np.flatnonzero(f_dims == f) for f in np.unique(f_dims))
+        indices, weights = np.asarray(indices)[order], np.asarray(weights, dtype=float)[order]
+        return cls(indices, sectors, f_dims, weights, rows, by_f_dim, sector_f_dims)
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Number of support points of each sector."""
+        return np.bincount(self.sectors, minlength=len(self.sector_f_dims))
+
+    def per_sector(self, values: Sequence) -> list:
+        """One slice per sector of a sequence with one item per point."""
+        ends = np.cumsum(self.counts).tolist()
+        return [values[a:b] for a, b in zip([0, *ends[:-1]], ends)]
 
     def block_rows(self, points: np.ndarray, f_dim: int) -> np.ndarray:
         """Basis rows of points of one multiplicity, shape (len(points), f_dim)."""
         return np.searchsorted(self.rows, points)[:, None] + np.arange(f_dim)
 
 
-@dataclass(frozen=True, eq=False)
 class DiagonalRep:
     """Representation acting by character multiplication on an orthogonal sum
     of weighted character spaces.
@@ -106,12 +131,38 @@ class DiagonalRep:
     Basis order: sector (major), support character sorted lexicographically,
     multiplicity coordinate (minor). The inner-product weight of a basis
     entry is the sector measure at its character. ``support_table`` is the
-    internal form of the support; ``sector_points`` lists the same points as
-    characters, for callers.
+    internal form of the support: ``DiagonalRep(group, sectors)`` converts
+    the sector measures to it on first use, and :meth:`of_arrays` builds it
+    directly, leaving ``sectors`` and ``sector_points`` to be built from it
+    for callers that read them.
     """
 
-    group: FiniteAbelianGroup
-    sectors: tuple[SectorSpec, ...]
+    def __init__(self, group: FiniteAbelianGroup, sectors: Sequence[SectorSpec]):
+        self.group = group
+        self.sectors = tuple(sectors)
+
+    @classmethod
+    def of_arrays(cls, group, sectors, indices, weights, sector_f_dims) -> "DiagonalRep":
+        """The rep with support point ``indices[i]`` (a group index) in sector
+        ``sectors[i]`` at weight ``weights[i]`` > 0, each point once per
+        sector, and multiplicities ``sector_f_dims``, each >= 1."""
+        sector_f_dims = np.asarray(sector_f_dims, dtype=np.int64)
+        small = sector_f_dims[sector_f_dims < 1]
+        if len(small):
+            raise ValueError(f"multiplicity must be >= 1, got {small[0]}")
+        rep = cls.__new__(cls)
+        rep.group = group
+        rep.support_table = SupportTable.of(sectors, indices, weights, sector_f_dims)
+        return rep
+
+    @cached_property
+    def sectors(self) -> tuple[SectorSpec, ...]:
+        """The sector measures and multiplicities, built from the support table."""
+        table = self.support_table
+        return tuple(
+            SectorSpec(WeightedMeasure(DOMAIN_DUAL, weights), f)
+            for weights, f in zip(_sector_dicts(self, table.weights), table.sector_f_dims.tolist())
+        )
 
     @cached_property
     def support_table(self) -> SupportTable:
@@ -126,23 +177,20 @@ class DiagonalRep:
         counts = [len(s.rho.weights) for s in self.sectors]
         sectors = np.repeat(np.arange(len(self.sectors)), counts)
         coords = np.array([x.coords for x in points], dtype=np.int64).reshape(-1, group.rank)
-        indices = group.ravel(coords)
-        order = np.lexsort((indices, sectors))
-        weights = np.array([w for s in self.sectors for w in s.rho.weights.values()], dtype=float)
-        f_dims = np.array([s.f_dim for s in self.sectors], dtype=np.int64)[sectors]
-        rows = np.repeat(np.arange(len(points)), f_dims)
-        by_f_dim = tuple(np.flatnonzero(f_dims == f) for f in np.unique(f_dims))
-        return SupportTable(indices[order], sectors, f_dims, weights[order], rows, by_f_dim)
+        weights = [w for s in self.sectors for w in s.rho.weights.values()]
+        f_dims = [s.f_dim for s in self.sectors]
+        return SupportTable.of(sectors, group.ravel(coords), weights, f_dims)
 
     @cached_property
     def sector_points(self) -> tuple[tuple[DualCharacter, ...], ...]:
-        return tuple(tuple(sorted(s.rho.support)) for s in self.sectors)
+        """The support characters of each sector, in basis order."""
+        table = self.support_table
+        return tuple(table.per_sector(self.group.points(DualCharacter, table.indices)))
 
     @cached_property
     def sector_dims(self) -> tuple[int, ...]:
-        return tuple(
-            len(pts) * s.f_dim for pts, s in zip(self.sector_points, self.sectors)
-        )
+        table = self.support_table
+        return tuple((table.counts * table.sector_f_dims).tolist())
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
@@ -150,7 +198,7 @@ class DiagonalRep:
 
     @property
     def dimension(self) -> int:
-        return sum(self.sector_dims)
+        return len(self.support_table.rows)
 
     def u_matrix(self, g: GroupElement) -> np.ndarray:
         """The diagonal unitary of the group element, in the documented basis."""
@@ -159,11 +207,19 @@ class DiagonalRep:
         return np.diag(phases[table.rows, 0])
 
 
+def _sector_dicts(rep: DiagonalRep, values: np.ndarray) -> tuple[dict, ...]:
+    """One value per support point, as one {character: value} dict per sector."""
+    return tuple(
+        dict(zip(points, chunk))
+        for points, chunk in zip(rep.sector_points, rep.support_table.per_sector(values.tolist()))
+    )
+
+
 def recommended_e_dim(rep: DiagonalRep) -> int:
     """Smallest embedding dimension leaving room for isometry fields with
     mutually orthogonal ranges across sectors; anything down to the largest
     single multiplicity is still accepted by the builder."""
-    return sum(s.f_dim for s in rep.sectors) or 1
+    return int(rep.support_table.sector_f_dims.sum()) or 1
 
 
 def validate_rep(rep: DiagonalRep) -> None:
@@ -191,21 +247,36 @@ def validate_rep(rep: DiagonalRep) -> None:
     raise PovmBuildError("sector supports are not pairwise disjoint", overlaps=overlaps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureClassData:
     """Canonical representatives of the measure class of a diagonal rep.
 
-    ``support_indicator`` puts weight 1 on the union of sector supports;
-    ``quotient_measure`` puts weight 1 on each occupied coset of the dual
-    quotient (any equivalent choice yields the same POVM, this one matches
-    the Haar normalization so that for the trivial subgroup the densities
-    are taken against Haar measure on the dual); ``lifted_measure`` is its
-    lift back to the dual group.
+    ``support`` holds the group indices of the union of sector supports,
+    sorted; ``quotient_measure`` puts weight 1 on each occupied coset of the
+    dual quotient (any equivalent choice yields the same POVM, this one
+    matches the Haar normalization so that for the trivial subgroup the
+    densities are taken against Haar measure on the dual);
+    ``lifted_weights`` is its lift back to the dual group, one weight per
+    character index. ``support_indicator`` and ``lifted_measure`` are the
+    same as measures, built on first read.
     """
 
-    support_indicator: WeightedMeasure
+    group: FiniteAbelianGroup
+    support: np.ndarray
     quotient_measure: WeightedMeasure
-    lifted_measure: WeightedMeasure
+    lifted_weights: np.ndarray
+
+    @cached_property
+    def support_indicator(self) -> WeightedMeasure:
+        points = self.group.points(DualCharacter, self.support)
+        return WeightedMeasure(DOMAIN_DUAL, dict.fromkeys(points, 1.0))
+
+    @cached_property
+    def lifted_measure(self) -> WeightedMeasure:
+        lifted = self.lifted_weights
+        support = np.flatnonzero(lifted > 0.0)
+        points = self.group.points(DualCharacter, support)
+        return WeightedMeasure(DOMAIN_DUAL, dict(zip(points, lifted[support].tolist())))
 
 
 def class_measure(
@@ -218,28 +289,21 @@ def class_measure(
     A different representative of the class may be supplied; it must carry
     exactly the occupied cosets of the dual quotient.
     """
-    points = [x for pts in rep.sector_points for x in pts]
-    _, first = np.unique(rep.support_table.indices, return_index=True)
-    indicator = WeightedMeasure(DOMAIN_DUAL, dict.fromkeys([points[i] for i in first], 1.0))
-    image = image_measure(ctx, indicator)
+    support = np.unique(rep.support_table.indices)
+    occupied = np.flatnonzero(image_measure(ctx, support, np.ones(len(support))) > 0.0).tolist()
     if quotient_measure is None:
-        quotient_measure = WeightedMeasure(
-            DOMAIN_DUAL_QUOTIENT, {i: 1.0 for i in image.support}
-        )
+        quotient_measure = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, dict.fromkeys(occupied, 1.0))
     else:
         if quotient_measure.domain != DOMAIN_DUAL_QUOTIENT:
             raise ValueError("class measure must live on the dual quotient")
-        if quotient_measure.support != image.support:
+        if quotient_measure.support != set(occupied):
             raise ValueError(
                 "supplied measure is not equivalent to the class measure: "
-                f"support {sorted(quotient_measure.support)} != "
-                f"{sorted(image.support)}"
+                f"support {sorted(quotient_measure.support)} != {occupied}"
             )
-    return MeasureClassData(
-        support_indicator=indicator,
-        quotient_measure=quotient_measure,
-        lifted_measure=lift_measure(ctx, quotient_measure),
-    )
+    nu = np.zeros(len(ctx.dual_quotient))
+    nu[list(quotient_measure.weights)] = list(quotient_measure.weights.values())
+    return MeasureClassData(ctx.group, support, quotient_measure, lift_measure(ctx, nu))
 
 
 @dataclass(frozen=True)
@@ -263,19 +327,13 @@ def admits_covariant_povm(
     construction, so at this scale the answer is always yes and the value
     of the call is the density table.
     """
-    return _admissibility(rep, class_measure(ctx, rep, quotient_measure))
-
-
-def _admissibility(rep: DiagonalRep, data: MeasureClassData) -> AdmissibilityResult:
-    """The density step of the criterion, against class measure data
-    already computed."""
     table = rep.support_table
-    lifted = np.array([data.lifted_measure(x) for pts in rep.sector_points for x in pts])
-    density = iter((table.weights / lifted).tolist())
-    certificates = np.bincount(table.sectors[lifted <= 0.0], minlength=len(rep.sectors)) == 0
+    lifted = class_measure(ctx, rep, quotient_measure).lifted_weights[table.indices]
+    n_sectors = len(table.sector_f_dims)
+    certificates = np.bincount(table.sectors[lifted <= 0.0], minlength=n_sectors) == 0
     return AdmissibilityResult(
         admits=bool(certificates.all()),
-        densities=tuple(dict(zip(points, density)) for points in rep.sector_points),
+        densities=_sector_dicts(rep, table.weights / lifted),
         support_certificates=tuple(certificates.tolist()),
     )
 
@@ -287,6 +345,69 @@ class IsometryField:
 
     sector: int
     matrices: Mapping[DualCharacter, np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
+class FieldTable(Sequence):
+    """Isometry fields as arrays, one entry per listed (field, point): the
+    field's position, the point's group index and the matrix shape, with
+    all matrix entries row-major in ``data``; ``sectors`` holds the sector
+    each field declares. Points are distinct within a field. As a sequence
+    it gives the fields as :class:`IsometryField` mappings, built on first
+    read."""
+
+    group: FiniteAbelianGroup
+    sectors: np.ndarray
+    owners: np.ndarray
+    indices: np.ndarray
+    shapes: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def of(cls, group: FiniteAbelianGroup, fields: Sequence[IsometryField]) -> "FieldTable":
+        """The table of :class:`IsometryField` mappings; a table is returned
+        as it is. A key that is not a character of the group, or a matrix
+        that is not two-dimensional, raises :class:`PovmBuildError`."""
+        if isinstance(fields, FieldTable):
+            return fields
+        keys, mats = [], []
+        for k, field in enumerate(fields):
+            for x, w in field.matrices.items():
+                w, where = np.asarray(w, dtype=complex), {"sector": k, "point": list(x.coords)}
+                if type(x) is not DualCharacter or x.factors != group.factors:
+                    message = "isometry field has a matrix outside its sector's support"
+                    raise PovmBuildError(message, **where)
+                if w.ndim != 2:
+                    message = "isometry matrix has the wrong shape"
+                    raise PovmBuildError(message, **where, shape=list(w.shape))
+                keys.append((k, *x.coords))
+                mats.append(w)
+        keys = np.array(keys, dtype=np.int64).reshape(-1, 1 + group.rank)
+        shapes = np.array([w.shape for w in mats], dtype=np.int64).reshape(-1, 2)
+        data = np.concatenate([w.ravel() for w in mats] + [np.empty(0, dtype=complex)])
+        sectors = np.array([field.sector for field in fields], dtype=np.int64)
+        return cls(group, sectors, keys[:, 0], group.ravel(keys[:, 1:]), shapes, data)
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """Position in ``data`` of the first entry of each matrix."""
+        return np.concatenate(([0], np.cumsum(self.shapes.prod(axis=1))[:-1])).astype(np.int64)
+
+    @cached_property
+    def _fields(self) -> tuple[IsometryField, ...]:
+        matrices = [{} for _ in self.sectors]
+        points = self.group.points(DualCharacter, self.indices)
+        for owner, x, start, shape in zip(
+            self.owners.tolist(), points, self.starts.tolist(), self.shapes.tolist()
+        ):
+            matrices[owner][x] = self.data[start : start + shape[0] * shape[1]].reshape(shape)
+        return tuple(IsometryField(k, m) for k, m in zip(self.sectors.tolist(), matrices))
+
+    def __len__(self) -> int:
+        return len(self.sectors)
+
+    def __getitem__(self, k):
+        return self._fields[k]
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,9 +444,8 @@ class CovariantPOVM:
     rep: DiagonalRep
     ctx: QuotientContext
     e_dim: int
-    fields: tuple[IsometryField, ...]
+    fields: Sequence[IsometryField]
     class_data: MeasureClassData
-    densities: tuple[Mapping[DualCharacter, float], ...]
 
     @property
     def dimension(self) -> int:
@@ -339,17 +459,22 @@ class CovariantPOVM:
         return self.rep.u_matrix(g)
 
     @cached_property
-    def _point_densities(self) -> np.ndarray:
-        """Density of each support point, in support-table order."""
-        points = self.rep.sector_points
-        return np.array([d[x] for d, pts in zip(self.densities, points) for x in pts], dtype=float)
+    def point_densities(self) -> np.ndarray:
+        """Density of each support point against the lifted class measure,
+        in support-table order."""
+        table = self.rep.support_table
+        return table.weights / self.class_data.lifted_weights[table.indices]
+
+    @cached_property
+    def densities(self) -> tuple[dict[DualCharacter, float], ...]:
+        """``point_densities`` as one {character: density} dict per sector."""
+        return _sector_dicts(self.rep, self.point_densities)
 
     @cached_property
     def _isometry_stacks(self) -> tuple[np.ndarray, ...]:
         """The isometries stacked per multiplicity, aligned with
         ``rep.support_table.by_f_dim``."""
-        maps = [field.matrices for field in self.fields]
-        return _stacked(self.rep, maps, self.e_dim, "isometry field")
+        return _stacked(self.rep, self.fields, self.e_dim)
 
     def _point_differences(self) -> np.ndarray:
         """Annihilator index of x - x' for every pair of support points, in
@@ -382,7 +507,7 @@ class CovariantPOVM:
 
         # hw * sqrt(d' / d) * sqrt(w / w'), in place and left to right: the square
         # root of the density ratio, then the conversion to orthonormal coordinates
-        density, weight = self._point_densities, table.weights
+        density, weight = self.point_densities, table.weights
         scale = np.sqrt(density[None, :] / density[:, None])
         scale *= self.ctx.hperp_weight
         scale *= np.sqrt(weight[:, None] / weight[None, :])
@@ -453,67 +578,97 @@ def build_covariant_povm(
     quotient_measure: WeightedMeasure | None = None,
     atol: float = DEFAULT_ATOL,
 ) -> CovariantPOVM:
-    """Construct a covariant POVM from a validated rep and isometry fields.
+    """Construct a covariant POVM from a validated rep and isometry fields,
+    given as :class:`IsometryField` mappings or as a :class:`FieldTable`;
+    either is checked as arrays.
 
     Rejects overlapping sector supports, an embedding space smaller than
-    the largest multiplicity, missing matrices, shape mismatches, non-finite
-    entries, and fields that fail the isometry test beyond ``atol``, which
-    must itself be finite and nonnegative (``ValueError`` otherwise).
+    the largest multiplicity, a field count or order that does not match
+    the sectors, and then, in this order, a missing matrix, a matrix
+    outside its sector's support, one of the wrong shape, one with
+    non-finite entries, and one failing the isometry test beyond ``atol``,
+    naming the first such sector and point in basis order. ``atol`` must
+    itself be finite and nonnegative (``ValueError`` otherwise).
     """
     if not (math.isfinite(atol) and atol >= 0.0):
         raise ValueError(f"atol must be finite and >= 0, got {atol}")
     validate_rep(rep)
-    max_f = max((s.f_dim for s in rep.sectors), default=1)
+    table = rep.support_table
+    max_f = int(table.sector_f_dims.max(initial=1))
     if e_dim < max_f:
         raise PovmBuildError(
             "embedding dimension is smaller than the largest multiplicity",
             e_dim=e_dim,
             max_f_dim=max_f,
         )
-    if len(fields) != len(rep.sectors):
+    if len(fields) != len(table.sector_f_dims):
         raise PovmBuildError(
             "one isometry field per sector is required",
             n_fields=len(fields),
-            n_sectors=len(rep.sectors),
+            n_sectors=len(table.sector_f_dims),
         )
-    fields = tuple(fields)
-    for k, (field, spec) in enumerate(zip(fields, rep.sectors)):
-        if field.sector != k:
-            raise PovmBuildError(
-                "isometry field order does not match sector order",
-                position=k,
-                field_sector=field.sector,
-            )
-        for x in rep.sector_points[k]:
-            where = {"sector": k, "point": list(x.coords)}
-            w = field.matrices.get(x)
-            if w is None:
-                raise PovmBuildError("isometry field is missing a support point", **where)
-            w = np.asarray(w, dtype=complex)
-            if w.shape != (e_dim, spec.f_dim):
-                raise PovmBuildError(
-                    "isometry matrix has the wrong shape",
-                    **where, shape=list(w.shape), expected=[e_dim, spec.f_dim],
-                )
-            if not np.isfinite(w).all():
-                raise PovmBuildError("isometry matrix has non-finite entries", **where)
-            dev = float(np.abs(w.conj().T @ w - np.eye(spec.f_dim)).max())
-            if dev > atol:
-                raise PovmBuildError("field matrix is not isometric", **where, deviation=dev)
-        if len(field.matrices) > len(spec.rho.support):
-            outside = field.matrices.keys() - spec.rho.support
-            point = list(min(outside, key=lambda x: x.coords).coords)
-            message = "isometry field has a matrix outside its sector's support"
-            raise PovmBuildError(message, sector=k, point=point)
+    fields = fields if isinstance(fields, FieldTable) else tuple(fields)
     ctx = QuotientContext.build(rep.group, subgroup)
-    data = class_measure(ctx, rep, quotient_measure)
-    return CovariantPOVM(
-        rep=rep,
-        ctx=ctx,
-        e_dim=e_dim,
-        fields=fields,
-        class_data=data,
-        densities=_admissibility(rep, data).densities,
+    povm = CovariantPOVM(rep, ctx, e_dim, fields, class_measure(ctx, rep, quotient_measure))
+    nonfinite = np.zeros(len(table.indices), dtype=bool)
+    deviation = np.zeros(len(table.indices))
+    for points, w in zip(table.by_f_dim, povm._isometry_stacks):
+        nonfinite[points] = ~np.isfinite(w).all(axis=(1, 2))
+        deviation[points] = np.abs(_adjoints(w) @ w - np.eye(w.shape[2])).max(axis=(1, 2))
+    if nonfinite.any():
+        p = int(np.argmax(nonfinite))
+        raise PovmBuildError("isometry matrix has non-finite entries", **_where(rep, p))
+    if (deviation > atol).any():
+        p = int(np.argmax(deviation > atol))
+        raise PovmBuildError(
+            "field matrix is not isometric", **_where(rep, p), deviation=float(deviation[p])
+        )
+    return povm
+
+
+def _where(rep: DiagonalRep, p: int) -> dict:
+    """Sector and point coordinates of support point p, for rejection details."""
+    table = rep.support_table
+    return {"sector": int(table.sectors[p]), "point": rep.group.coords[table.indices[p]].tolist()}
+
+
+def _stacked(rep: DiagonalRep, fields, e_dim: int | None) -> tuple[np.ndarray, ...]:
+    """The (e_dim, f_dim) matrix of every support point, (f_dim, f_dim) for
+    e_dim None, stacked per multiplicity like ``rep.support_table.by_f_dim``.
+    Fields out of sector order, a missing matrix, one outside its sector's
+    support and one of the wrong shape raise :class:`PovmBuildError`."""
+    table, group = rep.support_table, rep.group
+    fields = FieldTable.of(group, fields)
+    misplaced = np.flatnonzero(fields.sectors != np.arange(len(fields.sectors)))
+    if len(misplaced):
+        k, message = int(misplaced[0]), "isometry field order does not match sector order"
+        raise PovmBuildError(message, position=k, field_sector=int(fields.sectors[k]))
+    # (sector, group index) keys of the support, sorted, and of the listed matrices
+    wanted = table.sectors * group.order + table.indices
+    listed = fields.owners * group.order + fields.indices
+    missing = np.isin(wanted, listed, invert=True)
+    if missing.any():
+        p = int(np.argmax(missing))
+        raise PovmBuildError("isometry field is missing a support point", **_where(rep, p))
+    outside = np.isin(listed, wanted, invert=True)
+    if outside.any():
+        k, index = divmod(int(listed[outside].min()), group.order)
+        message = "isometry field has a matrix outside its sector's support"
+        raise PovmBuildError(message, sector=k, point=group.coords[index].tolist())
+    at = np.argsort(listed)  # the listed keys are now the wanted ones: this aligns them
+    rows = table.f_dims if e_dim is None else np.full(len(at), e_dim)
+    expected = np.stack((rows, table.f_dims), axis=1)
+    wrong = (fields.shapes[at] != expected).any(axis=1)
+    if wrong.any():
+        p = int(np.argmax(wrong))
+        raise PovmBuildError(
+            "isometry matrix has the wrong shape",
+            **_where(rep, p), shape=fields.shapes[at[p]].tolist(), expected=expected[p].tolist(),
+        )
+    starts = fields.starts[at]
+    return tuple(
+        fields.data[starts[points, None] + np.arange((e_dim or f) * f)].reshape(len(points), -1, f)
+        for points, f in zip(table.by_f_dim, np.unique(table.f_dims).tolist())
     )
 
 
@@ -523,21 +678,18 @@ def intertwiner_matrix(povm: CovariantPOVM) -> np.ndarray:
     density and embedding through the isometry field.
 
     Columns follow the rep basis, rows the diagonal-space basis, both in
-    orthonormal coordinates.
+    orthonormal coordinates. Each multiplicity's isometries are scaled and
+    scattered into place at once.
     """
     dspace = povm.diagonal_space
+    table, e = povm.rep.support_table, povm.e_dim
+    lifted = povm.class_data.lifted_weights[table.indices]
+    scale = np.sqrt(lifted * povm.point_densities / table.weights)
+    target = np.searchsorted(dspace.point_indices, table.indices)[:, None] * e + np.arange(e)
     out = np.zeros((dspace.dim, povm.dimension), dtype=complex)
-    e = povm.e_dim
-    lifted = povm.class_data.lifted_measure
-    for k, spec in enumerate(povm.rep.sectors):
-        f = spec.f_dim
-        off = povm.rep.offsets[k]
-        for a, x in enumerate(povm.rep.sector_points[k]):
-            p = dspace.point_index[x]
-            scale = math.sqrt(lifted(x) * povm.densities[k][x] / spec.rho(x))
-            out[p * e : (p + 1) * e, off + a * f : off + (a + 1) * f] = (
-                scale * np.asarray(povm.fields[k].matrices[x], dtype=complex)
-            )
+    for points, w in zip(table.by_f_dim, povm._isometry_stacks):
+        cols = table.block_rows(points, w.shape[2])
+        out[target[points, :, None], cols[:, None, :]] = scale[points, None, None] * w
     return out
 
 
@@ -727,20 +879,6 @@ def _adjoints(stack: np.ndarray) -> np.ndarray:
     return stack.conj().transpose(0, 2, 1)
 
 
-def _stacked(rep: DiagonalRep, maps, rows, what: str) -> tuple[np.ndarray, ...]:
-    """``maps[k][x]`` at every support point x of every sector k, as complex
-    matrices of shape (rows or f_dim, f_dim) stacked per multiplicity like
-    ``rep.support_table.by_f_dim``; another shape raises ValueError."""
-    mats = []
-    for k, (spec, points) in enumerate(zip(rep.sectors, rep.sector_points)):
-        for x in points:
-            mats.append(np.asarray(maps[k][x], dtype=complex))
-            if mats[-1].shape != (rows or spec.f_dim, spec.f_dim):
-                shape = (rows or spec.f_dim, spec.f_dim)
-                raise ValueError(f"{what} {k} at {x} has shape {mats[-1].shape}, expected {shape}")
-    return tuple(np.stack([mats[p] for p in points]) for points in rep.support_table.by_f_dim)
-
-
 def sector_pointwise_operator(
     rep: DiagonalRep, sector_maps: Sequence[Mapping[DualCharacter, np.ndarray]]
 ) -> np.ndarray:
@@ -748,7 +886,8 @@ def sector_pointwise_operator(
     pointwise over its support, in the documented rep basis."""
     table = rep.support_table
     out = np.zeros((rep.dimension, rep.dimension), dtype=complex)
-    for points, stack in zip(table.by_f_dim, _stacked(rep, sector_maps, None, "sector map")):
+    maps = [IsometryField(k, m) for k, m in enumerate(sector_maps)]
+    for points, stack in zip(table.by_f_dim, _stacked(rep, maps, None)):
         rows = table.block_rows(points, stack.shape[1])
         out[rows[:, :, None], rows[:, None, :]] = stack
     return out
@@ -774,7 +913,7 @@ def equivalence_check(
         raise ValueError("equivalence is defined over one common subgroup")
     rep = povm_a.rep
     table = rep.support_table
-    maps = _stacked(rep, sector_maps, None, "sector map")
+    maps = _stacked(rep, [IsometryField(k, m) for k, m in enumerate(sector_maps)], None)
     for points, s in zip(table.by_f_dim, maps):
         unitary = np.abs(_adjoints(s) @ s - np.eye(s.shape[1])).max(axis=(1, 2)) <= atol
         if not unitary.all():
@@ -784,7 +923,7 @@ def equivalence_check(
     # every pair of support points x, x' in one fiber compares
     # sqrt(density(x')) W_x^H W_x' with the same for W'_x S_x
     in_fiber = povm_a._point_differences() >= 0
-    weight = np.sqrt(povm_a._point_densities)
+    weight = np.sqrt(povm_a.point_densities)
     stacks = list(zip(table.by_f_dim, povm_a._isometry_stacks, povm_b._isometry_stacks, maps))
     devs = []
     for pa, wa, va, sa in stacks:

@@ -4,11 +4,18 @@ import math
 
 import numpy as np
 
+from types import SimpleNamespace
+
 from covpovm import (
     DOMAIN_DUAL,
+    DOMAIN_DUAL_QUOTIENT,
     DiagonalRep,
+    DiagonalSpace,
+    DualCharacter,
     FiniteAbelianGroup,
     IsometryField,
+    PovmBuildError,
+    QuotientContext,
     QuotientGroup,
     SectorSpec,
     WeightedMeasure,
@@ -66,12 +73,12 @@ def brute_quotient(group, subgroup):
 
 def brute_shift_table(dspace):
     """T[p, a] = index of points[p] - hperp[a], one point subtraction and
-    dictionary lookup per pair."""
-    hperp = dspace.ctx.hperp_points
+    one search among the sorted point indices per pair."""
+    group, hperp = dspace.ctx.group, dspace.ctx.hperp_points
     table = np.empty((len(dspace.points), len(hperp)), dtype=int)
     for p, x in enumerate(dspace.points):
         for a, y in enumerate(hperp):
-            table[p, a] = dspace.point_index[x - y]
+            table[p, a] = np.searchsorted(dspace.point_indices, group.index_of(x - y))
     return table
 
 
@@ -291,3 +298,147 @@ def brute_positivity_deviation(povm_like):
         devs.append(np.abs(m - m.conj().T).max())
         devs.append(-np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
     return float(np.max(devs))
+
+
+# --- the dict-based build the array build replaced, kept as a reference -------
+
+
+def reference_lift_measure(ctx, nu):
+    """Lift of a dual-quotient measure to the dual group, as a measure."""
+    if nu.domain != DOMAIN_DUAL_QUOTIENT:
+        raise ValueError(f"expected a measure on the dual quotient, got {nu.domain!r}")
+    dq = ctx.dual_quotient
+    lifted = (np.array([nu(i) for i in range(len(dq))]) * ctx.hperp_weight)[dq.projection]
+    support = np.flatnonzero(lifted > 0.0)
+    points = ctx.group.points(DualCharacter, support)
+    return WeightedMeasure(DOMAIN_DUAL, dict(zip(points, lifted[support].tolist())))
+
+
+def reference_image_measure(ctx, rho):
+    """Fiber sums of a dual-group measure, as a dual-quotient measure."""
+    if rho.domain != DOMAIN_DUAL:
+        raise ValueError(f"expected a measure on the dual group, got {rho.domain!r}")
+    cosets = ctx.dual_quotient.projection[[ctx.group.index_of(x) for x in rho.weights]]
+    sums = np.bincount(cosets, list(rho.weights.values()), len(ctx.dual_quotient))
+    return WeightedMeasure(DOMAIN_DUAL_QUOTIENT, dict(enumerate(sums.tolist())))
+
+
+def reference_support_table(rep):
+    """(indices, sectors, f_dims, weights, rows, by_f_dim) of the sector
+    measures, from their dicts."""
+    group, points = rep.group, [x for s in rep.sectors for x in s.rho.weights]
+    counts = [len(s.rho.weights) for s in rep.sectors]
+    sectors = np.repeat(np.arange(len(rep.sectors)), counts)
+    coords = np.array([x.coords for x in points], dtype=np.int64).reshape(-1, group.rank)
+    indices = group.ravel(coords)
+    order = np.lexsort((indices, sectors))
+    weights = np.array([w for s in rep.sectors for w in s.rho.weights.values()], dtype=float)
+    f_dims = np.array([s.f_dim for s in rep.sectors], dtype=np.int64)[sectors]
+    rows = np.repeat(np.arange(len(points)), f_dims)
+    by_f_dim = tuple(np.flatnonzero(f_dims == f) for f in np.unique(f_dims))
+    return indices[order], sectors, f_dims, weights[order], rows, by_f_dim
+
+
+def reference_build(rep, subgroup, fields, e_dim, quotient_measure=None, atol=1e-9):
+    """The dict-based build: per-point field checks, the class measure as
+    measures, densities as dicts, the isometries stacked point by point,
+    the kernel pair (D, K) and the intertwiner by the per-point loop."""
+    sector_points = [sorted(spec.rho.support) for spec in rep.sectors]
+    for k, (field, spec) in enumerate(zip(fields, rep.sectors)):
+        for x in sector_points[k]:
+            where = {"sector": k, "point": list(x.coords)}
+            w = field.matrices.get(x)
+            if w is None:
+                raise PovmBuildError("isometry field is missing a support point", **where)
+            w = np.asarray(w, dtype=complex)
+            if w.shape != (e_dim, spec.f_dim):
+                raise PovmBuildError("isometry matrix has the wrong shape", **where)
+            if not np.isfinite(w).all():
+                raise PovmBuildError("isometry matrix has non-finite entries", **where)
+            dev = float(np.abs(w.conj().T @ w - np.eye(spec.f_dim)).max())
+            if dev > atol:
+                raise PovmBuildError("field matrix is not isometric", **where, deviation=dev)
+    ctx = QuotientContext.build(rep.group, subgroup)
+    indicator = WeightedMeasure(
+        DOMAIN_DUAL, dict.fromkeys(sorted({x for pts in sector_points for x in pts}), 1.0)
+    )
+    image = reference_image_measure(ctx, indicator)
+    if quotient_measure is None:
+        quotient_measure = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, {i: 1.0 for i in image.support})
+    lifted = reference_lift_measure(ctx, quotient_measure)
+    table = reference_support_table(rep)
+    indices, _, _, weights, rows, by_f_dim = table
+    point_lifted = np.array([lifted(x) for pts in sector_points for x in pts])
+    density = iter((weights / point_lifted).tolist())
+    densities = tuple(dict(zip(points, density)) for points in sector_points)
+    point_densities = np.array(
+        [d[x] for d, pts in zip(densities, sector_points) for x in pts], dtype=float
+    )
+    mats = [
+        np.asarray(field.matrices[x], dtype=complex)
+        for field, points in zip(fields, sector_points)
+        for x in points
+    ]
+    stacks = tuple(np.stack([mats[p] for p in points]) for points in by_f_dim)
+
+    # (D, K) as CovariantPOVM._kernel computes it, from these inputs
+    dim = len(rows)
+    support = rep.group.coords[indices]
+    point_d = ctx.annihilator.position(rep.group.ravel(support[:, None] - support[None]))
+    kernel = np.empty((dim, dim), dtype=complex)
+    for pa, wa in zip(by_f_dim, stacks):
+        ra = (np.searchsorted(rows, pa)[:, None] + np.arange(wa.shape[2])).ravel()
+        for pb, wb in zip(by_f_dim, stacks):
+            rb = (np.searchsorted(rows, pb)[:, None] + np.arange(wb.shape[2])).ravel()
+            block = np.matmul(wa.conj().transpose(0, 2, 1)[:, None], wb[None]).transpose(0, 2, 1, 3)
+            kernel[np.ix_(ra, rb)] = block.reshape(len(ra), len(rb))
+    scale = np.sqrt(point_densities[None, :] / point_densities[:, None])
+    scale *= ctx.hperp_weight
+    scale *= np.sqrt(weights[:, None] / weights[None, :])
+    cells = np.ix_(rows, rows)
+    index = point_d[cells]
+    kernel *= scale[cells]
+    kernel[index < 0] = 0.0
+
+    dspace = DiagonalSpace(ctx, quotient_measure, e_dim)
+    intertwiner = np.zeros((dspace.dim, dim), dtype=complex)
+    offset = 0
+    for k, spec in enumerate(rep.sectors):
+        f = spec.f_dim
+        for a, x in enumerate(sector_points[k]):
+            p = int(np.searchsorted(dspace.point_indices, rep.group.index_of(x)))
+            scale = math.sqrt(lifted(x) * densities[k][x] / spec.rho(x))
+            intertwiner[p * e_dim : (p + 1) * e_dim, offset + a * f : offset + (a + 1) * f] = (
+                scale * np.asarray(fields[k].matrices[x], dtype=complex)
+            )
+        offset += len(sector_points[k]) * f
+    return SimpleNamespace(
+        support_table=table,
+        support_indicator=indicator,
+        quotient_measure=quotient_measure,
+        lifted_measure=lifted,
+        densities=densities,
+        point_densities=point_densities,
+        isometry_stacks=stacks,
+        kernel=(index, kernel),
+        intertwiner=intertwiner,
+    )
+
+
+def loop_intertwiner(povm):
+    """The intertwiner one support point at a time, from the POVM's
+    per-sector views: densities, lifted measure, sector measures and fields."""
+    dspace = povm.diagonal_space
+    out = np.zeros((dspace.dim, povm.dimension), dtype=complex)
+    e = povm.e_dim
+    lifted = povm.class_data.lifted_measure
+    for k, spec in enumerate(povm.rep.sectors):
+        f = spec.f_dim
+        off = povm.rep.offsets[k]
+        for a, x in enumerate(povm.rep.sector_points[k]):
+            p = int(np.searchsorted(dspace.point_indices, povm.rep.group.index_of(x)))
+            scale = math.sqrt(lifted(x) * povm.densities[k][x] / spec.rho(x))
+            out[p * e : (p + 1) * e, off + a * f : off + (a + 1) * f] = (
+                scale * np.asarray(povm.fields[k].matrices[x], dtype=complex)
+            )
+    return out

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from covpovm import (
-    DOMAIN_DUAL,
     DOMAIN_DUAL_QUOTIENT,
     FiniteAbelianGroup,
     QuotientContext,
     WeightedMeasure,
-    counting_measure,
     decompose_measure,
     haar_conventions,
     image_measure,
@@ -178,39 +176,45 @@ class TestCotransform:
         np.testing.assert_allclose(out, ctx.hperp_weight * np.ones(4), atol=1e-12)
 
 
+def support(weights):
+    """Group indices carrying positive weight."""
+    return set(np.flatnonzero(weights > 0).tolist())
+
+
 class TestLift:
     def test_delta_at_identity_coset(self, ctx):
-        nu = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, {0: 1.0})
+        nu = np.zeros(len(ctx.dual_quotient))
+        nu[0] = 1.0
         lifted = lift_measure(ctx, nu)
-        assert lifted.support == set(ctx.hperp_points)
-        for y in ctx.hperp_points:
-            assert lifted(y) == pytest.approx(0.25)
+        assert support(lifted) == set(ctx.annihilator.indices.tolist())
+        for y in ctx.annihilator.indices:
+            assert lifted[y] == pytest.approx(0.25)
 
     def test_zero(self, ctx):
-        lifted = lift_measure(ctx, WeightedMeasure(DOMAIN_DUAL_QUOTIENT, {}))
-        assert lifted.is_zero
+        lifted = lift_measure(ctx, np.zeros(len(ctx.dual_quotient)))
+        assert not support(lifted)
 
     def test_counting_on_all_cosets(self, ctx):
-        nu = counting_measure(DOMAIN_DUAL_QUOTIENT, range(len(ctx.dual_quotient)))
-        lifted = lift_measure(ctx, nu)
-        assert len(lifted.support) == 12
+        lifted = lift_measure(ctx, np.ones(len(ctx.dual_quotient)))
+        assert len(support(lifted)) == 12
         for x in Z12.characters():
-            assert lifted(x) == pytest.approx(0.25)
+            assert lifted[Z12.index_of(x)] == pytest.approx(0.25)
+
+    def test_wrong_length_rejected(self, ctx):
+        with pytest.raises(ValueError, match="dual coset weights"):
+            lift_measure(ctx, np.ones(len(ctx.dual_quotient) + 1))
 
     def test_integration_consistency(self):
         # integral of phi against the lift = nested integral of fiber sums
         rng = np.random.default_rng(3)
         for ctx in contexts():
             n_dual_cosets = len(ctx.dual_quotient)
-            nu = WeightedMeasure(
-                DOMAIN_DUAL_QUOTIENT,
-                {i: float(w) for i, w in enumerate(rng.random(n_dual_cosets))},
-            )
+            nu = rng.random(n_dual_cosets)
             lifted = lift_measure(ctx, nu)
             phi = {x: complex(rng.standard_normal()) for x in ctx.group.characters()}
-            lhs = sum(phi[x] * lifted(x) for x in ctx.group.characters())
+            lhs = sum(phi[x] * lifted[ctx.group.index_of(x)] for x in ctx.group.characters())
             rhs = sum(
-                nu(i)
+                nu[i]
                 * sum(
                     phi[rep + y] * ctx.hperp_weight
                     for y in ctx.hperp_points
@@ -220,37 +224,29 @@ class TestLift:
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_preserves_equivalence_and_orthogonality(self, ctx):
-        small = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, {0: 1.0})
-        big = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, {0: 2.0, 1: 1.0})
-        other = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, {2: 1.0})
-        assert lift_measure(ctx, small).support <= lift_measure(ctx, big).support
-        assert not (
-            lift_measure(ctx, small).support & lift_measure(ctx, other).support
-        )
+        small, big, other = np.zeros((3, len(ctx.dual_quotient)))
+        small[0], big[0], big[1], other[2] = 1.0, 2.0, 1.0, 1.0
+        assert support(lift_measure(ctx, small)) <= support(lift_measure(ctx, big))
+        assert not support(lift_measure(ctx, small)) & support(lift_measure(ctx, other))
 
 
 class TestImageMeasure:
     def test_delta(self, ctx):
-        rho = WeightedMeasure(DOMAIN_DUAL, {Z12.character([0]): 1.0})
-        image = image_measure(ctx, rho)
-        assert image.weights == {0: 1.0}
+        image = image_measure(ctx, [Z12.index_of(Z12.character([0]))], [1.0])
+        assert image.tolist() == [1.0, 0.0, 0.0]
 
     def test_counting_fiber_count(self, ctx):
-        rho = counting_measure(DOMAIN_DUAL, Z12.characters())
-        image = image_measure(ctx, rho)
-        assert len(image.support) == 3
-        for i in image.support:
-            assert image(i) == pytest.approx(4.0)
+        image = image_measure(ctx, np.arange(12), np.ones(12))
+        assert len(support(image)) == 3
+        for i in support(image):
+            assert image[i] == pytest.approx(4.0)
 
     def test_fiber_sum(self, ctx):
         # characters 1 and 4 differ by 3, which is in the annihilator
-        rho = WeightedMeasure(
-            DOMAIN_DUAL, {Z12.character([1]): 2.0, Z12.character([4]): 3.0}
-        )
-        image = image_measure(ctx, rho)
-        assert len(image.support) == 1
+        image = image_measure(ctx, [1, 4], [2.0, 3.0])
+        assert len(support(image)) == 1
         coset = ctx.dual_quotient.index_of(Z12.character([1]))
-        assert image(coset) == pytest.approx(5.0)
+        assert image[coset] == pytest.approx(5.0)
 
 
 class TestDecompose:

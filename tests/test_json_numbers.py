@@ -30,6 +30,28 @@ def z12_scenario():
     }
 
 
+def z4_scenario():
+    return {
+        "spec_version": 1,
+        "group": {"factors": [4]},
+        "subgroup": {"generators": []},
+        "e_dim": 1,
+        "sectors": [{"f_dim": 1, "support": [[[1], 1.0]]}],
+        "fields": [{"sector": 0, "matrices": [[[1], [[[1.0, 0.0]]]]]}],
+    }
+
+
+def z4x4_scenario():
+    return {
+        "spec_version": 1,
+        "group": {"factors": [4, 4]},
+        "subgroup": {"generators": []},
+        "e_dim": 1,
+        "sectors": [{"f_dim": 1, "support": [[[1, 0], 1.0]]}],
+        "fields": [{"sector": 0, "matrices": [[[1, 0], [[[1.0, 0.0]]]]]}],
+    }
+
+
 def with_weight(value):
     scen = z12_scenario()
     scen["sectors"][0]["support"][0][1] = value
@@ -109,10 +131,38 @@ class TestCliExits3:
         assert captured.out == ""
         assert f"support weight must be a real number, got {value!r}" in captured.err
 
-    @pytest.mark.parametrize("pair", [["1.0", 0.0], [1.0, False]])
+    @pytest.mark.parametrize("pair", [["1.0", 0.0], [1.0, False], [True, 0.0]])
     def test_build_matrix_entry(self, tmp_path, capsys, pair):
         assert main(["build", write(tmp_path, "s.json", with_entry(pair))]) == 3
-        assert "must be a real number" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "must be a real number" in err and "(sector 0, point [0])" in err
+
+    @pytest.mark.parametrize("section", ["support", "matrices"])
+    def test_build_bool_in_coordinate_row(self, tmp_path, capsys, section):
+        scen = z4x4_scenario()
+        sector, field = scen["sectors"][0], scen["fields"][0]
+        entry = sector["support"] if section == "support" else field["matrices"]
+        entry[0][0] = [1, True]
+        assert main(["build", write(tmp_path, "s.json", scen)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "coordinate must be an integer, got True (sector 0, point [1, True])" in captured.err
+
+    @pytest.mark.parametrize(
+        "section, listed",
+        [("support", [1]), ("support", [5]), ("matrices", [1]), ("matrices", [-3])],
+    )
+    def test_build_duplicate_point(self, tmp_path, capsys, section, listed):
+        # on Z_4, [5] and [-3] reduce to [1]; the reader used to keep the last entry
+        scen = z4_scenario()
+        if section == "support":
+            scen["sectors"][0]["support"].append([listed, 5.0])
+        else:
+            scen["fields"][0]["matrices"].append([listed, [[[0.0, 1.0]]]])
+        assert main(["build", write(tmp_path, "s.json", scen)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"point [1] is listed twice (sector 0, point {listed})" in captured.err
 
     def test_verify_omega(self, tmp_path, capsys):
         scen = write(tmp_path, "s.json", z12_scenario())
