@@ -79,21 +79,21 @@ def cmd_group(args) -> int:
             "group": {"factors": list(group.factors), "order": group.order},
             "subgroup": {
                 "generators": [list(g.coords) for g in subgroup.generators],
-                "elements": group.coords[subgroup.indices].tolist(),
+                "elements": group.coords[subgroup.indices],
                 "order": subgroup.order,
             },
             "annihilator": {
-                "elements": group.coords[ctx.annihilator.indices].tolist(),
+                "elements": group.coords[ctx.annihilator.indices],
                 "order": ctx.annihilator.order,
             },
             "cosets": {
                 "count": ctx.n_cosets,
-                "representatives": group.coords[ctx.quotient.rep_indices].tolist(),
-                "members": group.coords[ctx.quotient.members].tolist(),
+                "representatives": group.coords[ctx.quotient.rep_indices],
+                "members": group.coords[ctx.quotient.members],
             },
             "dual_cosets": {
                 "count": len(ctx.dual_quotient),
-                "representatives": group.coords[ctx.dual_quotient.rep_indices].tolist(),
+                "representatives": group.coords[ctx.dual_quotient.rep_indices],
             },
             "pairing_table": {
                 "rows": "annihilator elements",

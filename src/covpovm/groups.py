@@ -34,6 +34,26 @@ def _as_real(value, what: str) -> float:
     return float(value)
 
 
+def _unique(values) -> np.ndarray:
+    """The sorted distinct values of an integer sequence, by sort and mask.
+    ``np.unique`` without ``return_index``, ``return_inverse`` or
+    ``return_counts`` imports ``numpy.ma``, which costs each CLI process
+    about 15 ms."""
+    values = np.sort(np.asarray(values).ravel())
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def _isin(values, of) -> np.ndarray:
+    """Whether each value occurs in ``of``, by one sort and a binary search:
+    ``np.isin`` on a wide range of values calls a plain ``np.unique``."""
+    of = np.sort(np.asarray(of).ravel())
+    if not len(of):
+        return np.zeros(np.shape(values), dtype=bool)
+    return of[np.minimum(np.searchsorted(of, values), len(of) - 1)] == values
+
+
 def _reduced(coords: tuple[int, ...], factors: tuple[int, ...]) -> tuple[int, ...]:
     if len(coords) != len(factors):
         raise ValueError(
@@ -247,7 +267,7 @@ class Subgroup:
         if any(type(g) not in kinds for g in generators):
             raise ValueError("generators must all be of the elements' kind")
         self.parent, self.generators, self.point_type = parent, generators, kinds.pop()
-        self.indices = np.unique([parent.index_of(p) for p in elements])
+        self.indices = _unique([parent.index_of(p) for p in elements])
         if self.indices[0] != 0:
             raise ValueError("subgroup does not contain the identity")
         coords = parent.coords[self.indices]

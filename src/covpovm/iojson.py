@@ -58,7 +58,7 @@ def pairs_to_json(array) -> list:
 
 
 def vector_from_json(obj) -> np.ndarray:
-    return np.array([pair_to_complex(p) for p in obj], dtype=complex)
+    return _complex_values(obj)
 
 
 def matrix_to_json(matrix) -> dict:
@@ -79,8 +79,7 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError(
             f"matrix claims {rows}x{cols} but carries {len(entries)} entries"
         )
-    flat = np.array([pair_to_complex(p) for p in entries], dtype=complex)
-    return flat.reshape(rows, cols)
+    return _complex_values(entries).reshape(rows, cols)
 
 
 def group_to_json(group: FiniteAbelianGroup) -> dict:
@@ -276,20 +275,26 @@ def _matrices(matrices: list, where) -> tuple[np.ndarray, np.ndarray]:
     rows = list(chain.from_iterable(matrices))
     n_cols = np.array(list(map(len, rows)), dtype=np.int64)
     cols = np.where(n_rows > 0, np.append(n_cols, 0)[np.cumsum(n_rows) - n_rows], 0)
+    matrix_of = np.repeat(np.arange(len(matrices)), n_rows)  # of each row
     ragged = np.flatnonzero(n_cols != np.repeat(cols, n_rows))
     if len(ragged):
-        i = np.repeat(np.arange(len(matrices)), n_rows)[ragged[0]]
-        raise ValueError(f"isometry matrix rows differ in length{where(i)}")
-    pairs = list(chain.from_iterable(rows))
+        raise ValueError(f"isometry matrix rows differ in length{where(matrix_of[ragged[0]])}")
+    data = _complex_values(
+        list(chain.from_iterable(rows)), lambda j: where(np.repeat(matrix_of, n_cols)[j])
+    )
+    return np.stack((n_rows, cols), axis=1), data
+
+
+def _complex_values(pairs, where=lambda i: "") -> np.ndarray:
+    """The complex numbers of a list of [re, im] pairs: after one type pass,
+    a view of the float pairs, exact to the signed zero. Otherwise the first
+    pair that is not two real numbers is named by ``pair_to_complex``, with
+    where(i) appended."""
     regular = set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
     leaves = list(chain.from_iterable(pairs)) if regular else []
     if regular and set(map(type, leaves)) <= {int, float}:
-        data = np.array(leaves, dtype=float).view(complex)
-    else:  # the first pair that is not two real numbers, named
-        entry = np.repeat(np.repeat(np.arange(len(matrices)), n_rows), n_cols)
-        data = _checked(pairs, set(), pair_to_complex, lambda j: where(entry[j]))
-        data = np.array(data, dtype=complex)
-    return np.stack((n_rows, cols), axis=1), data
+        return np.array(leaves, dtype=float).view(complex)
+    return np.array(_checked(pairs, set(), pair_to_complex, where), dtype=complex)
 
 
 def scenario_to_json(scenario: Scenario) -> dict:
@@ -330,21 +335,29 @@ def report_to_json(report: VerificationReport, tolerance: float) -> dict:
 
 # --- writer ------------------------------------------------------------------
 #
-# dumps(obj) == json.dumps(obj, indent=2). With an indent set, Python's json
-# module encodes in pure Python, one generator step per value. The bulk of
-# the CLI's output is lists of numbers (coordinate rows, [re, im] entries),
-# so those subtrees go through the C encoder in one compact call and are
-# re-indented by string replacement; everything else follows the pure-Python
+# dumps(obj) == json.dumps(obj, indent=2, default=f), where f turns a numpy
+# array into its tolist() and rejects anything else. With an indent set,
+# Python's json module encodes in pure Python, one generator step per value.
+# The bulk of the CLI's output is rectangular blocks of numbers (coordinate
+# tables, [re, im] entries). An int or float array, or a rectangular list
+# whose leaves are all exact ints or all exact floats, is written from its
+# shape: one "%" template holds the indented text with a %d or %r per leaf,
+# and one "%" call fills it. Only a list of numbers at one depth that is
+# ragged or mixes leaf types goes through the C encoder in one compact call,
+# re-indented by string replacement. Everything else follows the pure-Python
 # encoder's rules, which _encode copies.
 
 _compact = json.JSONEncoder(separators=(",", ":")).encode
 _quote = json.encoder.encode_basestring_ascii
 _default = json.JSONEncoder().default
 _NOT_NUMBER = (str, list, tuple, dict)
+# exact types only: "%r" % np.float64(0.1) is "np.float64(0.1)", "%d" % True is "1"
+_FORMATS = {int: "%d", float: "%r"}
 
 
 def dumps(obj) -> str:
-    """JSON text equal to ``json.dumps(obj, indent=2)``, errors included."""
+    """JSON text equal to ``json.dumps(obj, indent=2)``, errors included;
+    a numpy array is written as its ``tolist()``."""
     out: list[str] = []
     _encode(obj, 0, out, {})
     return "".join(out)
@@ -377,6 +390,8 @@ def _encode(o, level: int, out: list, markers: dict) -> None:
         _encode_list(o, level, out, markers)
     elif isinstance(o, dict):
         _encode_dict(o, level, out, markers)
+    elif isinstance(o, np.ndarray):
+        _encode_array(o, level, out, markers)
     else:
         _default(o)  # raises the stock TypeError
 
@@ -387,6 +402,22 @@ def _enter(o, markers: dict) -> int:
         raise ValueError("Circular reference detected")
     markers[key] = o
     return key
+
+
+def _encode_array(a: np.ndarray, level: int, out: list, markers: dict) -> None:
+    """A non-empty int or float array of one or more dims from its shape;
+    any other array (0-d, empty, bool, complex, object, long double, a
+    subclass, or holding NaN or inf) as its ``tolist()``."""
+    kind = a.dtype.kind
+    if type(a) is np.ndarray and a.ndim and a.size and kind in "iuf" and a.dtype.itemsize <= 8:
+        leaves = tuple(a.ravel().tolist())
+        text = _shaped_text(a.shape, leaves, "%r" if kind == "f" else "%d", level)
+        if text is not None:
+            out.append(text)
+            return
+    key = _enter(a, markers)
+    _encode(a.tolist(), level, out, markers)
+    del markers[key]
 
 
 def _encode_list(lst, level: int, out: list, markers: dict) -> None:
@@ -439,49 +470,71 @@ def _encode_dict(dct, level: int, out: list, markers: dict) -> None:
     del markers[marker]
 
 
-def _numeric_list_chunks(lst, level: int) -> tuple[str, str, str] | None:
-    """Indented text, as head, body and tail, of a non-empty list whose
-    leaves are all numbers at one depth d, with no empty list (numbers,
-    coordinate rows, [re, im] entries, rows of pairs), from one compact
-    C-encoder call; None for any other list. Each large intermediate string
-    is dropped as soon as the next exists, which keeps peak memory at about
-    two copies of the text.
-
-    The first and last items pick d, and the compact text proves it. Without
-    a ``"`` it holds no string and no non-empty dict (an empty dict is
-    ``{}`` either way), so its brackets are structure only. Inside the
-    outer d brackets, each bracket must then sit in a run of k closing
-    brackets, a comma and k opening ones (0 < k < d) between two sibling
-    lists at depth d - k."""
-    depth, first, last = 0, lst, lst
-    while isinstance(first, (list, tuple)) and first:
-        if not (isinstance(last, (list, tuple)) and last):
-            return None
-        depth, first, last = depth + 1, first[0], last[-1]
-    if isinstance(first, _NOT_NUMBER) or isinstance(last, _NOT_NUMBER):
-        return None
-    try:
-        text = _compact(lst)
-    except (TypeError, ValueError):
-        return None  # the general path raises the stock error and message
-    if '"' in text or "[]" in text:
-        return None
-    body = text[depth:-depth]
-    del text
-    rest = body
-    for k in range(depth - 1, 0, -1):
-        rest = rest.replace("]" * k + "," + "[" * k, ",")
-    if "[" in rest:  # brackets left over pair up, so a "]" implies a "["
-        return None
-    del rest
+def _layout(level: int, depth: int) -> tuple[str, str, list[str]]:
+    """Head, tail and separators of the indented text, at indent ``level``,
+    of a list whose leaves sit ``depth`` deep: ``seps[k]`` goes between two
+    leaves where k brackets close and reopen."""
     pad = ["\n" + "  " * (level + j) for j in range(depth + 1)]
-    body = body.replace(",", "," + pad[depth])
-    for k in range(depth - 1, 0, -1):
-        close = "".join(pad[depth - j] + "]" for j in range(1, k + 1))
-        reopen = "".join(pad[depth - j] + "[" for j in range(k, 0, -1))
-        body = body.replace(
-            "]" * k + "," + pad[depth] + "[" * k, close + "," + reopen + pad[depth]
-        )
     head = "".join("[" + pad[j] for j in range(1, depth + 1))
     tail = "".join(pad[j] + "]" for j in range(depth - 1, -1, -1))
+    seps = [
+        "".join(pad[depth - j] + "]" for j in range(1, k + 1))
+        + ","
+        + "".join(pad[depth - j] + "[" for j in range(k, 0, -1))
+        + pad[depth]
+        for k in range(depth)
+    ]
+    return head, tail, seps
+
+
+def _shaped_text(shape: Sequence[int], leaves: tuple, fmt: str, level: int) -> str | None:
+    """Indented text of a rectangular block of the given shape, its leaves
+    row-major, from one template with ``fmt`` per leaf; None when a float
+    leaf is not finite, which %r writes as nan or inf."""
+    head, tail, seps = _layout(level, len(shape))
+    block = fmt
+    for n, sep in zip(reversed(shape), seps):
+        block = sep.join([block] * n)
+    text = (head + block + tail) % leaves
+    return None if fmt == "%r" and "n" in text else text
+
+
+def _numeric_list_chunks(lst, level: int) -> tuple[str, ...] | None:
+    """Indented text, in chunks, of a non-empty list whose leaves are all
+    numbers at one depth d, with no empty list (numbers, coordinate rows,
+    [re, im] entries, rows of pairs); None for any other list.
+
+    One pass per depth collects the row lengths and the leaves. A
+    rectangular list of exact ints or of finite exact floats is written by
+    ``_shaped_text``. Any other, ragged or with mixed leaf types (bools,
+    None, float subclasses), is one compact C-encoder call re-indented by
+    string replacement: its brackets are structure only, since no leaf is a
+    string, list or dict. Each large intermediate string is dropped as soon
+    as the next exists, which keeps peak memory at about two copies of the
+    text."""
+    shape, items, kinds, firsts = [], (lst,), {type(lst)}, set()
+    while all(issubclass(k, (list, tuple)) for k in kinds):
+        lengths = set(map(len, items))
+        if 0 in lengths or id(items[0]) in firsts:
+            return None  # an empty list, or a list that contains itself
+        firsts.add(id(items[0]))
+        shape.append(lengths.pop() if len(lengths) == 1 else None)
+        items = tuple(chain.from_iterable(items))
+        kinds = set(map(type, items))
+    if any(issubclass(k, _NOT_NUMBER) for k in kinds):
+        return None  # leaves at more than one depth, or a string or dict leaf
+    depth = len(shape)
+    if None not in shape and len(kinds) == 1 and (fmt := _FORMATS.get(kinds.pop())):
+        text = _shaped_text(shape, items, fmt, level)
+        if text is not None:
+            return (text,)
+    del items
+    try:
+        body = _compact(lst)[depth:-depth]
+    except (TypeError, ValueError):
+        return None  # the general path raises the stock error and message
+    head, tail, seps = _layout(level, depth)
+    body = body.replace(",", seps[0])
+    for k in range(depth - 1, 0, -1):
+        body = body.replace("]" * k + seps[0] + "[" * k, seps[k])
     return head, body, tail

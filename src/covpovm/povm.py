@@ -38,6 +38,8 @@ from .groups import (
     FiniteAbelianGroup,
     GroupElement,
     Subgroup,
+    _isin,
+    _unique,
 )
 from .harmonic import (
     DOMAIN_DUAL,
@@ -105,7 +107,7 @@ class SupportTable:
         sector_f_dims = np.asarray(sector_f_dims, dtype=np.int64)
         f_dims = sector_f_dims[sectors]
         rows = np.repeat(np.arange(len(order)), f_dims)
-        by_f_dim = tuple(np.flatnonzero(f_dims == f) for f in np.unique(f_dims))
+        by_f_dim = tuple(np.flatnonzero(f_dims == f) for f in _unique(f_dims))
         indices, weights = np.asarray(indices)[order], np.asarray(weights, dtype=float)[order]
         return cls(indices, sectors, f_dims, weights, rows, by_f_dim, sector_f_dims)
 
@@ -234,11 +236,13 @@ def validate_rep(rep: DiagonalRep) -> None:
     points, counts = np.unique(table.indices, return_counts=True)
     if len(points) == len(table.indices):
         return
-    shared = np.isin(table.indices, points[counts > 1])
+    shared = _isin(table.indices, points[counts > 1])
     # rows (j, k, point) for two memberships of one shared point, j < k, sorted
     point, sector = table.indices[shared], table.sectors[shared]
     a, b = np.nonzero((point[:, None] == point) & (sector[:, None] < sector))
-    pairs = np.unique(np.stack([sector[a], sector[b], point[a]], axis=1), axis=0)
+    rows = np.stack([sector[a], sector[b], point[a]], axis=1)
+    # return_index: a plain np.unique imports numpy.ma
+    pairs = np.unique(rows, axis=0, return_index=True)[0]
     _, starts = np.unique(pairs[:, :2], axis=0, return_index=True)
     overlaps = [
         {"sectors": chunk[0, :2].tolist(), "points": rep.group.coords[chunk[:, 2]].tolist()}
@@ -289,7 +293,7 @@ def class_measure(
     A different representative of the class may be supplied; it must carry
     exactly the occupied cosets of the dual quotient.
     """
-    support = np.unique(rep.support_table.indices)
+    support = _unique(rep.support_table.indices)
     occupied = np.flatnonzero(image_measure(ctx, support, np.ones(len(support))) > 0.0).tolist()
     if quotient_measure is None:
         quotient_measure = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, dict.fromkeys(occupied, 1.0))
@@ -646,11 +650,11 @@ def _stacked(rep: DiagonalRep, fields, e_dim: int | None) -> tuple[np.ndarray, .
     # (sector, group index) keys of the support, sorted, and of the listed matrices
     wanted = table.sectors * group.order + table.indices
     listed = fields.owners * group.order + fields.indices
-    missing = np.isin(wanted, listed, invert=True)
+    missing = ~_isin(wanted, listed)
     if missing.any():
         p = int(np.argmax(missing))
         raise PovmBuildError("isometry field is missing a support point", **_where(rep, p))
-    outside = np.isin(listed, wanted, invert=True)
+    outside = ~_isin(listed, wanted)
     if outside.any():
         k, index = divmod(int(listed[outside].min()), group.order)
         message = "isometry field has a matrix outside its sector's support"
@@ -668,7 +672,7 @@ def _stacked(rep: DiagonalRep, fields, e_dim: int | None) -> tuple[np.ndarray, .
     starts = fields.starts[at]
     return tuple(
         fields.data[starts[points, None] + np.arange((e_dim or f) * f)].reshape(len(points), -1, f)
-        for points, f in zip(table.by_f_dim, np.unique(table.f_dims).tolist())
+        for points, f in zip(table.by_f_dim, _unique(table.f_dims).tolist())
     )
 
 

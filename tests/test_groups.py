@@ -19,6 +19,7 @@ from covpovm import (
     subgroup_from_generators,
     trivial_subgroup,
 )
+from covpovm.groups import _isin, _unique
 from helpers import brute_closure, brute_cosets
 
 Z12 = FiniteAbelianGroup((12,))
@@ -373,3 +374,26 @@ class TestSubgroupValidation:
             Subgroup(Z12, (four,), [Z12.element([c]) for c in (0, 4, 9)])
         with pytest.raises(ValueError, match="do not generate"):  # closed, too large
             Subgroup(Z12, (four,), [Z12.element([c]) for c in range(0, 12, 2)])
+
+
+index_arrays = st.lists(
+    st.integers(min_value=-(2**40), max_value=2**40) | st.integers(0, 9), max_size=20
+)
+
+
+class TestSetHelpers:
+    """groups._unique and groups._isin equal np.unique and np.isin, which
+    the CLI avoids because they import numpy.ma."""
+
+    @given(index_arrays)
+    @settings(max_examples=200, deadline=None)
+    def test_unique(self, values):
+        values = np.array(values, dtype=np.int64)
+        got, expected = _unique(values), np.unique(values)
+        assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+
+    @given(index_arrays, index_arrays)
+    @settings(max_examples=200, deadline=None)
+    def test_isin(self, values, of):
+        values, of = np.array(values, dtype=np.int64), np.array(of, dtype=np.int64)
+        assert _isin(values, of).tolist() == np.isin(values, of).tolist()

@@ -2,9 +2,12 @@
 where a real number is read, and the default tolerance has one definition."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covpovm import FiniteAbelianGroup, iojson, observables, povm
 from covpovm.cli import _tolerance, build_parser, main
@@ -191,3 +194,66 @@ class TestOneDefaultTolerance:
         assert iojson.Scenario.build.__defaults__ == (povm.DEFAULT_ATOL,)
         args = build_parser().parse_args(["build", "s.json"])
         assert _tolerance(args) is povm.DEFAULT_ATOL
+
+
+pair_values = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, math.nan, math.inf]),
+    st.integers(min_value=-(2**80), max_value=2**80),
+)
+
+
+class TestBulkComplexReaders:
+    """State, omega and matrix files are read in bulk; the values equal the
+    per-pair ``pair_to_complex`` reading bit for bit."""
+
+    @staticmethod
+    def reference(pairs) -> np.ndarray:
+        return np.array([iojson.pair_to_complex(p) for p in pairs], dtype=complex)
+
+    @staticmethod
+    def assert_same_bits(got, expected):
+        assert got.dtype == expected.dtype == np.complex128
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    @given(st.lists(st.lists(pair_values, min_size=2, max_size=2), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_vectors(self, pairs):
+        self.assert_same_bits(iojson.vector_from_json(pairs), self.reference(pairs))
+        self.assert_same_bits(iojson.state_from_json({"state": pairs}), self.reference(pairs))
+
+    @given(
+        st.integers(min_value=0, max_value=4).flatmap(
+            lambda cols: st.lists(
+                st.lists(
+                    st.lists(pair_values, min_size=2, max_size=2), min_size=cols, max_size=cols
+                ),
+                max_size=4,
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matrices(self, rows):
+        entries = [pair for row in rows for pair in row]
+        cols = len(rows[0]) if rows else 0
+        obj = {"rows": len(rows), "cols": cols, "entries": entries}
+        expected = self.reference(entries).reshape(len(rows), cols)
+        self.assert_same_bits(iojson.matrix_from_json(obj), expected)
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([[1.0, 0.0], [1.0]], "expected a [re, im] pair, got [1.0]"),
+            ([[1.0, 0.0], (1.0, True)], "imaginary part must be a real number, got True"),
+            ([[0.0, 0.0], [None, 0.0]], "real part must be a real number, got None"),
+            ([[0.0, 0.0], "ab"], "expected a [re, im] pair, got 'ab'"),
+        ],
+    )
+    def test_first_bad_pair_named(self, pairs, message):
+        with pytest.raises(ValueError) as got:
+            iojson.vector_from_json(pairs)
+        assert str(got.value) == message
+
+    def test_tuples_and_numpy_floats_still_read(self):
+        pairs = [(1.0, -0.0), [np.float64(0.5), np.int64(2)]]
+        self.assert_same_bits(iojson.vector_from_json(pairs), self.reference(pairs))

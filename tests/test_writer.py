@@ -3,6 +3,8 @@ every JSON output of the CLI is that text plus a newline."""
 
 import json
 import math
+import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -259,3 +261,162 @@ class TestCliByteIdentity:
         out = capsys.readouterr().out
         assert json.loads(out)["rejected"]["sector"] == 0
         assert_stock_text(out)
+
+
+# --- arrays and rectangular lists ---------------------------------------------
+
+ARRAY_SPECIALS = [-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf]
+with warnings.catch_warnings():  # np.matrix is pending deprecation
+    warnings.simplefilter("ignore", PendingDeprecationWarning)
+    MATRIX = np.matrix([[1, 2], [3, 4]])  # a subclass whose ravel() stays 2-d
+array_shapes = st.one_of(
+    st.just(()), st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=4)
+)
+array_kinds = {
+    "int64": st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    "uint64": st.integers(min_value=0, max_value=2**64 - 1)
+    | st.integers(min_value=2**63, max_value=2**64 - 1),
+    "float64": st.floats() | st.sampled_from(ARRAY_SPECIALS),
+    "float32": st.floats(width=32) | st.sampled_from(ARRAY_SPECIALS),
+    "bool": st.booleans(),
+    "complex128": st.complex_numbers(max_magnitude=1e6),
+}
+
+
+@st.composite
+def numpy_arrays(draw):
+    dtype = draw(st.sampled_from(sorted(array_kinds)))
+    shape = tuple(draw(array_shapes))
+    size = math.prod(shape)
+    values = draw(st.lists(array_kinds[dtype], min_size=size, max_size=size))
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+array_trees = st.recursive(
+    numpy_arrays() | scalars,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(texts, children, max_size=4),
+    max_leaves=8,
+)
+
+
+def substituted(obj):
+    """The object with every array replaced by its tolist()."""
+    if isinstance(obj, np.ndarray):
+        return substituted(obj.tolist())
+    if isinstance(obj, list):
+        return [substituted(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: substituted(v) for k, v in obj.items()}
+    return obj
+
+
+def assert_stock_outcome(obj, expected):
+    """dumps(obj) equals the stock text of ``expected``, or raises the same
+    TypeError message."""
+    try:
+        text = stock(expected)
+    except TypeError as exc:
+        with pytest.raises(TypeError) as got:
+            iojson.dumps(obj)
+        assert str(got.value) == str(exc)
+    else:
+        assert iojson.dumps(obj) == text
+
+
+def forbid_compact():
+    """Patch iojson._compact so that any call fails the test."""
+    def fail(obj):
+        raise AssertionError(f"compact encoder called on {obj!r}")
+    return patch.object(iojson, "_compact", fail)
+
+
+@st.composite
+def rectangular(draw, leaves):
+    shape = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4))
+    flat = draw(st.lists(leaves, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(flat, dtype=object).reshape(shape).tolist()
+
+
+exact_ints = st.integers() | st.integers(min_value=2**64, max_value=10**40)
+exact_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e16]
+)
+
+
+class TestShapedText:
+    @given(array_trees)
+    @settings(max_examples=400, deadline=None)
+    def test_arrays_match_stock_encoder_on_tolist(self, obj):
+        assert_stock_outcome(obj, substituted(obj))
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array(3),
+            np.array(-0.0),
+            np.array(True),
+            np.array(1 + 2j),
+            np.zeros((0,)),
+            np.zeros((2, 0, 3), dtype=np.int64),
+            np.array([[True, False]]),
+            np.array([[1 + 2j]]),
+            np.array([1, "a", None], dtype=object),
+            np.array([[0.5, math.nan], [math.inf, -0.0]]),
+            np.array([2**64 - 1, 2**63], dtype=np.uint64),
+            np.array([1.0, 2.0], dtype=np.longdouble),
+            np.arange(24, dtype=np.int8).reshape(2, 3, 4),
+            np.array([[0.1, -0.0]], dtype=np.float16),
+            MATRIX,
+        ],
+    )
+    def test_array_edge_cases(self, array):
+        for obj in (array, [array], {"k": [1, array]}):
+            assert_stock_outcome(obj, substituted(obj))
+
+    @given(
+        rectangular(exact_ints) | rectangular(exact_floats), st.integers(min_value=0, max_value=3)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rectangular_exact_lists_skip_the_compact_encoder(self, obj, depth):
+        for _ in range(depth):
+            obj = {"k": [obj]}
+        expected = stock(obj)
+        with forbid_compact():
+            assert iojson.dumps(obj) == expected
+
+    @given(
+        rectangular(exact_floats),
+        st.sampled_from([np.float64(0.1), True, False, None, 7, math.nan, math.inf, "ragged"]),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_other_number_lists_match_stock_encoder(self, obj, odd, data):
+        # one leaf of another type, or one row made shorter or longer
+        rows = obj
+        while isinstance(rows[0], list) and data.draw(st.booleans()):
+            rows = rows[data.draw(st.integers(min_value=0, max_value=len(rows) - 1))]
+        i = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        if odd != "ragged":
+            row = rows
+            while isinstance(row[i], list):
+                row, i = row[i], 0
+            row[i] = odd
+        elif isinstance(rows[i], list):
+            rows[i] = rows[i][1:] or rows[i] * 2
+        assert iojson.dumps(obj) == stock(obj)
+
+    def test_self_containing_list_and_array(self):
+        loop = []
+        loop.append(loop)
+        holder = np.empty(1, dtype=object)
+        holder[0] = holder
+        for obj in (loop, [loop, loop], {"k": loop}, holder, [holder]):
+            with pytest.raises(ValueError, match="Circular reference detected"):
+                iojson.dumps(obj)
+
+    def test_group_tables_skip_the_compact_encoder(self, tmp_path, capsys):
+        # coordinate tables (int arrays) and the pairing table (pairs of floats)
+        spec = {"group": {"factors": [8, 4]}, "subgroup": {"generators": [[2, 2]]}}
+        with forbid_compact():
+            assert main(["group", write(tmp_path, "g.json", spec)]) == 0
+        assert_stock_text(capsys.readouterr().out)
