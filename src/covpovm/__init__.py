@@ -82,6 +82,7 @@ from .povm import (
     build_covariant_povm,
     class_measure,
     equivalence_check,
+    intertwiner_compressions,
     intertwiner_matrix,
     recommended_e_dim,
     sector_pointwise_operator,

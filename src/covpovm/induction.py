@@ -252,7 +252,7 @@ def transported_multiplication_act(
     fiber, carrying the annihilator Haar weight."""
     fo = dspace.ctx.cotransform(omega)
     shifted = phi[dspace._shift_table]  # (points, hperp, e)
-    return dspace.ctx.hperp_weight * np.einsum("a,pae->pe", fo, shifted)
+    return dspace.ctx.hperp_weight * (fo @ shifted)
 
 
 def character_multiplication_act(
@@ -295,7 +295,8 @@ def diagonalizer_adjoint_matrix(space: InducedSpace) -> np.ndarray:
 
 def transported_multiplication_matrix(dspace: DiagonalSpace, omega) -> np.ndarray:
     """Matrix of :func:`transported_multiplication_act` in orthonormal
-    coordinates, read off its response to one impulse.
+    coordinates, read off its response to one impulse; for a (k, q) stack
+    of quotient functions, the (k, dim, dim) stack of their matrices.
 
     The operator is hw * sum_a fo[a] P_a (x) I_E, with fo the cotransform of
     omega, hw the annihilator Haar weight and P_a the shift by hperp[a], so
@@ -304,21 +305,34 @@ def transported_multiplication_matrix(dspace: DiagonalSpace, omega) -> np.ndarra
     fiber, so these values are the coordinates of the act's response to
     the impulse at points[0] (its fiber holds every shift); one act call
     per omega gives them, the shift-index table spreads them, and the
-    Kronecker product with the identity adds the C^E coordinate.
+    point matrix is written onto the C^E diagonal of each point block.
     """
-    if not dspace.dim:
-        return np.zeros((0, 0), dtype=complex)
-    impulse = np.zeros(dspace.dim, dtype=complex)
-    impulse[0] = 1.0
-    response = dspace.to_coords(
-        transported_multiplication_act(dspace, omega, dspace.from_coords(impulse))
-    )
-    shifts = dspace._shift_index
-    in_fiber = shifts[:, 0] >= 0
-    values = np.empty(dspace.ctx.annihilator.order, dtype=complex)
-    values[shifts[in_fiber, 0]] = response[:: dspace.e_dim][in_fiber]
-    block = np.where(shifts >= 0, values[shifts], 0.0)
-    return np.kron(block, np.eye(dspace.e_dim))
+    omegas = np.asarray(omega)
+    stacked = omegas.ndim == 2
+    if not stacked:
+        omegas = omegas[None]
+    n_points, e = dspace.shape
+    out = np.zeros((len(omegas), n_points, e, n_points, e), dtype=complex)
+    if dspace.dim:
+        impulse = np.zeros(dspace.dim, dtype=complex)
+        impulse[0] = 1.0
+        impulse = dspace.from_coords(impulse)
+        responses = np.reshape(
+            [transported_multiplication_act(dspace, w, impulse) for w in omegas],
+            (len(omegas), n_points, e),
+        )
+        # orthonormal coordinates of each point's first C^E coordinate
+        firsts = responses[:, :, 0] * dspace._sqrt_weights[:, 0]
+        shifts = dspace._shift_index
+        in_fiber = shifts[:, 0] >= 0
+        # one slot per annihilator shift and a last one, 0, that -1 reads
+        values = np.zeros((len(omegas), dspace.ctx.annihilator.order + 1), dtype=complex)
+        values[:, shifts[in_fiber, 0]] = firsts[:, in_fiber]
+        block = values[:, shifts]
+        for i in range(e):
+            out[:, :, i, :, i] = block
+    out = out.reshape(len(omegas), dspace.dim, dspace.dim)
+    return out if stacked else out[0]
 
 
 def character_multiplication_matrix(dspace: DiagonalSpace, a: GroupElement) -> np.ndarray:

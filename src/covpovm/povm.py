@@ -697,17 +697,75 @@ def intertwiner_matrix(povm: CovariantPOVM) -> np.ndarray:
     return out
 
 
+def _one_point_columns(w: np.ndarray, e_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each column c of an intertwiner, the E diagonal-space rows of the
+    one point p(c) that holds its nonzero entries, and its entries there:
+    (E, dim) index and value arrays. NaN counts as nonzero, an all-zero
+    column is put at point 0, and a column with entries at two or more
+    points raises ``ValueError``, since the compression reads only p(c)."""
+    points, dim = w.shape[0] // e_dim, w.shape[1]
+    occupied = (w.reshape(points, e_dim, dim) != 0).any(axis=1)
+    spread = np.count_nonzero(occupied, axis=0) > 1
+    if spread.any():
+        c = int(np.argmax(spread))
+        raise ValueError(
+            f"intertwiner column {c} has entries at "
+            f"{np.count_nonzero(occupied[:, c])} diagonal-space points, not one"
+        )
+    home = occupied.argmax(axis=0) if points else np.zeros(dim, dtype=np.intp)
+    rows = home * e_dim + np.arange(e_dim)[:, None]
+    return rows, w[rows, np.arange(dim)]
+
+
+def _gathered_sum(a: np.ndarray, rows: np.ndarray, factors: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over e of ``a`` gathered at ``rows[e]`` along ``axis``, times ``factors[e]``."""
+    out = np.take(a, rows[0], axis=axis)
+    out *= factors[0]
+    for index, factor in zip(rows[1:], factors[1:]):
+        term = np.take(a, index, axis=axis)
+        term *= factor
+        out += term
+    return out
+
+
+def intertwiner_compressions(povm: CovariantPOVM, omegas):
+    """Yield W^H T(omega) W for a (k, q) stack of quotient functions, in
+    order, as (n, dim, dim) stacks of n omegas at a time; W is the
+    intertwiner and T the transported multiplication matrix of
+    :mod:`covpovm.induction`.
+
+    Column c of W is nonzero only on the E rows (p(c), e) of one point, read
+    off W itself, so entry (r, c) of the compression is the sum over e, e' of
+    conj(W[(p(r), e), r]) T[(p(r), e), (p(c), e')] W[(p(c), e'), c]: two
+    gathers of T and entrywise products, with no dense product. W is
+    checked once for entries off those rows, so the result is W^H T W to
+    rounding whatever W holds. A block holds as many omegas as keep its
+    arrays within ``_BLOCK_ENTRIES`` entries, and at least one: T, T W and
+    one gathered term, dim_T * (dim_T + 2 dim) entries per omega, bound
+    every step.
+    """
+    rows, values = _one_point_columns(povm.intertwiner, povm.e_dim)
+    dspace = povm.diagonal_space
+    omegas = np.asarray(omegas)
+    per_omega = dspace.dim * (dspace.dim + 2 * povm.dimension)
+    block = max(1, _BLOCK_ENTRIES // max(per_omega, 1))
+    for start in range(0, len(omegas), block):
+        # (T W)[:, d, c] = sum over e of T[:, d, rows[e, c]] W[rows[e, c], c], then
+        # (W^H T W)[:, r, c] = sum over e of conj(W[rows[e, r], r]) (T W)[:, rows[e, r], c]
+        t = transported_multiplication_matrix(dspace, omegas[start : start + block])
+        tw = _gathered_sum(t, rows, values, axis=2)
+        del t  # T is not needed for the second gather
+        yield _gathered_sum(tw, rows, values.conj()[:, :, None], axis=1)
+
+
 def apply_via_intertwiner(povm: CovariantPOVM, omega) -> BlockOperator:
     """Evaluate the POVM by compressing the transported multiplication
-    operator through the intertwiner.
+    operator through the intertwiner (:func:`intertwiner_compressions`).
 
     Independent of :meth:`CovariantPOVM.apply`; the two routes agreeing is
     the core correctness statement of this module.
     """
-    w = povm.intertwiner
-    transported = transported_multiplication_matrix(povm.diagonal_space, omega)
-    full = w.conj().T @ transported @ w
-    return BlockOperator(povm.rep, full)
+    return BlockOperator(povm.rep, next(intertwiner_compressions(povm, [omega]))[0])
 
 
 @dataclass(frozen=True)

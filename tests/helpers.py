@@ -24,6 +24,7 @@ from covpovm import (
     pairing,
     subgroup_from_generators,
     transported_multiplication_act,
+    transported_multiplication_matrix,
 )
 
 
@@ -250,6 +251,14 @@ def intertwiner_born(povm, state):
         moved = transported_multiplication_act(dspace, povm.ctx.indicator([j]), values)
         probs.append(np.vdot(phi, dspace.to_coords(moved)).real)
     return np.array(probs)
+
+
+def dense_compression(povm, omega):
+    """W^H T(omega) W by two dense products, with W the intertwiner and T
+    the transported multiplication matrix: the reference for
+    ``intertwiner_compressions``, which reads W's one-point columns."""
+    w = intertwiner_matrix(povm)
+    return w.conj().T @ transported_multiplication_matrix(povm.diagonal_space, omega) @ w
 
 
 def fibered_instance(seed=5):

@@ -150,6 +150,22 @@ class TestVerifyCommand:
         )
         np.testing.assert_allclose(effect0, 0.25 * np.eye(1), atol=1e-12)
 
+    def test_out_of_memory_exits_5_not_1(self, tmp_path, capsys, monkeypatch):
+        import covpovm.cli as cli_module
+
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 16.0 GiB for an array")
+
+        monkeypatch.setattr(cli_module, "verify_covariance", too_large)
+        scen = write(tmp_path, "s.json", scalar_scenario())
+        assert main(["verify", scen]) == cli_module.EXIT_TOO_LARGE == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("verify: out of memory")
+        assert "16.0 GiB" in lines[0]
+
     def test_tolerance_flag(self, tmp_path, capsys):
         scen = write(tmp_path, "s.json", scalar_scenario())
         assert main(["verify", scen, "--tolerance", "1e-3"]) == 0

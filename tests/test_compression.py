@@ -1,0 +1,162 @@
+"""The intertwiner route's compression W^H T(omega) W, read off W's one-point
+columns over a stack of omegas, against the dense products; and checks that
+it reads W itself, not the kernel."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import covpovm.povm as povm_module
+from covpovm import (
+    FiniteAbelianGroup,
+    apply_via_intertwiner,
+    build_covariant_povm,
+    intertwiner_compressions,
+    subgroup_from_generators,
+    transported_multiplication_matrix,
+)
+from covpovm.cli import _oracle_report
+from helpers import build_rep, dense_compression, fibered_instance, standard_instances
+
+FIXED = standard_instances() + [("fibered", fibered_instance())]
+
+
+@st.composite
+def povms_and_omegas(draw):
+    """A group of one or two cyclic factors, a random subgroup, disjoint
+    sectors of multiplicity 1 or 2 with random weights, e_dim the largest
+    multiplicity or one more, random isometry fields, and a stack of one to
+    four random outcome functions."""
+    factors = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)))
+    group = FiniteAbelianGroup(factors)
+    coords = st.tuples(*(st.integers(0, n - 1) for n in factors))
+    generators = draw(st.lists(coords, max_size=2))
+    subgroup = subgroup_from_generators(group, [group.element(g) for g in generators])
+    points = draw(st.lists(coords, min_size=1, max_size=6, unique=True))
+    n_sectors = draw(st.integers(1, len(points)))
+    weight = st.floats(0.1, 4.0)
+    sector_data = [
+        ({x: draw(weight) for x in points[s::n_sectors]}, draw(st.integers(1, 2)))
+        for s in range(n_sectors)
+    ]
+    e_dim = max(f for _, f in sector_data) + draw(st.integers(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rep, fields = build_rep(group, sector_data, rng, e_dim)
+    povm = build_covariant_povm(rep, subgroup, fields, e_dim=e_dim)
+    return povm, random_omegas(povm, rng, draw(st.integers(1, 4)))
+
+
+def random_omegas(povm, rng, k):
+    q = povm.ctx.n_cosets
+    return rng.standard_normal((k, q)) + 1j * rng.standard_normal((k, q))
+
+
+def stacked(povm, omegas):
+    return np.concatenate(list(intertwiner_compressions(povm, omegas)))
+
+
+def check_compression(povm, omegas):
+    got = stacked(povm, omegas)
+    dim = povm.dimension
+    assert got.shape == (len(omegas), dim, dim)
+    for omega, m in zip(omegas, got):
+        np.testing.assert_allclose(m, dense_compression(povm, omega), rtol=0, atol=1e-12)
+        # equal to rounding: numpy's complex products may round differently
+        # in the vector loop over a stack than in the scalar loop over one
+        single = apply_via_intertwiner(povm, omega).assemble()
+        np.testing.assert_allclose(m, single, rtol=0, atol=1e-14)
+    dspace = povm.diagonal_space
+    transported = transported_multiplication_matrix(dspace, omegas)
+    assert transported.shape == (len(omegas), dspace.dim, dspace.dim)
+    for omega, t in zip(omegas, transported):
+        assert np.array_equal(t, transported_multiplication_matrix(dspace, omega))
+
+
+@given(povms_and_omegas())
+@settings(max_examples=60, deadline=None)
+def test_compression_on_random_instances(case):
+    povm, omegas = case
+    check_compression(povm, omegas)
+
+
+@pytest.mark.parametrize("name, povm", FIXED, ids=[name for name, _ in FIXED])
+def test_compression_on_fixed_instances(name, povm):
+    rng = np.random.default_rng(13)
+    check_compression(povm, random_omegas(povm, rng, 5))
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 3])
+def test_blocks_of_any_size_give_the_same_stack(monkeypatch, per_block):
+    povm = fibered_instance()
+    omegas = random_omegas(povm, np.random.default_rng(3), 5)
+    whole = stacked(povm, omegas)
+    d = povm.diagonal_space.dim
+    monkeypatch.setattr(povm_module, "_BLOCK_ENTRIES", per_block * d * (d + 2 * povm.dimension))
+    blocks = list(intertwiner_compressions(povm, omegas))
+    assert [len(b) for b in blocks] == [min(per_block, 5 - s) for s in range(0, 5, per_block)]
+    np.testing.assert_allclose(np.concatenate(blocks), whole, rtol=0, atol=1e-14)
+
+
+def replace_intertwiner(povm, w):
+    povm.__dict__["intertwiner"] = w
+
+
+def home_rows(povm, c):
+    """Diagonal-space rows of the point that holds column c of W."""
+    e = povm.e_dim
+    point = int(np.flatnonzero(povm.intertwiner[:, c])[0]) // e
+    return np.arange(point * e, (point + 1) * e)
+
+
+class TestOracleReadsTheIntertwiner:
+    def test_on_block_perturbation_fails_oracle_agreement(self):
+        povm = standard_instances()[2][1]
+        w = povm.intertwiner.copy()
+        r, c = np.argwhere(w != 0)[-1]
+        w[r, c] += 1e-6
+        replace_intertwiner(povm, w)
+        report = _oracle_report(povm, 1e-9, [])
+        assert not report.passed
+        assert report.max_deviation > 1e-7
+
+    def test_perturbed_intertwiner_is_still_compressed_exactly(self):
+        povm = fibered_instance()
+        w = povm.intertwiner.copy()
+        rng = np.random.default_rng(8)
+        w[w != 0] += 1e-3 * rng.standard_normal(np.count_nonzero(w))
+        w[:, 3] = 0.0  # an all-zero column
+        replace_intertwiner(povm, w)
+        omegas = random_omegas(povm, rng, 3)
+        dspace = povm.diagonal_space
+        for omega, m in zip(omegas, stacked(povm, omegas)):
+            dense = w.conj().T @ transported_multiplication_matrix(dspace, omega) @ w
+            np.testing.assert_allclose(m, dense, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("value", [1e-3, np.nan])
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_off_block_entry_is_detected(self, value, where):
+        povm = fibered_instance()
+        w = povm.intertwiner.copy()
+        c = 5
+        rows = home_rows(povm, c)
+        stray = rows[0] - 1 if where == "before" else rows[-1] + 1
+        assert 0 <= stray < len(w)
+        w[stray, c] = value
+        replace_intertwiner(povm, w)
+        omega = np.ones(povm.ctx.n_cosets)
+        with pytest.raises(ValueError, match=f"column {c} has entries at 2 diagonal-space points"):
+            apply_via_intertwiner(povm, omega)
+        with pytest.raises(ValueError, match="diagonal-space points"):
+            _oracle_report(povm, 1e-9, [])
+
+    def test_kernel_is_not_read(self, monkeypatch):
+        povm = fibered_instance()
+        omegas = random_omegas(povm, np.random.default_rng(4), 2)
+        expected = stacked(povm, omegas)
+
+        def no_kernel(self):
+            raise AssertionError("the intertwiner route read the kernel")
+
+        monkeypatch.setattr(type(povm), "_kernel", property(no_kernel))
+        assert np.array_equal(stacked(povm, omegas), expected)
