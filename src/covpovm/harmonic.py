@@ -148,13 +148,19 @@ class QuotientContext:
     def cotransform_transposed(self, phi) -> np.ndarray:
         """Transpose of :meth:`cotransform`: the coset values
         sum_a phi[a] <y_a, coset>, so that ``phi @ cotransform(omega)``
-        equals ``cotransform_transposed(phi) @ omega``."""
+        equals ``cotransform_transposed(phi) @ omega``. With phi placed on
+        the dual group (zero off the annihilator), that sum at every group
+        element is one unnormalized ``ifftn`` over the factors, read at the
+        coset representatives; no pairing matrix is formed."""
         phi = np.asarray(phi, dtype=complex)
         if phi.shape != (self.annihilator.order,):
             raise ValueError(
                 f"expected {self.annihilator.order} annihilator values, got {phi.shape}"
             )
-        return self._fourier_matrix.T @ phi
+        placed = np.zeros(self.group.order, dtype=complex)
+        placed[self.annihilator.indices] = phi
+        summed = np.fft.ifftn(placed.reshape(self.group.factors), norm="forward")
+        return summed.ravel()[self.quotient.rep_indices]
 
     def translated(self, a: GroupElement, omega) -> np.ndarray:
         """The shifted quotient function (a . omega)(coset) = omega(a^-1[coset])."""

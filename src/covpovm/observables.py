@@ -10,6 +10,7 @@ generic POVM builder.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -19,8 +20,10 @@ import numpy as np
 from .groups import FiniteAbelianGroup, _as_int, subgroup_from_generators
 from .povm import DEFAULT_ATOL, CovariantPOVM, DiagonalRep, FieldTable, build_covariant_povm
 
-# uniforms drawn and sorted at a time by sample_outcomes
+# raw words drawn and sorted at a time by sample_outcomes
 SAMPLE_BLOCK = 1 << 16
+# position of a 64-bit word's top half among its two 32-bit halves in memory
+_HIGH_HALF = 1 if sys.byteorder == "little" else 0
 
 
 @dataclass(frozen=True)
@@ -255,8 +258,9 @@ def born_distribution(state: np.ndarray, povm: CovariantPOVM, partition) -> np.n
     """Outcome probabilities of a unit state over a partition of the cosets.
 
     Each cell's probability is the sum of the singleton expectations of
-    :meth:`CovariantPOVM.singleton_expectations` (the kernel route: one pass
-    over the kernel and one transposed cotransform, no effect formed) over
+    :meth:`CovariantPOVM.singleton_expectations` (the kernel route without
+    the kernel table: one FFT cross-correlation of the per-point factors on
+    the dual group and one transposed cotransform, no effect formed) over
     the cell's cosets. Cell entries must be integers (not bools) naming
     each coset exactly once; an empty cell has probability 0.
     """
@@ -292,21 +296,43 @@ def _inverse_transform_counts(probs: np.ndarray, n: int, seed: int) -> np.ndarra
 
     Draw i takes the i-th Philox uniform u of the seed and lands in the
     first cell whose cumulative edge exceeds u, the last cell if none does.
-    The uniforms are drawn in blocks of ``SAMPLE_BLOCK`` and each block is
-    sorted in place, so the draws below cell j's edge are one
-    ``searchsorted`` per block: the counts equal the per-draw ones, with
-    memory independent of n.
+    The uniform is u = (w >> 11) * 2**-53 for the i-th raw 64-bit word w,
+    so u < e exactly when w < ceil(e * 2**53) * 2**11 (every word, for
+    e >= 1). The words are drawn in blocks of ``SAMPLE_BLOCK``; each block
+    sorts only their top 32 bits, so the words below an edge's threshold are
+    one ``searchsorted`` per block, and the few words whose top half equals
+    the threshold's are settled on the full word (:func:`_settle_ties`). The
+    counts equal the per-draw ones, with memory independent of n.
     """
-    edges = np.cumsum(probs)[:-1]
-    below = np.zeros(len(edges), dtype=np.int64)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    block = np.empty(min(n, SAMPLE_BLOCK))
+    scaled = np.ceil(np.cumsum(probs)[:-1] * 2.0**53)
+    whole = scaled >= 2.0**53
+    # thresholds of the edges below 1 in raw words, and their top halves;
+    # an edge >= 1 gets threshold 0 in the loop and every draw at the end
+    words = np.where(whole, 0.0, scaled).astype(np.uint64) << np.uint64(11)
+    tops = (words >> np.uint64(32)).astype(np.uint32)
+    below = np.zeros(len(scaled), dtype=np.int64)
+    bits = np.random.Philox(key=seed)
     for start in range(0, n, SAMPLE_BLOCK):
-        uniforms = block[: min(SAMPLE_BLOCK, n - start)]
-        rng.random(out=uniforms)
-        uniforms.sort()
-        below += np.searchsorted(uniforms, edges, side="left")
+        raw = bits.random_raw(min(SAMPLE_BLOCK, n - start))
+        high = raw.view(np.uint32)[_HIGH_HALF::2]
+        ranked = np.sort(high)
+        first = np.searchsorted(ranked, tops, side="left")
+        tied = np.flatnonzero(np.searchsorted(ranked, tops, side="right") > first)
+        below += first
+        if len(tied):
+            below[tied] += _settle_ties(raw, high, tops[tied], words[tied])
+    below[whole] = n
     return np.diff(below, prepend=0, append=n)
+
+
+def _settle_ties(raw, high, tops, words) -> np.ndarray:
+    """For each threshold, the raw words with that top half that lie below
+    it: the full-word comparison for the draws the top halves cannot settle."""
+    candidates = np.sort(raw[np.isin(high, tops)])
+    lowest = tops.astype(np.uint64) << np.uint64(32)
+    return np.searchsorted(candidates, words, side="left") - np.searchsorted(
+        candidates, lowest, side="left"
+    )
 
 
 def sample_outcomes(
@@ -318,19 +344,23 @@ def sample_outcomes(
 ) -> np.ndarray:
     """Draw measurement outcomes by inverse transform over the Born weights.
 
-    The weights come from :func:`born_distribution` on the kernel route.
-    Uses the counter-based Philox generator keyed by the seed, so draw i is
-    a fixed function of (seed, i) on every platform and batches can be
-    generated independently and merged. The counts are those of the
-    per-draw inverse transform, computed from sorted blocks of draws (see
-    :func:`_inverse_transform_counts`). ``n`` must be an integer >= 0 and
-    ``seed`` an integer in [0, 2**128); bools are rejected.
+    The weights come from :func:`born_distribution` on the kernel route,
+    clipped at 0; weights that sum to 0 or to a non-finite value raise
+    ``ValueError`` naming the sum. Uses the counter-based Philox generator
+    keyed by the seed, so draw i is a fixed function of (seed, i) on every
+    platform and batches can be generated independently and merged. The
+    counts are those of the per-draw inverse transform, computed from
+    sorted blocks of raw words (see :func:`_inverse_transform_counts`).
+    ``n`` must be an integer >= 0 and ``seed`` an integer in [0, 2**128);
+    bools are rejected.
     """
     n, seed = _as_int(n, "sample count"), _as_int(seed, "seed")
     if n < 0:
         raise ValueError(f"sample count must be >= 0, got {n}")
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
-    probs = born_distribution(state, povm, partition)
-    probs = np.clip(probs, 0.0, None)
-    return _inverse_transform_counts(probs / probs.sum(), n, seed)
+    probs = np.clip(born_distribution(state, povm, partition), 0.0, None)
+    total = probs.sum()
+    if not (np.isfinite(total) and total > 0.0):
+        raise ValueError(f"Born weights sum to {total}; no outcome can be drawn")
+    return _inverse_transform_counts(probs / total, n, seed)

@@ -19,8 +19,12 @@ Two independent evaluation routes are provided on purpose:
 over a cached kernel table, while :func:`apply_via_intertwiner` compresses
 the transported multiplication operator of :mod:`covpovm.induction`
 through the explicit intertwiner. They must agree to working precision.
-:meth:`CovariantPOVM.singleton_expectations` reads the Born expectations of
-all singleton cosets off the same kernel table in one pass.
+:meth:`CovariantPOVM.singleton_expectations` computes the Born expectations
+of all singleton cosets from the same kernel formula without its table:
+entry (x, x') is the cotransform at x - x' times a density-weighted
+isometry overlap, so the expectations are one FFT cross-correlation of the
+per-point factors on the dual group, read at the annihilator, and one
+transposed cotransform.
 """
 
 from __future__ import annotations
@@ -532,27 +536,42 @@ class CovariantPOVM:
         return BlockOperator(self.rep, matrix)
 
     def singleton_expectations(self, state) -> np.ndarray:
-        """<psi, M(e_j) psi> for every singleton coset j, on the kernel route.
+        """<psi, M(e_j) psi> for every singleton coset j, on the kernel route
+        without the kernel table.
 
-        The expectation is linear in the outcome function, so with
-        s[a] = sum of conj(psi_r) K[r, c] psi_c over D[r, c] = a (one pass
-        over the kernel) it is the transposed cotransform of s at j; no
-        effect is formed. Returns the real parts, indexed by coset. A state
-        of the wrong shape or with non-finite entries raises ``ValueError``.
+        The expectation is linear in the outcome function, so it is the
+        transposed cotransform at j of s[a] = sum of conj(psi_r) K[r, c] psi_c
+        over the pairs whose characters differ by the annihilator point a.
+        With v_x = W_x psi_x per support point, s[a] is
+        hw * sum over x - x' = a of <alpha_x v_x, beta_x' v_x'>, where
+        alpha = sqrt(w / d) and beta = sqrt(d / w): one cross-correlation of
+        the two factor fields placed on the dual group, by ``fftn``, read at
+        the annihilator. No effect and no dim x dim table is formed. Returns
+        the real parts, indexed by coset. A state of the wrong shape or with
+        non-finite entries raises ``ValueError``.
         """
         state = np.asarray(state, dtype=complex)
         if state.shape != (self.dimension,):
             raise ValueError(f"expected a vector of dimension {self.dimension}, got {state.shape}")
         if not np.isfinite(state).all():
             raise ValueError("state has non-finite entries")
-        index, kernel = self._kernel
-        terms = state.conj()[:, None] * kernel
-        terms *= state
-        # D = -1 (across fibers, where K is 0) lands in bin 0, which is dropped
-        bins = (index.ravel() + 1).astype(np.intp)
-        size = self.ctx.annihilator.order + 1
-        s = np.bincount(bins, terms.real.ravel(), size)[1:]
-        s = s + 1j * np.bincount(bins, terms.imag.ravel(), size)[1:]
+        table, group = self.rep.support_table, self.rep.group
+        v = np.empty((len(table.indices), self.e_dim), dtype=complex)
+        for points, w in zip(table.by_f_dim, self._isometry_stacks):
+            v[points] = np.matmul(w, state[table.block_rows(points, w.shape[2]), None])[..., 0]
+        beta = np.sqrt(self.point_densities / table.weights)
+        # A = alpha v and B = beta v on the dual group, zero off the support,
+        # one plane per embedding coordinate so that the transformed axes are
+        # the contiguous ones (about 4x faster than strided ones in pocketfft)
+        placed = np.zeros((2, self.e_dim, group.order), dtype=complex)
+        placed[0][:, table.indices] = v.T / beta
+        placed[1][:, table.indices] = v.T * beta
+        axes = tuple(range(2, 2 + group.rank))
+        spectra = np.fft.fftn(placed.reshape(2, self.e_dim, *group.factors), axes=axes)
+        # s[y] / hw = sum_x conj(A[x]) B[x - y] is the conjugate of the
+        # correlation sum_x A[x] conj(B[x - y]), whose spectrum is FA conj(FB)
+        correlation = np.fft.ifftn((spectra[0] * spectra[1].conj()).sum(axis=0)).ravel()
+        s = self.ctx.hperp_weight * correlation[self.ctx.annihilator.indices].conj()
         return self.ctx.cotransform_transposed(s).real
 
     def assembled(self, omega) -> np.ndarray:

@@ -6,6 +6,8 @@ import numpy as np
 
 from types import SimpleNamespace
 
+from hypothesis import strategies as st
+
 from covpovm import (
     DOMAIN_DUAL,
     DOMAIN_DUAL_QUOTIENT,
@@ -251,6 +253,48 @@ def intertwiner_born(povm, state):
         moved = transported_multiplication_act(dspace, povm.ctx.indicator([j]), values)
         probs.append(np.vdot(phi, dspace.to_coords(moved)).real)
     return np.array(probs)
+
+
+def kernel_born(povm, state):
+    """<psi, M(e_j) psi> over singleton cosets j from the kernel table: the
+    sums s[a] of conj(psi_r) K[r, c] psi_c over D[r, c] = a by one
+    ``bincount`` (D = -1 dropped), then the dense transposed cotransform."""
+    index, kernel = povm._kernel
+    terms = state.conj()[:, None] * kernel * state
+    bins = (index.ravel() + 1).astype(np.intp)
+    size = povm.ctx.annihilator.order + 1
+    s = np.bincount(bins, terms.real.ravel(), size)[1:]
+    s = s + 1j * np.bincount(bins, terms.imag.ravel(), size)[1:]
+    return dense_cotransform_transposed(povm.ctx, s).real
+
+
+def dense_cotransform_transposed(ctx, phi):
+    """sum_a phi[a] <y_a, coset> by the dense |H-perp| x q pairing matrix."""
+    fourier = ctx.group.pairing_matrix(ctx.annihilator.indices, ctx.quotient.rep_indices)
+    return fourier.T @ np.asarray(phi, dtype=complex)
+
+
+@st.composite
+def random_povms(draw):
+    """A group of one or two cyclic factors, a random subgroup, disjoint
+    sectors of multiplicity 1 or 2 with random weights, e_dim the largest
+    multiplicity or one more, and random isometry fields."""
+    factors = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)))
+    group = FiniteAbelianGroup(factors)
+    coords = st.tuples(*(st.integers(0, n - 1) for n in factors))
+    generators = draw(st.lists(coords, max_size=2))
+    subgroup = subgroup_from_generators(group, [group.element(g) for g in generators])
+    points = draw(st.lists(coords, min_size=1, max_size=6, unique=True))
+    n_sectors = draw(st.integers(1, len(points)))
+    weight = st.floats(0.1, 4.0)
+    sector_data = [
+        ({x: draw(weight) for x in points[s::n_sectors]}, draw(st.integers(1, 2)))
+        for s in range(n_sectors)
+    ]
+    e_dim = max(f for _, f in sector_data) + draw(st.integers(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rep, fields = build_rep(group, sector_data, rng, e_dim)
+    return build_covariant_povm(rep, subgroup, fields, e_dim=e_dim)
 
 
 def dense_compression(povm, omega):

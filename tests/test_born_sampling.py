@@ -1,19 +1,24 @@
-"""Born probabilities on the kernel route against the intertwiner route and
-dense effects, outcome counts from sorted blocks against the per-draw
-inverse transform, and the input both reject."""
+"""Born probabilities on the kernel route against the kernel table, the
+intertwiner route and dense effects, outcome counts from sorted blocks of
+raw words against the per-draw inverse transform, and the input both
+reject."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covpovm import born_distribution, sample_outcomes
+import covpovm.observables as observables
+from covpovm import CovariantPOVM, born_distribution, sample_outcomes
 from covpovm.cli import main
 from covpovm.observables import SAMPLE_BLOCK, _inverse_transform_counts
 from helpers import (
     brute_sample_counts,
+    dense_cotransform_transposed,
     fibered_instance,
     intertwiner_born,
+    kernel_born,
+    random_povms,
     scalar_z12_povm,
     standard_instances,
 )
@@ -21,6 +26,11 @@ from helpers import (
 B = SAMPLE_BLOCK
 INSTANCES = standard_instances() + [("Z4xZ4_fibered", fibered_instance())]
 SINGLETONS = [[0], [1], [2], [3]]
+Z12_SCENARIO = (
+    '{"spec_version": 1, "group": {"factors": [12]}, "subgroup": {"generators": [[4]]},'
+    ' "e_dim": 1, "sectors": [{"f_dim": 1, "support": [[[0], 1.0]]}],'
+    ' "fields": [{"sector": 0, "matrices": [[[0], [[[1.0, 0.0]]]]]}]}'
+)
 
 
 def unit_state(rng, dim):
@@ -74,6 +84,127 @@ class TestKernelBorn:
             povm.singleton_expectations(np.ones(2))
         with pytest.raises(ValueError, match="non-finite"):
             povm.singleton_expectations(np.array([np.nan]))
+
+
+class TestBornOracles:
+    @given(povm=random_povms(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_instances(self, povm, seed):
+        rng = np.random.default_rng(seed)
+        state = unit_state(rng, povm.dimension)
+        got = povm.singleton_expectations(state)
+        np.testing.assert_allclose(got, kernel_born(povm, state), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, intertwiner_born(povm, state), rtol=0, atol=1e-12)
+        ctx, a = povm.ctx, povm.ctx.annihilator.order
+        phi = rng.standard_normal(a) + 1j * rng.standard_normal(a)
+        dense = dense_cotransform_transposed(ctx, phi)
+        np.testing.assert_allclose(ctx.cotransform_transposed(phi), dense, rtol=0, atol=1e-12)
+        adjoint = ctx.hperp_weight * dense_cotransform_transposed(ctx, phi.conj()).conj()
+        np.testing.assert_allclose(ctx.cotransform_adjoint(phi), adjoint, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name, povm", INSTANCES, ids=[n for n, _ in INSTANCES])
+    def test_kernel_table_is_not_read(self, monkeypatch, name, povm):
+        rng = np.random.default_rng(7)
+        state = unit_state(rng, povm.dimension)
+        want = kernel_born(povm, state)
+
+        def no_kernel(self):
+            raise AssertionError("singleton_expectations read the kernel table")
+
+        # a property outranks the instance's cached table
+        monkeypatch.setattr(CovariantPOVM, "_kernel", property(no_kernel))
+        got = povm.singleton_expectations(state)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestDegenerateWeights:
+    @pytest.mark.parametrize(
+        "weights, shown",
+        [
+            ([0.0, 0.0, 0.0, 0.0], "sum to 0.0"),
+            ([-0.5, 0.0, -1e-17, 0.0], "sum to 0.0"),
+            ([0.5, np.nan, 0.5, 0.0], "sum to nan"),
+            ([np.inf, 0.0, 0.0, 0.0], "sum to inf"),
+        ],
+    )
+    def test_rejected_with_the_sum(self, monkeypatch, weights, shown):
+        monkeypatch.setattr(
+            CovariantPOVM, "singleton_expectations", lambda self, state: np.array(weights)
+        )
+        with pytest.raises(ValueError, match=shown):
+            sample_outcomes(np.array([1.0]), scalar_z12_povm(), SINGLETONS, 1000, 1)
+
+    def test_cli_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.json").write_text(Z12_SCENARIO)
+        (tmp_path / "st.json").write_text('{"state": [[1.0, 0.0]]}')
+        monkeypatch.setattr(
+            CovariantPOVM, "singleton_expectations", lambda self, state: np.zeros(4)
+        )
+        assert main(["sample", "s.json", "--state", "st.json", "-n", "5", "--seed", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "sum to 0.0" in captured.err
+
+
+COUNT_PROBS = {
+    "random": np.random.default_rng(9).dirichlet(np.ones(7)),
+    "dyadic": np.array([0.5, 0.25, 0.125, 0.125]),
+    "zero_cells": np.array([0.0, 0.3, 0.0, 0.7, 0.0]),
+    # the last edge rounds to exactly 1, and to 1 + 2**-52
+    "edge_at_one": np.array([0.25, 0.75, 0.0]),
+    "edge_above_one": np.array([0.46335848984461653, 0.3373961461805628, 0.1992453639748208, 0.0]),
+    # the largest edge below 1: every word but the top 2**11 lies below it
+    "edge_below_one": np.array([1.0 - 2.0**-53, 2.0**-53]),
+}
+
+
+class TestRawWordCounts:
+    @pytest.mark.parametrize("key", [0, 1, 2**128 - 1])
+    def test_uniform_is_a_raw_word_top_53_bits(self, key):
+        got = np.random.Generator(np.random.Philox(key=key)).random(1000)
+        raw = np.random.Philox(key=key).random_raw(1000)
+        assert np.array_equal(got, (raw >> np.uint64(11)) * 2.0**-53)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**128 - 1])
+    @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    @pytest.mark.parametrize("name", list(COUNT_PROBS))
+    def test_equal_to_per_draw_counts(self, name, n, seed):
+        probs = COUNT_PROBS[name]
+        got = _inverse_transform_counts(probs, n, seed)
+        assert np.array_equal(got, brute_sample_counts(probs, n, seed))
+        assert got.dtype == np.int64 and got.sum() == n
+
+    def test_edge_shapes(self):
+        for name in ("edge_at_one", "edge_above_one"):
+            assert np.cumsum(COUNT_PROBS[name])[-2] >= 1.0, name
+        assert np.cumsum(COUNT_PROBS["edge_above_one"])[-2] > 1.0
+        got = _inverse_transform_counts(COUNT_PROBS["edge_at_one"], B + 1, 2)
+        assert got[-1] == 0
+
+    def test_tie_settled_on_the_full_word(self, monkeypatch):
+        seed, at, n = 5, 1000, B + 3
+        word = np.random.Philox(key=seed).random_raw(n)[at]
+        u = (word >> np.uint64(11)) * 2.0**-53
+        edges = np.array([np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)])
+        probs = np.diff(edges, prepend=0.0, append=1.0)
+        assert np.array_equal(np.cumsum(probs)[:-1], edges)
+        thresholds = np.ceil(edges * 2.0**53).astype(np.uint64) << np.uint64(11)
+        # the three thresholds share the drawn word's top half: only the
+        # full words can place it
+        assert ((thresholds >> np.uint64(32)) == word >> np.uint64(32)).all()
+        settled = []
+
+        def spy(*args):
+            settled.append(args)
+            return settle(*args)
+
+        settle = observables._settle_ties
+        monkeypatch.setattr(observables, "_settle_ties", spy)
+        got = _inverse_transform_counts(probs, n, seed)
+        assert settled
+        assert np.array_equal(got, brute_sample_counts(probs, n, seed))
+        # the drawn value is the left edge of cell 2, which holds nothing else
+        assert got[2] >= 1 and got[1] == 0
 
 
 class TestBlockCounts:
@@ -179,11 +310,7 @@ class TestBoundary:
     )
     def test_cli_exits_3(self, tmp_path, capsys, monkeypatch, args, shown):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "s.json").write_text(
-            '{"spec_version": 1, "group": {"factors": [12]}, "subgroup": {"generators": [[4]]},'
-            ' "e_dim": 1, "sectors": [{"f_dim": 1, "support": [[[0], 1.0]]}],'
-            ' "fields": [{"sector": 0, "matrices": [[[0], [[[1.0, 0.0]]]]]}]}'
-        )
+        (tmp_path / "s.json").write_text(Z12_SCENARIO)
         (tmp_path / "st.json").write_text('{"state": [[1.0, 0.0]]}')
         (tmp_path / "p.json").write_text('{"partition": [[0], [1], [2], [2, 3]]}')
         assert main(["sample", "s.json", "--state", "st.json", *args]) == 3

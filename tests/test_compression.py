@@ -9,41 +9,22 @@ from hypothesis import strategies as st
 
 import covpovm.povm as povm_module
 from covpovm import (
-    FiniteAbelianGroup,
     apply_via_intertwiner,
-    build_covariant_povm,
     intertwiner_compressions,
-    subgroup_from_generators,
     transported_multiplication_matrix,
 )
 from covpovm.cli import _oracle_report
-from helpers import build_rep, dense_compression, fibered_instance, standard_instances
+from helpers import dense_compression, fibered_instance, random_povms, standard_instances
 
 FIXED = standard_instances() + [("fibered", fibered_instance())]
 
 
 @st.composite
 def povms_and_omegas(draw):
-    """A group of one or two cyclic factors, a random subgroup, disjoint
-    sectors of multiplicity 1 or 2 with random weights, e_dim the largest
-    multiplicity or one more, random isometry fields, and a stack of one to
-    four random outcome functions."""
-    factors = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=2)))
-    group = FiniteAbelianGroup(factors)
-    coords = st.tuples(*(st.integers(0, n - 1) for n in factors))
-    generators = draw(st.lists(coords, max_size=2))
-    subgroup = subgroup_from_generators(group, [group.element(g) for g in generators])
-    points = draw(st.lists(coords, min_size=1, max_size=6, unique=True))
-    n_sectors = draw(st.integers(1, len(points)))
-    weight = st.floats(0.1, 4.0)
-    sector_data = [
-        ({x: draw(weight) for x in points[s::n_sectors]}, draw(st.integers(1, 2)))
-        for s in range(n_sectors)
-    ]
-    e_dim = max(f for _, f in sector_data) + draw(st.integers(0, 1))
+    """A random POVM (``helpers.random_povms``) and a stack of one to four
+    random outcome functions."""
+    povm = draw(random_povms())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rep, fields = build_rep(group, sector_data, rng, e_dim)
-    povm = build_covariant_povm(rep, subgroup, fields, e_dim=e_dim)
     return povm, random_omegas(povm, rng, draw(st.integers(1, 4)))
 
 
