@@ -218,9 +218,8 @@ def cmd_sample(args) -> int:
     else:
         partition = [[i] for i in range(povm.ctx.n_cosets)]
     counts = sample_outcomes(state, povm, partition, args.count, args.seed)
-    sys.stdout.write("outcome,count\n")
-    for i, c in enumerate(counts):
-        sys.stdout.write(f"{i},{int(c)}\n")
+    rows = "".join(f"{i},{c}\n" for i, c in enumerate(counts.tolist()))
+    sys.stdout.write("outcome,count\n" + rows)
     return EXIT_OK
 
 

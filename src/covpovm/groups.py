@@ -26,6 +26,24 @@ def _as_int(value, what: str) -> int:
     return operator.index(value)
 
 
+def _as_indices(values, what: str, bound: int, outside: str) -> np.ndarray:
+    """Integers as one int64 array, each in [0, bound). One type pass checks
+    them all; only when some entry is not a Python int does each go through
+    :func:`_as_int`, which names the first that is not an integer. The
+    first entry outside the range, one beyond int64 included, raises
+    ``ValueError`` with the message ``outside.format(entry)``."""
+    values = list(values)
+    if not set(map(type, values)) <= {int}:
+        values = [_as_int(v, what) for v in values]
+    try:
+        out = np.array(values, dtype=np.int64)
+    except OverflowError:
+        out = None
+    if out is None or ((out < 0) | (out >= bound)).any():
+        raise ValueError(outside.format(next(i for i in values if not 0 <= i < bound)))
+    return out
+
+
 def _as_real(value, what: str) -> float:
     """The one real-number coercion for JSON numbers: Python and numpy ints
     and floats pass; bools, strings, None and anything else are rejected."""

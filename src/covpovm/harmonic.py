@@ -25,7 +25,7 @@ from .groups import (
     GroupElement,
     QuotientGroup,
     Subgroup,
-    _as_int,
+    _as_indices,
     annihilator,
     quotient,
 )
@@ -173,12 +173,9 @@ class QuotientContext:
         """The 0/1 function of a set of coset indices. Each index must be an
         integer (Python or numpy; bools, floats and strings are rejected)
         in range, or ``ValueError`` names it."""
-        values = np.zeros(self.n_cosets, dtype=complex)
-        for i in cosets:
-            i = _as_int(i, "coset index")
-            if not 0 <= i < self.n_cosets:
-                raise ValueError(f"coset index {i} out of range")
-            values[i] = 1.0
+        q = self.n_cosets
+        values = np.zeros(q, dtype=complex)
+        values[_as_indices(cosets, "coset index", q, "coset index {} out of range")] = 1.0
         return values
 
 

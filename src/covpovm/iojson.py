@@ -154,10 +154,12 @@ def state_from_json(obj) -> np.ndarray:
     return vector_from_json(obj["state"])
 
 
-def partition_from_json(obj) -> list[list[int]]:
+def partition_from_json(obj) -> list:
+    """The cells of a partition file; ``born_distribution`` checks the
+    entries."""
     if "partition" not in obj:
         raise ValueError("partition file must carry a 'partition' list")
-    return [[_as_int(i, "partition entry") for i in cell] for cell in obj["partition"]]
+    return obj["partition"]
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .groups import FiniteAbelianGroup, _as_int, subgroup_from_generators
+from .groups import FiniteAbelianGroup, _as_indices, _as_int, subgroup_from_generators
 from .povm import DEFAULT_ATOL, CovariantPOVM, DiagonalRep, FieldTable, build_covariant_povm
 
 # raw words drawn and sorted at a time by sample_outcomes
@@ -261,8 +262,10 @@ def born_distribution(state: np.ndarray, povm: CovariantPOVM, partition) -> np.n
     :meth:`CovariantPOVM.singleton_expectations` (the kernel route without
     the kernel table: one FFT cross-correlation of the per-point factors on
     the dual group and one transposed cotransform, no effect formed) over
-    the cell's cosets. Cell entries must be integers (not bools) naming
-    each coset exactly once; an empty cell has probability 0.
+    the cell's cosets. Cells are sized collections (lists, tuples, ranges,
+    arrays) whose entries must be integers (not bools) naming each coset
+    exactly once, checked by one type pass over all of them; an empty cell
+    has probability 0.
     """
     state = np.asarray(state, dtype=complex).reshape(-1)
     if state.shape[0] != povm.dimension:
@@ -273,12 +276,9 @@ def born_distribution(state: np.ndarray, povm: CovariantPOVM, partition) -> np.n
         raise ValueError("state has non-finite entries")
     if abs(np.linalg.norm(state) - 1.0) > DEFAULT_ATOL:
         raise ValueError("state is not normalized")
-    cells = [[_as_int(i, "partition entry") for i in cell] for cell in partition]
-    cosets, q = [i for cell in cells for i in cell], povm.ctx.n_cosets
-    outside = [i for i in cosets if not 0 <= i < q]
-    if outside:
-        raise ValueError(f"partition entry {outside[0]} is not a coset index in [0, {q})")
-    cosets = np.array(cosets, dtype=np.int64)
+    cells, q = list(partition), povm.ctx.n_cosets
+    outside = f"partition entry {{}} is not a coset index in [0, {q})"
+    cosets = _as_indices(chain.from_iterable(cells), "partition entry", q, outside)
     times = np.bincount(cosets, minlength=q)
     if (times > 1).any():
         raise ValueError(f"partition cells overlap at coset {int(np.argmax(times > 1))}")
@@ -286,7 +286,7 @@ def born_distribution(state: np.ndarray, povm: CovariantPOVM, partition) -> np.n
         raise ValueError(
             f"partition does not cover the quotient: coset {int(np.argmin(times))} is missing"
         )
-    owner = np.repeat(np.arange(len(cells)), [len(cell) for cell in cells])
+    owner = np.repeat(np.arange(len(cells)), list(map(len, cells)))
     singletons = povm.singleton_expectations(state)
     return np.bincount(owner, singletons[cosets], len(cells))
 
@@ -317,7 +317,9 @@ def _inverse_transform_counts(probs: np.ndarray, n: int, seed: int) -> np.ndarra
         high = raw.view(np.uint32)[_HIGH_HALF::2]
         ranked = np.sort(high)
         first = np.searchsorted(ranked, tops, side="left")
-        tied = np.flatnonzero(np.searchsorted(ranked, tops, side="right") > first)
+        # at first = len(ranked) every top half is below the threshold's, so
+        # the clipped read (the largest) is never equal to it
+        tied = np.flatnonzero(ranked.take(first, mode="clip") == tops)
         below += first
         if len(tied):
             below[tied] += _settle_ties(raw, high, tops[tied], words[tied])

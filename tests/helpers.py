@@ -256,10 +256,11 @@ def intertwiner_born(povm, state):
 
 
 def kernel_born(povm, state):
-    """<psi, M(e_j) psi> over singleton cosets j from the kernel table: the
-    sums s[a] of conj(psi_r) K[r, c] psi_c over D[r, c] = a by one
-    ``bincount`` (D = -1 dropped), then the dense transposed cotransform."""
-    index, kernel = povm._kernel
+    """<psi, M(e_j) psi> over singleton cosets j from the per-pair kernel
+    table (:func:`dense_kernel`): the sums s[a] of conj(psi_r) K[r, c] psi_c
+    over D[r, c] = a by one ``bincount`` (D = -1 dropped), then the dense
+    transposed cotransform."""
+    index, kernel = dense_kernel(povm)
     terms = state.conj()[:, None] * kernel * state
     bins = (index.ravel() + 1).astype(np.intp)
     size = povm.ctx.annihilator.order + 1
@@ -392,10 +393,39 @@ def reference_support_table(rep):
     return indices[order], sectors, f_dims, weights[order], rows, by_f_dim
 
 
+def dense_kernel(povm):
+    """(D, K) over the rep basis one pair of multiplicities at a time, from
+    the POVM's support table, isometry stacks and densities: D from the
+    annihilator index of every support-point difference, K from one batched
+    overlap W_x^H W_x' per pair of multiplicities, scattered into place and
+    scaled by hw sqrt(d' / d) sqrt(w / w'), 0 across fibers. The reference
+    for ``CovariantPOVM._kernel``, which is one product of row factors."""
+    ctx, table, stacks = povm.ctx, povm.rep.support_table, povm._isometry_stacks
+    group, rows, by_f_dim = ctx.group, table.rows, table.by_f_dim
+    support = group.coords[table.indices]
+    point_d = ctx.annihilator.position(group.ravel(support[:, None] - support[None]))
+    kernel = np.empty((len(rows), len(rows)), dtype=complex)
+    for pa, wa in zip(by_f_dim, stacks):
+        ra = (np.searchsorted(rows, pa)[:, None] + np.arange(wa.shape[2])).ravel()
+        for pb, wb in zip(by_f_dim, stacks):
+            rb = (np.searchsorted(rows, pb)[:, None] + np.arange(wb.shape[2])).ravel()
+            block = np.matmul(wa.conj().transpose(0, 2, 1)[:, None], wb[None]).transpose(0, 2, 1, 3)
+            kernel[np.ix_(ra, rb)] = block.reshape(len(ra), len(rb))
+    density, weight = povm.point_densities, table.weights
+    scale = np.sqrt(density[None, :] / density[:, None])
+    scale *= ctx.hperp_weight
+    scale *= np.sqrt(weight[:, None] / weight[None, :])
+    cells = np.ix_(rows, rows)
+    index = point_d[cells]
+    kernel *= scale[cells]
+    kernel[index < 0] = 0.0
+    return index, kernel
+
+
 def reference_build(rep, subgroup, fields, e_dim, quotient_measure=None, atol=1e-9):
     """The dict-based build: per-point field checks, the class measure as
-    measures, densities as dicts, the isometries stacked point by point,
-    the kernel pair (D, K) and the intertwiner by the per-point loop."""
+    measures, densities as dicts, the isometries stacked point by point
+    and the intertwiner by the per-point loop."""
     sector_points = [sorted(spec.rho.support) for spec in rep.sectors]
     for k, (field, spec) in enumerate(zip(fields, rep.sectors)):
         for x in sector_points[k]:
@@ -434,27 +464,8 @@ def reference_build(rep, subgroup, fields, e_dim, quotient_measure=None, atol=1e
     ]
     stacks = tuple(np.stack([mats[p] for p in points]) for points in by_f_dim)
 
-    # (D, K) as CovariantPOVM._kernel computes it, from these inputs
-    dim = len(rows)
-    support = rep.group.coords[indices]
-    point_d = ctx.annihilator.position(rep.group.ravel(support[:, None] - support[None]))
-    kernel = np.empty((dim, dim), dtype=complex)
-    for pa, wa in zip(by_f_dim, stacks):
-        ra = (np.searchsorted(rows, pa)[:, None] + np.arange(wa.shape[2])).ravel()
-        for pb, wb in zip(by_f_dim, stacks):
-            rb = (np.searchsorted(rows, pb)[:, None] + np.arange(wb.shape[2])).ravel()
-            block = np.matmul(wa.conj().transpose(0, 2, 1)[:, None], wb[None]).transpose(0, 2, 1, 3)
-            kernel[np.ix_(ra, rb)] = block.reshape(len(ra), len(rb))
-    scale = np.sqrt(point_densities[None, :] / point_densities[:, None])
-    scale *= ctx.hperp_weight
-    scale *= np.sqrt(weights[:, None] / weights[None, :])
-    cells = np.ix_(rows, rows)
-    index = point_d[cells]
-    kernel *= scale[cells]
-    kernel[index < 0] = 0.0
-
     dspace = DiagonalSpace(ctx, quotient_measure, e_dim)
-    intertwiner = np.zeros((dspace.dim, dim), dtype=complex)
+    intertwiner = np.zeros((dspace.dim, len(rows)), dtype=complex)
     offset = 0
     for k, spec in enumerate(rep.sectors):
         f = spec.f_dim
@@ -473,7 +484,6 @@ def reference_build(rep, subgroup, fields, e_dim, quotient_measure=None, atol=1e
         densities=densities,
         point_densities=point_densities,
         isometry_stacks=stacks,
-        kernel=(index, kernel),
         intertwiner=intertwiner,
     )
 

@@ -1,5 +1,7 @@
 """The array build and the array scenario reader against the dict-based
-build they replaced (``helpers.reference_build``), bit for bit."""
+build they replaced (``helpers.reference_build``), bit for bit, and the
+kernel against the per-pair formula (``helpers.dense_kernel``): D bit for
+bit, K to 1e-12, since one product of row factors sums in another order."""
 
 import json
 
@@ -17,6 +19,7 @@ from covpovm import (
 )
 from helpers import (
     build_rep,
+    dense_kernel,
     fibered_instance,
     loop_intertwiner,
     reference_build,
@@ -74,7 +77,9 @@ def assert_equals_reference(povm, ref):
     assert same(povm.point_densities, ref.point_densities)
     assert len(povm._isometry_stacks) == len(ref.isometry_stacks)
     assert all(same(got, want) for got, want in zip(povm._isometry_stacks, ref.isometry_stacks))
-    assert same(povm._kernel[0], ref.kernel[0]) and same(povm._kernel[1], ref.kernel[1])
+    index, kernel = dense_kernel(povm)
+    assert same(povm._kernel[0], index)
+    np.testing.assert_allclose(povm._kernel[1], kernel, rtol=0, atol=1e-12)
     assert same(intertwiner_matrix(povm), ref.intertwiner)
 
 

@@ -3,6 +3,8 @@ intertwiner route and dense effects, outcome counts from sorted blocks of
 raw words against the per-draw inverse transform, and the input both
 reject."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -316,3 +318,48 @@ class TestBoundary:
         assert main(["sample", "s.json", "--state", "st.json", *args]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and shown in captured.err
+
+
+class TestCosetListEntries:
+    """One bad entry in a coset list, named with today's message by
+    ``born_distribution``, by ``QuotientContext.indicator`` and by CLI
+    ``sample --partition`` (exit 3): an int beyond int64 is out of range,
+    not an ``OverflowError``."""
+
+    @pytest.mark.parametrize(
+        "bad, partition_message, indicator_message",
+        [
+            (True, "partition entry must be an integer, got True", "must be an integer, got True"),
+            (2.0, "partition entry must be an integer, got 2.0", "must be an integer, got 2.0"),
+            ("2", "partition entry must be an integer, got '2'", "must be an integer, got '2'"),
+            (4, "partition entry 4 is not a coset index in [0, 4)", "coset index 4 out of range"),
+            (-3, "partition entry -3 is not a coset index in [0, 4)", "coset index -3 out of"),
+            (2**70, f"partition entry {2**70} is not a coset index", f"coset index {2**70} out of"),
+            (-(2**70), f"partition entry {-(2**70)} is not a coset", f"coset index {-(2**70)} out"),
+        ],
+    )
+    def test_bad_entry_is_named(self, tmp_path, capsys, bad, partition_message, indicator_message):
+        povm = scalar_z12_povm()
+        partition = [[0], [1], [bad], [3]]
+        with pytest.raises(ValueError) as info:
+            born_distribution(np.array([1.0]), povm, partition)
+        assert partition_message in str(info.value)
+        with pytest.raises(ValueError) as info:
+            povm.ctx.indicator([0, bad])
+        assert indicator_message in str(info.value)
+
+        (tmp_path / "s.json").write_text(Z12_SCENARIO)
+        (tmp_path / "st.json").write_text('{"state": [[1.0, 0.0]]}')
+        (tmp_path / "p.json").write_text(json.dumps({"partition": partition}))
+        argv = ["sample", str(tmp_path / "s.json"), "--state", str(tmp_path / "st.json")]
+        argv += ["--partition", str(tmp_path / "p.json"), "-n", "5", "--seed", "1"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and partition_message in captured.err
+
+    def test_numpy_and_python_entries_mix(self):
+        povm = scalar_z12_povm()
+        probs = born_distribution(np.array([1.0]), povm, [[0, np.int32(1)], (2,), range(3, 4)])
+        np.testing.assert_allclose(probs, [0.5, 0.25, 0.25])
+        want = np.array([0, 1, 0, 1], dtype=complex)
+        assert np.array_equal(povm.ctx.indicator([np.int64(3), 1]), want)

@@ -186,3 +186,40 @@ def test_support_table_is_in_basis_order():
     assert table.weights.tolist() == [2.0, 0.5, 1.0, 0.25, 1.5]
     assert table.rows.tolist() == [0, 0, 1, 1, 2, 2, 3, 4]
     assert rep.sector_dims == (6, 2) and rep.offsets == (0, 6)
+
+
+
+Z4 = FiniteAbelianGroup((4,))
+LENGTHS = "support arrays differ in length"
+INDEX = "support index is outside [0, |G|)"
+SECTOR = "support sector does not exist"
+WEIGHT = "support weight is not finite and > 0"
+
+
+@pytest.mark.parametrize(
+    "sectors, indices, weights, details",
+    [
+        ([0, 0], [1], [1.0], {"error": LENGTHS, "sectors": 2, "indices": 1, "weights": 1}),
+        ([0], [1, 2], [1.0, 1.0], {"error": LENGTHS, "sectors": 1, "indices": 2, "weights": 2}),
+        ([0, 0], [1, -1], [1.0, 1.0], {"error": INDEX, "position": 1, "value": -1}),
+        ([0], [7], [1.0], {"error": INDEX, "position": 0, "value": 7}),
+        ([0, 2], [1, 2], [1.0, 1.0], {"error": SECTOR, "position": 1, "value": 2}),
+        ([-1], [1], [1.0], {"error": SECTOR, "position": 0, "value": -1}),
+        ([0], [1], [0.0], {"error": WEIGHT, "position": 0, "value": 0.0}),
+        ([0], [1], [-1.0], {"error": WEIGHT, "position": 0, "value": -1.0}),
+        ([0], [1], [np.inf], {"error": WEIGHT, "position": 0, "value": np.inf}),
+    ],
+    ids=["short indices", "short sectors", "index -1", "index 7", "sector 2", "sector -1",
+         "weight 0", "weight -1", "weight inf"],
+)
+def test_of_arrays_rejects_bad_support_arrays(sectors, indices, weights, details):
+    with pytest.raises(PovmBuildError) as exc:
+        DiagonalRep.of_arrays(Z4, sectors, indices, weights, [1, 1])
+    assert exc.value.details == details
+
+
+def test_of_arrays_rejects_a_nan_weight():
+    with pytest.raises(PovmBuildError, match=WEIGHT) as exc:
+        DiagonalRep.of_arrays(Z4, [0, 0], [1, 3], [1.0, np.nan], [1])
+    assert exc.value.details["position"] == 1
+    assert np.isnan(exc.value.details["value"])
