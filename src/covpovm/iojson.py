@@ -50,11 +50,12 @@ def pair_to_complex(pair) -> complex:
     return complex(_as_real(pair[0], "real part"), _as_real(pair[1], "imaginary part"))
 
 
-def pairs_to_json(array) -> list:
-    """Nested lists of the array's shape whose innermost entries are [re, im]
-    pairs: one stack and one ``tolist``, the same floats as complex_to_pair."""
+def pairs_to_json(array) -> np.ndarray:
+    """The float array of the array's shape with a last axis [re, im]: the
+    same floats as complex_to_pair. :func:`dumps` writes it as nested
+    [re, im] lists; ``tolist()`` gives those lists."""
     a = np.asarray(array, dtype=complex)
-    return np.stack((a.real, a.imag), axis=-1).tolist()
+    return np.stack((a.real, a.imag), axis=-1)
 
 
 def vector_from_json(obj) -> np.ndarray:
@@ -62,6 +63,9 @@ def vector_from_json(obj) -> np.ndarray:
 
 
 def matrix_to_json(matrix) -> dict:
+    """Rows, cols and the row-major entries as a (rows * cols, 2) float array
+    of [re, im] pairs, written by :func:`dumps` (the stock encoder rejects
+    the array)."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
@@ -306,7 +310,7 @@ def scenario_to_json(scenario: Scenario) -> dict:
     points = group.coords[table.indices].tolist()
     supports = table.per_sector([list(entry) for entry in zip(points, table.weights.tolist())])
     fields = FieldTable.of(group, scenario.fields)
-    pairs, matrices = pairs_to_json(fields.data), [[] for _ in fields.sectors]
+    pairs, matrices = pairs_to_json(fields.data).tolist(), [[] for _ in fields.sectors]
     entries = zip(
         fields.owners.tolist(), group.coords[fields.indices].tolist(),
         fields.starts.tolist(), fields.shapes.tolist(),
@@ -340,21 +344,15 @@ def report_to_json(report: VerificationReport, tolerance: float) -> dict:
 # dumps(obj) == json.dumps(obj, indent=2, default=f), where f turns a numpy
 # array into its tolist() and rejects anything else. With an indent set,
 # Python's json module encodes in pure Python, one generator step per value.
-# The bulk of the CLI's output is rectangular blocks of numbers (coordinate
-# tables, [re, im] entries). An int or float array, or a rectangular list
-# whose leaves are all exact ints or all exact floats, is written from its
-# shape: one "%" template holds the indented text with a %d or %r per leaf,
-# and one "%" call fills it. Only a list of numbers at one depth that is
-# ragged or mixes leaf types goes through the C encoder in one compact call,
-# re-indented by string replacement. Everything else follows the pure-Python
-# encoder's rules, which _encode copies.
+# The bulk of the CLI's output is numeric blocks (coordinate tables, [re, im]
+# entries), and they reach the writer as arrays: a non-empty int or float
+# array is written from its shape, by one "%" template that holds the
+# indented text with a %d or %r per leaf, filled by one "%" call. Lists and
+# everything else follow the pure-Python encoder's rules, which _encode
+# copies; there is no compact encoder.
 
-_compact = json.JSONEncoder(separators=(",", ":")).encode
 _quote = json.encoder.encode_basestring_ascii
 _default = json.JSONEncoder().default
-_NOT_NUMBER = (str, list, tuple, dict)
-# exact types only: "%r" % np.float64(0.1) is "np.float64(0.1)", "%d" % True is "1"
-_FORMATS = {int: "%d", float: "%r"}
 
 
 def dumps(obj) -> str:
@@ -426,10 +424,6 @@ def _encode_list(lst, level: int, out: list, markers: dict) -> None:
     if not lst:
         out.append("[]")
         return
-    chunks = _numeric_list_chunks(lst, level)
-    if chunks is not None:
-        out.extend(chunks)
-        return
     key = _enter(lst, markers)
     inner = "\n" + "  " * (level + 1)
     sep = "[" + inner
@@ -499,44 +493,3 @@ def _shaped_text(shape: Sequence[int], leaves: tuple, fmt: str, level: int) -> s
         block = sep.join([block] * n)
     text = (head + block + tail) % leaves
     return None if fmt == "%r" and "n" in text else text
-
-
-def _numeric_list_chunks(lst, level: int) -> tuple[str, ...] | None:
-    """Indented text, in chunks, of a non-empty list whose leaves are all
-    numbers at one depth d, with no empty list (numbers, coordinate rows,
-    [re, im] entries, rows of pairs); None for any other list.
-
-    One pass per depth collects the row lengths and the leaves. A
-    rectangular list of exact ints or of finite exact floats is written by
-    ``_shaped_text``. Any other, ragged or with mixed leaf types (bools,
-    None, float subclasses), is one compact C-encoder call re-indented by
-    string replacement: its brackets are structure only, since no leaf is a
-    string, list or dict. Each large intermediate string is dropped as soon
-    as the next exists, which keeps peak memory at about two copies of the
-    text."""
-    shape, items, kinds, firsts = [], (lst,), {type(lst)}, set()
-    while all(issubclass(k, (list, tuple)) for k in kinds):
-        lengths = set(map(len, items))
-        if 0 in lengths or id(items[0]) in firsts:
-            return None  # an empty list, or a list that contains itself
-        firsts.add(id(items[0]))
-        shape.append(lengths.pop() if len(lengths) == 1 else None)
-        items = tuple(chain.from_iterable(items))
-        kinds = set(map(type, items))
-    if any(issubclass(k, _NOT_NUMBER) for k in kinds):
-        return None  # leaves at more than one depth, or a string or dict leaf
-    depth = len(shape)
-    if None not in shape and len(kinds) == 1 and (fmt := _FORMATS.get(kinds.pop())):
-        text = _shaped_text(shape, items, fmt, level)
-        if text is not None:
-            return (text,)
-    del items
-    try:
-        body = _compact(lst)[depth:-depth]
-    except (TypeError, ValueError):
-        return None  # the general path raises the stock error and message
-    head, tail, seps = _layout(level, depth)
-    body = body.replace(",", seps[0])
-    for k in range(depth - 1, 0, -1):
-        body = body.replace("]" * k + seps[0] + "[" * k, seps[k])
-    return head, body, tail

@@ -5,14 +5,13 @@ for every subgroup, a family of covariant POVMs on the quotient: each one
 is cut out by a field of isometries over the spectral support, scaled by
 the density of the sector measure against the lifted class measure. This
 module builds those POVMs, evaluates them as one dense matrix in the rep
-basis (a :class:`BlockOperator`, whose sector blocks are slices of it at
-the rep's offsets), and verifies the defining axioms, covariance, and the
-equivalence criterion. A rep's support is one :class:`SupportTable` of
-index arrays in basis order and its isometry fields one :class:`FieldTable`;
-the build, the intertwiner, ``u_matrix``, ``validate_rep`` and the
-equivalence criterion read them, with the isometries stacked per
-multiplicity, and characters and per-character dicts are built only for
-callers.
+basis (a :class:`BlockOperator`), and verifies the defining axioms,
+covariance, and the equivalence criterion. A rep's support is one
+:class:`SupportTable` of index arrays in basis order and its isometry
+fields one :class:`FieldTable`; the build, the intertwiner, ``u_matrix``,
+``validate_rep`` and the equivalence criterion read them, with the
+isometries stacked per multiplicity, and characters and per-character
+dicts are built only for callers.
 
 Two independent evaluation routes are provided on purpose:
 :meth:`CovariantPOVM.apply` gathers the cotransform of the outcome function
@@ -33,7 +32,6 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -214,15 +212,6 @@ class DiagonalRep:
         """The support characters of each sector, in basis order."""
         table = self.support_table
         return tuple(table.per_sector(self.group.points(DualCharacter, table.indices)))
-
-    @cached_property
-    def sector_dims(self) -> tuple[int, ...]:
-        table = self.support_table
-        return tuple((table.counts * table.sector_f_dims).tolist())
-
-    @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        return tuple(accumulate([0, *self.sector_dims][:-1]))
 
     @property
     def dimension(self) -> int:
@@ -443,16 +432,10 @@ class FieldTable(Sequence):
 @dataclass(frozen=True, eq=False)
 class BlockOperator:
     """Operator on a diagonal rep space: one dense matrix in the documented
-    sector-major basis, in orthonormal coordinates. Sector blocks are
-    slices of it at the rep's sector offsets."""
+    sector-major basis, in orthonormal coordinates."""
 
     rep: DiagonalRep
     matrix: np.ndarray
-
-    def block(self, j: int, k: int) -> np.ndarray:
-        rows = slice(self.rep.offsets[j], self.rep.offsets[j] + self.rep.sector_dims[j])
-        cols = slice(self.rep.offsets[k], self.rep.offsets[k] + self.rep.sector_dims[k])
-        return self.matrix[rows, cols]
 
     @property
     def dimension(self) -> int:
@@ -617,9 +600,11 @@ def build_covariant_povm(
     the largest multiplicity, a field count or order that does not match
     the sectors, and then, in this order, a missing matrix, a matrix
     outside its sector's support, one of the wrong shape, one with
-    non-finite entries, and one failing the isometry test beyond ``atol``,
-    naming the first such sector and point in basis order. ``atol`` must
-    itself be finite and nonnegative (``ValueError`` otherwise).
+    non-finite entries, one failing the isometry test beyond ``atol``, and
+    a point whose density d or scale sqrt(d / w) is not finite and > 0
+    (a finite weight w can overflow its density), naming the first such
+    sector and point in basis order. ``atol`` must itself be finite and
+    nonnegative (``ValueError`` otherwise).
     """
     if not (math.isfinite(atol) and atol >= 0.0):
         raise ValueError(f"atol must be finite and >= 0, got {atol}")
@@ -654,6 +639,15 @@ def build_covariant_povm(
         raise PovmBuildError(
             "field matrix is not isometric", **_where(rep, p), deviation=float(deviation[p])
         )
+    # sqrt(d / w) is finite and > 0 exactly when d / w is
+    with np.errstate(all="ignore"):  # an overflow is reported below
+        d = povm.point_densities
+        ratio = d / table.weights
+    unusable = ~((d > 0.0) & (d < np.inf) & (ratio > 0.0) & (ratio < np.inf))
+    if unusable.any():
+        p = int(np.argmax(unusable))
+        message = "density or its scale sqrt(density / weight) is not finite and > 0"
+        raise PovmBuildError(message, **_where(rep, p), weight=float(table.weights[p]))
     return povm
 
 

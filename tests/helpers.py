@@ -488,6 +488,14 @@ def reference_build(rep, subgroup, fields, e_dim, quotient_measure=None, atol=1e
     )
 
 
+def sector_slices(rep):
+    """The basis rows of each sector, as slices at ``support_table.row_starts``."""
+    table = rep.support_table
+    starts = np.append(table.row_starts, rep.dimension)
+    ends = np.cumsum(table.counts)
+    return [slice(int(starts[end - n]), int(starts[end])) for n, end in zip(table.counts, ends)]
+
+
 def loop_intertwiner(povm):
     """The intertwiner one support point at a time, from the POVM's
     per-sector views: densities, lifted measure, sector measures and fields."""
@@ -497,7 +505,7 @@ def loop_intertwiner(povm):
     lifted = povm.class_data.lifted_measure
     for k, spec in enumerate(povm.rep.sectors):
         f = spec.f_dim
-        off = povm.rep.offsets[k]
+        off = sector_slices(povm.rep)[k].start
         for a, x in enumerate(povm.rep.sector_points[k]):
             p = int(np.searchsorted(dspace.point_indices, povm.rep.group.index_of(x)))
             scale = math.sqrt(lifted(x) * povm.densities[k][x] / spec.rho(x))

@@ -14,7 +14,7 @@ from covpovm import (
     pairing_is_one,
     subgroup_from_generators,
 )
-from helpers import build_rep, dense_kernel, random_povms
+from helpers import build_rep, dense_kernel, random_povms, sector_slices
 
 
 @st.composite
@@ -68,9 +68,7 @@ def test_flat_kernel_properties(scenario):
     for spec in povm.rep.sectors:
         offsets.append((offset, offset + len(spec.rho.support) * spec.f_dim))
         offset = offsets[-1][1]
-    for j, (r0, r1) in enumerate(offsets):
-        for k, (c0, c1) in enumerate(offsets):
-            assert np.array_equal(op.block(j, k), matrix[r0:r1, c0:c1])
+    assert [(s.start, s.stop) for s in sector_slices(povm.rep)] == offsets
 
     chars = basis_characters(povm.rep)
     generators = povm.ctx.subgroup.generators
@@ -123,14 +121,14 @@ def test_kernel_equals_per_pair_formula_exactly():
     for j, spec_j in enumerate(rep.sectors):
         f_j = spec_j.f_dim
         for a, x in enumerate(rep.sector_points[j]):
-            r = rep.offsets[j] + a * f_j
+            r = sector_slices(rep)[j].start + a * f_j
             w_j = fields[j].matrices[x]
             for k, spec_k in enumerate(rep.sectors):
                 f_k = spec_k.f_dim
                 for b, xp in enumerate(rep.sector_points[k]):
                     if x - xp not in hperp:
                         continue
-                    c = rep.offsets[k] + b * f_k
+                    c = sector_slices(rep)[k].start + b * f_k
                     ratio = math.sqrt(povm.densities[k][xp] / povm.densities[j][x])
                     scale = math.sqrt(spec_j.rho(x) / spec_k.rho(xp))
                     expected_d[r : r + f_j, c : c + f_k] = hperp[x - xp]

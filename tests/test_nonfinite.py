@@ -23,7 +23,7 @@ from covpovm import (
     verify_covariance,
 )
 from covpovm.cli import _oracle_report, main
-from covpovm.iojson import quotient_function_from_json
+from covpovm.iojson import quotient_function_from_json, scenario_from_json
 from helpers import scalar_z12_povm, standard_instances
 
 
@@ -68,6 +68,40 @@ class TestRejectedAtTheBoundary:
         rejected = json.loads(capsys.readouterr().out)["rejected"]
         assert rejected["sector"] == 0
         assert rejected["point"] == [0]
+
+
+# Z_8 with H = <4>: the lifted class weight is 1/4, so the finite weight
+# 1e308 at point 0 has an infinite density
+OVERFLOW_SCENARIO = {
+    "spec_version": 1,
+    "group": {"factors": [8]},
+    "subgroup": {"generators": [[4]]},
+    "e_dim": 1,
+    "sectors": [{"f_dim": 1, "support": [[[0], 1e308]] + [[[x], 1.0] for x in range(1, 5)]}],
+    "fields": [{"sector": 0, "matrices": [[[x], [[[1.0, 0.0]]]] for x in range(5)]}],
+}
+
+
+class TestOverflowingDensity:
+    def test_build_names_sector_and_point(self):
+        with pytest.raises(PovmBuildError, match="density") as exc:
+            scenario_from_json(OVERFLOW_SCENARIO).build()
+        assert exc.value.details["sector"] == 0
+        assert exc.value.details["point"] == [0]
+
+    @pytest.mark.parametrize("command", ["build", "matrix", "verify", "sample"])
+    def test_cli_exits_4(self, tmp_path, capsys, command):
+        paths = {"scenario": tmp_path / "s.json", "state": tmp_path / "state.json"}
+        paths["scenario"].write_text(json.dumps(OVERFLOW_SCENARIO))
+        paths["state"].write_text(json.dumps({"state": [[1.0, 0.0]] + [[0.0, 0.0]] * 4}))
+        argv = [command, str(paths["scenario"])]
+        if command == "sample":
+            argv += ["--state", str(paths["state"]), "-n", "10", "--seed", "1"]
+        assert main(argv) == 4
+        out = capsys.readouterr().out
+        rejected = json.loads(out)["rejected"]
+        assert (rejected["sector"], rejected["point"]) == (0, [0])
+        assert "Infinity" not in out and "NaN" not in out
 
 
 class TestNanFailsItsCheck:

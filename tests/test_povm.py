@@ -24,7 +24,7 @@ from covpovm import (
     verify_axioms,
     verify_covariance,
 )
-from helpers import build_rep, random_isometry, scalar_z12_povm, standard_instances
+from helpers import build_rep, random_isometry, scalar_z12_povm, sector_slices, standard_instances
 
 Z12 = FiniteAbelianGroup((12,))
 
@@ -235,20 +235,21 @@ class TestApply:
         povm = build_covariant_povm(rep, trivial_subgroup(g4), fields, e_dim=2)
         rng = np.random.default_rng(3)
         omega = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        direct = povm.apply(omega)
-        oracle = apply_via_intertwiner(povm, omega)
+        direct = povm.assembled(omega)
+        oracle = apply_via_intertwiner(povm, omega).assemble()
+        sectors = sector_slices(rep)
         for j in range(2):
             for k in range(2):
                 np.testing.assert_allclose(
-                    direct.block(j, k), oracle.block(j, k), atol=1e-9
+                    direct[sectors[j], sectors[k]], oracle[sectors[j], sectors[k]], atol=1e-9
                 )
         # with equal unit vectors the kernel is the plain cotransform: the
         # (j, k) entry is the cotransform of omega at x_j - x_k over 4
         fo = povm.ctx.cotransform(omega)
         hperp = {y: i for i, y in enumerate(povm.ctx.hperp_points)}
         x0, x1 = g4.character([0]), g4.character([1])
-        assert direct.block(0, 1)[0, 0] == pytest.approx(fo[hperp[x0 - x1]] / 4)
-        assert direct.block(1, 0)[0, 0] == pytest.approx(fo[hperp[x1 - x0]] / 4)
+        assert direct[sectors[0], sectors[1]][0, 0] == pytest.approx(fo[hperp[x0 - x1]] / 4)
+        assert direct[sectors[1], sectors[0]][0, 0] == pytest.approx(fo[hperp[x1 - x0]] / 4)
 
     def test_oracle_agreement_random(self):
         rng = np.random.default_rng(4)

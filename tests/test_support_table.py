@@ -185,7 +185,7 @@ def test_support_table_is_in_basis_order():
     assert [list(x.coords) for x in rep.sector_points[0]] == [[0, 2], [1, 0], [2, 1]]
     assert table.weights.tolist() == [2.0, 0.5, 1.0, 0.25, 1.5]
     assert table.rows.tolist() == [0, 0, 1, 1, 2, 2, 3, 4]
-    assert rep.sector_dims == (6, 2) and rep.offsets == (0, 6)
+    assert table.row_starts.tolist() == [0, 2, 4, 6, 7]
 
 
 

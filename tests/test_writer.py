@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covpovm import iojson
+from covpovm import FiniteAbelianGroup, iojson, subgroup_from_generators
 from covpovm.cli import main
 
-from helpers import fibered_instance
+from helpers import build_rep, fibered_instance
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, -1e16, 1e-7, math.nan, math.inf, -math.inf]
 AWKWARD_TEXT = ['"', ",", "[", "]", "],[", "[]", "{}", "\n", "é", "π ∑", "\x00", '"],["']
@@ -98,14 +98,6 @@ class TestDumps:
             obj = {"k": [obj]}
         assert iojson.dumps(obj) == stock(obj)
 
-    @given(st.integers(min_value=1, max_value=4).flatmap(uniform))
-    @settings(max_examples=200, deadline=None)
-    def test_uniform_numeric_lists_take_one_compact_call(self, obj):
-        # lists of numbers at one depth are the bulk of CLI output; they must
-        # not fall back to the per-value path
-        assert iojson._numeric_list_chunks(obj, 2) is not None
-        assert iojson.dumps({"k": [obj]}) == stock({"k": [obj]})
-
     @pytest.mark.parametrize(
         "obj",
         [
@@ -173,9 +165,10 @@ class TestDumps:
         m[0, 0] = complex(-0.0, 0.0)
         m[1, 1] = complex(5e-324, -0.0)
         entries = iojson.matrix_to_json(m)["entries"]
-        assert entries == [iojson.complex_to_pair(z) for z in m.reshape(-1)]
-        assert all(type(x) is float for pair in entries for x in pair)
-        assert math.copysign(1.0, entries[0][0]) == -1.0
+        assert entries.dtype == np.float64 and entries.shape == (35, 2)
+        assert entries.tolist() == [iojson.complex_to_pair(z) for z in m.reshape(-1)]
+        assert math.copysign(1.0, entries[0, 0]) == -1.0
+        assert entries[8, 0] == 5e-324 and math.copysign(1.0, entries[8, 1]) == -1.0
 
 
 # --- CLI byte identity -------------------------------------------------------
@@ -206,6 +199,21 @@ def fibered_files():
     scenario = iojson.scenario_to_json(
         iojson.Scenario(povm.rep.group, povm.ctx.subgroup, povm.rep, povm.e_dim, povm.fields)
     )
+    return scenario, {"group": scenario["group"], "subgroup": scenario["subgroup"]}
+
+
+def z8sq_fibered_files():
+    """Z_8 x Z_8 with H = <(0, 2)> (16 cosets) and 24 random characters in
+    sectors of multiplicities 1, 2 and 1, as a scenario file."""
+    rng = np.random.default_rng(88)
+    group = FiniteAbelianGroup((8, 8))
+    points = [divmod(int(p), 8) for p in rng.permutation(64)[:24]]
+    sector_data = [
+        ({x: rng.uniform(0.5, 2.0) for x in points[k::3]}, f) for k, f in enumerate((1, 2, 1))
+    ]
+    rep, fields = build_rep(group, sector_data, rng, e_dim=2)
+    subgroup = subgroup_from_generators(group, [group.element([0, 2])])
+    scenario = iojson.scenario_to_json(iojson.Scenario(group, subgroup, rep, 2, fields))
     return scenario, {"group": scenario["group"], "subgroup": scenario["subgroup"]}
 
 
@@ -323,13 +331,6 @@ def assert_stock_outcome(obj, expected):
         assert iojson.dumps(obj) == text
 
 
-def forbid_compact():
-    """Patch iojson._compact so that any call fails the test."""
-    def fail(obj):
-        raise AssertionError(f"compact encoder called on {obj!r}")
-    return patch.object(iojson, "_compact", fail)
-
-
 @st.composite
 def rectangular(draw, leaves):
     shape = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4))
@@ -337,7 +338,6 @@ def rectangular(draw, leaves):
     return np.array(flat, dtype=object).reshape(shape).tolist()
 
 
-exact_ints = st.integers() | st.integers(min_value=2**64, max_value=10**40)
 exact_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, 1e16]
 )
@@ -374,17 +374,6 @@ class TestShapedText:
             assert_stock_outcome(obj, substituted(obj))
 
     @given(
-        rectangular(exact_ints) | rectangular(exact_floats), st.integers(min_value=0, max_value=3)
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_rectangular_exact_lists_skip_the_compact_encoder(self, obj, depth):
-        for _ in range(depth):
-            obj = {"k": [obj]}
-        expected = stock(obj)
-        with forbid_compact():
-            assert iojson.dumps(obj) == expected
-
-    @given(
         rectangular(exact_floats),
         st.sampled_from([np.float64(0.1), True, False, None, 7, math.nan, math.inf, "ragged"]),
         st.data(),
@@ -414,9 +403,26 @@ class TestShapedText:
             with pytest.raises(ValueError, match="Circular reference detected"):
                 iojson.dumps(obj)
 
-    def test_group_tables_skip_the_compact_encoder(self, tmp_path, capsys):
-        # coordinate tables (int arrays) and the pairing table (pairs of floats)
-        spec = {"group": {"factors": [8, 4]}, "subgroup": {"generators": [[2, 2]]}}
-        with forbid_compact():
-            assert main(["group", write(tmp_path, "g.json", spec)]) == 0
-        assert_stock_text(capsys.readouterr().out)
+    def test_numeric_tables_reach_the_writer_as_arrays(self, tmp_path, capsys):
+        # on a fibered Z_8 x Z_8 scenario, no coordinate table, pairing
+        # table or matrix-entry list may reach the writer as a list
+        scenario, spec = z8sq_fibered_files()
+        scen, spec_path = write(tmp_path, "s.json", scenario), write(tmp_path, "g.json", spec)
+        omega = write(tmp_path, "o.json", {"values": [[1.0, -0.5]] * 16})
+        lists = []
+        encode_list = iojson._encode_list
+
+        def recording(lst, *args):
+            lists.append(lst)
+            encode_list(lst, *args)
+
+        with patch.object(iojson, "_encode_list", recording):
+            assert main(["matrix", scen]) == 0
+            assert main(["matrix", scen, "--omega", omega]) == 0
+            assert lists == []
+            capsys.readouterr()
+            assert main(["group", spec_path]) == 0
+        out = capsys.readouterr().out
+        assert_stock_text(out)
+        generators = json.loads(out)["subgroup"]["generators"]
+        assert lists == [[8, 8], generators, *generators]
