@@ -133,13 +133,15 @@ class QuotientContext:
 
     def cotransform(self, omega) -> np.ndarray:
         """Values of the Fourier cotransform of a quotient function, indexed
-        like ``hperp_points``."""
+        like ``hperp_points``; for a (k, q) stack of quotient functions, the
+        (k, |H-perp|) stack of their cotransforms, each row the same
+        matrix-vector product as for that function alone."""
         omega = np.asarray(omega, dtype=complex)
-        if omega.shape != (self.n_cosets,):
+        if omega.ndim not in (1, 2) or omega.shape[-1] != self.n_cosets:
             raise ValueError(f"expected {self.n_cosets} coset values, got {omega.shape}")
         if not np.isfinite(omega).all():
             raise ValueError("quotient function has non-finite values")
-        return self._fourier_matrix @ omega
+        return (self._fourier_matrix @ omega[..., None])[..., 0]
 
     def cotransform_adjoint(self, phi) -> np.ndarray:
         """Adjoint of :meth:`cotransform`; inverse of it, by unitarity."""

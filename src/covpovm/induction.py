@@ -249,10 +249,11 @@ def transported_multiplication_act(
 ) -> np.ndarray:
     """Multiplication by a quotient function, conjugated into the diagonal
     model: convolution of phi with the cotransform of omega along each
-    fiber, carrying the annihilator Haar weight."""
+    fiber, carrying the annihilator Haar weight. A (k, q) stack of quotient
+    functions gives the (k, n_points, e_dim) stack of their products."""
     fo = dspace.ctx.cotransform(omega)
     shifted = phi[dspace._shift_table]  # (points, hperp, e)
-    return dspace.ctx.hperp_weight * (fo @ shifted)
+    return dspace.ctx.hperp_weight * (fo[..., None, None, :] @ shifted)[..., 0, :]
 
 
 def character_multiplication_act(
@@ -304,35 +305,28 @@ def transported_multiplication_matrix(dspace: DiagonalSpace, omega) -> np.ndarra
     points[j] = hperp[a], and 0 across fibers. Weights are equal within a
     fiber, so these values are the coordinates of the act's response to
     the impulse at points[0] (its fiber holds every shift); one act call
-    per omega gives them, the shift-index table spreads them, and the
-    point matrix is written onto the C^E diagonal of each point block.
+    on the whole stack gives them, the shift-index table spreads them, and
+    the point matrix is written onto the C^E diagonal of each point block.
     """
-    omegas = np.asarray(omega)
-    stacked = omegas.ndim == 2
-    if not stacked:
-        omegas = omegas[None]
+    lead = np.shape(omega)[:-1]  # () for one omega, (k,) for a stack
     n_points, e = dspace.shape
-    out = np.zeros((len(omegas), n_points, e, n_points, e), dtype=complex)
+    out = np.zeros((*lead, n_points, e, n_points, e), dtype=complex)
     if dspace.dim:
         impulse = np.zeros(dspace.dim, dtype=complex)
         impulse[0] = 1.0
         impulse = dspace.from_coords(impulse)
-        responses = np.reshape(
-            [transported_multiplication_act(dspace, w, impulse) for w in omegas],
-            (len(omegas), n_points, e),
-        )
+        responses = transported_multiplication_act(dspace, omega, impulse)
         # orthonormal coordinates of each point's first C^E coordinate
-        firsts = responses[:, :, 0] * dspace._sqrt_weights[:, 0]
+        firsts = responses[..., 0] * dspace._sqrt_weights[:, 0]
         shifts = dspace._shift_index
         in_fiber = shifts[:, 0] >= 0
         # one slot per annihilator shift and a last one, 0, that -1 reads
-        values = np.zeros((len(omegas), dspace.ctx.annihilator.order + 1), dtype=complex)
-        values[:, shifts[in_fiber, 0]] = firsts[:, in_fiber]
-        block = values[:, shifts]
+        values = np.zeros((*lead, dspace.ctx.annihilator.order + 1), dtype=complex)
+        values[..., shifts[in_fiber, 0]] = firsts[..., in_fiber]
+        block = values[..., shifts]
         for i in range(e):
-            out[:, :, i, :, i] = block
-    out = out.reshape(len(omegas), dspace.dim, dspace.dim)
-    return out if stacked else out[0]
+            out[..., :, i, :, i] = block
+    return out.reshape(*lead, dspace.dim, dspace.dim)
 
 
 def character_multiplication_matrix(dspace: DiagonalSpace, a: GroupElement) -> np.ndarray:

@@ -292,10 +292,13 @@ def _matrices(matrices: list, where) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _complex_values(pairs, where=lambda i: "") -> np.ndarray:
-    """The complex numbers of a list of [re, im] pairs: after one type pass,
-    a view of the float pairs, exact to the signed zero. Otherwise the first
-    pair that is not two real numbers is named by ``pair_to_complex``, with
-    where(i) appended."""
+    """The complex numbers of a list of [re, im] pairs, or of the (n, 2)
+    float64 array :func:`pairs_to_json` returns: a complex view of a fresh
+    float copy, exact to the signed zero. Otherwise the first pair that is
+    not two real numbers is named by ``pair_to_complex``, with where(i)
+    appended."""
+    if isinstance(pairs, np.ndarray) and pairs.dtype == np.float64 and pairs.shape[1:] == (2,):
+        return np.array(pairs, order="C").view(complex)[:, 0]
     regular = set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
     leaves = list(chain.from_iterable(pairs)) if regular else []
     if regular and set(map(type, leaves)) <= {int, float}:

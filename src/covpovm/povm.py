@@ -54,7 +54,7 @@ from .harmonic import (
 from .induction import DiagonalSpace, transported_multiplication_matrix
 
 DEFAULT_ATOL = 1e-9
-# entries per block of conjugated effects in verify_covariance (4 MB complex)
+# entries per block of the verifiers' and the oracle's stacked arrays (4 MB complex)
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -432,14 +432,15 @@ class FieldTable(Sequence):
 @dataclass(frozen=True, eq=False)
 class BlockOperator:
     """Operator on a diagonal rep space: one dense matrix in the documented
-    sector-major basis, in orthonormal coordinates."""
+    sector-major basis, in orthonormal coordinates, or a (k, dim, dim) stack
+    of them."""
 
     rep: DiagonalRep
     matrix: np.ndarray
 
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def assemble(self) -> np.ndarray:
         """Dense matrix in the documented sector-major basis."""
@@ -523,10 +524,12 @@ class CovariantPOVM:
     def apply(self, omega) -> BlockOperator:
         """Evaluate the POVM on a quotient function through the kernel:
         entry (x, x') carries the cotransform of omega at x - x', the square
-        root of the density ratio, and the isometry overlap."""
+        root of the density ratio, and the isometry overlap. A (k, q) stack
+        of quotient functions gives the (k, dim, dim) stack of effects."""
         index, kernel = self._kernel
+        fo = self.ctx.cotransform(omega)
         # D = -1 (across fibers, where K is 0 too) reads the appended zero
-        matrix = np.concatenate((self.ctx.cotransform(omega), [0.0])).take(index)
+        matrix = np.concatenate((fo, np.zeros_like(fo[..., :1])), axis=-1).take(index, axis=-1)
         matrix *= kernel
         return BlockOperator(self.rep, matrix)
 
@@ -873,29 +876,38 @@ def verify_axioms(povm_like, atol: float = DEFAULT_ATOL) -> VerificationReport:
     additivity that fails a family which is not linear in omega; for a
     linear family, positive singletons make every union positive.
     Normalization is exhaustive: the effect of the whole quotient against
-    the identity, entrywise.
+    the identity, entrywise. The q singletons, the whole quotient and
+    {0, 1} are one stack, evaluated in blocks of ``_BLOCK_ENTRIES`` entries.
 
-    Accepts any object with ``ctx``, ``dimension``, ``assembled(omega) ->
-    ndarray`` and ``u_matrix(g)``; U(g) must be diagonal, as it is for a
-    :class:`DiagonalRep`, and a U(r_j) with a nonzero off-diagonal entry
-    raises ``ValueError``. Never raises on numerical failure otherwise: the
-    report carries the deviations, NaN included.
+    Accepts any object with ``ctx``, ``dimension``, ``u_matrix(g)`` and
+    ``assembled(omegas)``, which maps a (k, q) stack of quotient functions
+    to the (k, dim, dim) stack of their effects; U(g) must be diagonal, as
+    it is for a :class:`DiagonalRep`, and a U(r_j) with a nonzero
+    off-diagonal entry raises ``ValueError``. Never raises on numerical
+    failure otherwise: the report carries the deviations, NaN included.
     """
     ctx = povm_like.ctx
     q = ctx.n_cosets
-    first = povm_like.assembled(ctx.indicator([0]))
-    gaps, additivity = [], 0.0
-    for j, r in enumerate(ctx.quotient.representatives[1:], start=1):
-        phases = _diagonal_phases(povm_like, r)
-        effect = povm_like.assembled(ctx.indicator([j]))
-        gaps.append(_worst(np.abs(phases[:, None] * first * phases.conj() - effect)))
-        if j == 1:
-            union = povm_like.assembled(ctx.indicator([0, 1]))
-            additivity = _worst(np.abs(first + effect - union))
+    # row j < q is the singleton j, row q the whole quotient, row q + 1 {0, 1}
+    unions = [ctx.indicator([0, 1])] if q > 1 else []
+    omegas = np.vstack((np.eye(q), np.ones(q), *unions))
+    block = max(1, _BLOCK_ENTRIES // max(povm_like.dimension**2, 1))
+    reps, kept, gaps = ctx.quotient.representatives, {}, []
+    for start in range(0, len(omegas), block):
+        effects = povm_like.assembled(omegas[start : start + block])
+        kept.update((j, effects[j - start]) for j in (0, 1, q, q + 1) if 0 <= j - start < len(effects))
+        singles = range(max(start, 1), min(start + len(effects), q))
+        if len(singles):
+            phases = np.stack([_diagonal_phases(povm_like, reps[j]) for j in singles])
+            moved = phases[:, :, None] * kept[0]
+            moved *= phases.conj()[:, None, :]
+            moved -= effects[singles.start - start : singles.stop - start]
+            gaps.append(_worst(np.abs(moved)))
+    first = kept[0]
+    additivity = _worst(np.abs(first + kept[1] - kept[q + 1])) if q > 1 else 0.0
     delta = _worst(gaps)
     pos_dev = max(_positivity_deviation(first), additivity) + max(first.shape[0], 2) * delta
-    total = povm_like.assembled(ctx.indicator(range(q)))
-    norm_dev = _worst(np.abs(total - np.eye(povm_like.dimension)))
+    norm_dev = _worst(np.abs(kept[q] - np.eye(povm_like.dimension)))
     return VerificationReport(
         (
             CheckResult("positivity", pos_dev <= atol, pos_dev),
@@ -914,25 +926,21 @@ def verify_covariance(povm_like, atol: float = DEFAULT_ATOL) -> VerificationRepo
     deviation over them. That bounds the deviation at every g in G: g is a
     word of at most L generators, U is a homomorphism, and conjugation by
     a diagonal unitary keeps the modulus of every entry, so the per-step
-    deviations add along the word. Each of the q singleton effects is
-    evaluated once through ``assembled`` into one stack, so a ``povm_like``
-    must return an effect that depends only on omega; ``ctx.translated``
-    applied to the coset indices gives, for each coset i, the coset j that
-    s carries onto i. U(s) must be diagonal, as it is for a
-    :class:`DiagonalRep`: conjugation is then the entrywise product of M
-    with phases[:, None] * conj(phases), phases the diagonal of U(s), taken
-    a block of cosets at a time, and a U(s) with a nonzero off-diagonal
-    entry raises ``ValueError``.
+    deviations add along the word. The q singleton effects are one stack,
+    evaluated once: ``assembled(omegas)`` maps a (k, q) stack of quotient
+    functions to the (k, dim, dim) stack of their effects, each depending
+    only on its omega. ``ctx.translated`` applied to the coset indices
+    gives, for each coset i, the coset j that s carries onto i. U(s) must
+    be diagonal, as it is for a :class:`DiagonalRep`: conjugation is then
+    the entrywise product of M with phases[:, None] * conj(phases), phases
+    the diagonal of U(s), taken a block of cosets at a time, and a U(s)
+    with a nonzero off-diagonal entry raises ``ValueError``.
     """
     ctx = povm_like.ctx
     q = ctx.n_cosets
-    first = povm_like.assembled(ctx.indicator([0]))
-    effects = np.empty((q, *first.shape), dtype=complex)
-    effects[0] = first
-    for j in range(1, q):
-        effects[j] = povm_like.assembled(ctx.indicator([j]))
+    effects = povm_like.assembled(np.eye(q))
     cosets = np.arange(q)
-    block = max(1, _BLOCK_ENTRIES // max(first.size, 1))
+    block = max(1, _BLOCK_ENTRIES // max(effects[0].size, 1))
     generators = ctx.group.doubling_generators()
     devs = []
     for s in generators:

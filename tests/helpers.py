@@ -1,5 +1,6 @@
 """Shared test utilities: brute-force oracles and instance builders."""
 
+import functools
 import math
 
 import numpy as np
@@ -321,12 +322,24 @@ def fibered_instance(seed=5):
     return build_covariant_povm(rep, h, fields, e_dim=4)
 
 
+def row_by_row(assembled):
+    """A test double's single-omega ``assembled(self, omega)`` lifted to the
+    verifiers' protocol: a (k, q) stack of quotient functions in, the
+    (k, dim, dim) stack of their effects out, one call per row."""
+
+    @functools.wraps(assembled)
+    def stacked(self, omegas):
+        return np.stack([assembled(self, omega) for omega in omegas])
+
+    return stacked
+
+
 def brute_covariance_deviation(povm_like):
     """max |U(g) M(e_j) U(g)* - M(g . e_j)| over every g in G and every
     singleton coset j, with dense U(g) products and the coset of
     rep_j + g looked up per pair; NaN if any entry is NaN."""
     ctx = povm_like.ctx
-    effects = [povm_like.assembled(ctx.indicator([j])) for j in range(ctx.n_cosets)]
+    effects = [povm_like.assembled(ctx.indicator([j])[None])[0] for j in range(ctx.n_cosets)]
     reps = ctx.quotient.representatives
     devs = [0.0]
     for g in ctx.group.elements():
@@ -344,7 +357,7 @@ def brute_positivity_deviation(povm_like):
     ctx = povm_like.ctx
     devs = [0.0]
     for j in range(ctx.n_cosets):
-        m = povm_like.assembled(ctx.indicator([j]))
+        m = povm_like.assembled(ctx.indicator([j])[None])[0]
         if not m.size:
             continue
         if not np.isfinite(m).all():

@@ -37,7 +37,7 @@ from covpovm import (
     verify_covariance,
 )
 from covpovm.cli import main as cli_main
-from helpers import random_isometry, scalar_z12_povm, standard_instances
+from helpers import random_isometry, row_by_row, scalar_z12_povm, standard_instances
 
 TOL = 1e-9
 
@@ -155,6 +155,7 @@ def test_criterion_4_axioms_covariance_and_perturbation_detection():
         ctx = povm.ctx
         dimension = povm.dimension
 
+        @row_by_row
         def assembled(self, omega):
             m = povm.assembled(omega)
             if np.array_equal(np.asarray(omega), target):

@@ -306,6 +306,15 @@ class TestJsonRoundTrips:
         text = iojson.dumps(iojson.matrix_to_json(m))
         np.testing.assert_array_equal(iojson.matrix_from_json(json.loads(text)), m)
 
+    def test_matrix_in_process(self):
+        # matrix_to_json returns an (n, 2) float array; reading it back keeps
+        # every bit, the signed zero and a subnormal included
+        pairs = np.array([[-0.0, 5e-324], [1.0, -0.0], [-0.0, -0.0], [2.5e-310, -1.5]])
+        m = pairs.view(complex).reshape(2, 2)
+        again = iojson.matrix_from_json(iojson.matrix_to_json(m))
+        assert again.shape == (2, 2)
+        np.testing.assert_array_equal(again.view(np.uint64), m.view(np.uint64))
+
     def test_trig_polynomial(self):
         p = TrigPolynomial({-2: 1j, 0: 2.0, 3: 1.0 - 0.5j})
         again = iojson.trig_polynomial_from_json(iojson.trig_polynomial_to_json(p))

@@ -24,7 +24,7 @@ from covpovm import (
 )
 from covpovm.cli import _oracle_report, main
 from covpovm.iojson import quotient_function_from_json, scenario_from_json
-from helpers import scalar_z12_povm, standard_instances
+from helpers import row_by_row, scalar_z12_povm, standard_instances
 
 
 def nan_field_povm():
@@ -127,6 +127,7 @@ class TestNanFailsItsCheck:
             ctx = povm.ctx
             dimension = povm.dimension
 
+            @row_by_row
             def assembled(self, omega):
                 m = povm.assembled(omega)
                 if np.array_equal(np.asarray(omega), povm.ctx.indicator([3])):

@@ -24,7 +24,14 @@ from covpovm import (
     verify_axioms,
     verify_covariance,
 )
-from helpers import build_rep, random_isometry, scalar_z12_povm, sector_slices, standard_instances
+from helpers import (
+    build_rep,
+    random_isometry,
+    row_by_row,
+    scalar_z12_povm,
+    sector_slices,
+    standard_instances,
+)
 
 Z12 = FiniteAbelianGroup((12,))
 
@@ -301,6 +308,7 @@ class TestVerification:
             ctx = povm.ctx
             dimension = povm.dimension
 
+            @row_by_row
             def assembled(self, omega):
                 m = povm.assembled(omega)
                 if np.array_equal(np.asarray(omega), target):
@@ -327,6 +335,7 @@ class TestVerification:
             ctx = povm.ctx
             dimension = povm.dimension
 
+            @row_by_row
             def assembled(self, omega):
                 calls.append(1)
                 m = povm.assembled(omega)
@@ -351,6 +360,7 @@ class TestVerification:
             ctx = povm.ctx
             dimension = povm.dimension
 
+            @row_by_row
             def assembled(self, omega):
                 return povm.assembled(omega)
 
@@ -394,6 +404,7 @@ class TestVerification:
             ctx = povm.ctx
             dimension = povm.dimension
 
+            @row_by_row
             def assembled(self, omega):
                 return np.zeros((1, 1), dtype=complex)
 
@@ -600,7 +611,7 @@ class TestNoRepeatedWork:
         assert report.passed
         assert len(calls) == 1
 
-    def test_oracle_report_calls_the_act_once_per_omega(self, monkeypatch):
+    def test_oracle_report_calls_the_act_once_per_block(self, monkeypatch):
         import covpovm.induction as induction_module
         from covpovm.cli import _oracle_report
 
@@ -608,13 +619,14 @@ class TestNoRepeatedWork:
         calls = []
         original = induction_module.transported_multiplication_act
 
-        def counted(*args):
-            calls.append(1)
-            return original(*args)
+        def counted(dspace, omegas, phi):
+            calls.append(len(omegas))
+            return original(dspace, omegas, phi)
 
         monkeypatch.setattr(induction_module, "transported_multiplication_act", counted)
         q = povm.ctx.n_cosets
         report = _oracle_report(povm, 1e-9, [np.arange(q, dtype=complex)])
         assert report.passed
-        # q indicators, the constant function, one extra and 10 random functions
-        assert len(calls) == q + 12
+        # q indicators, the constant function, one extra and 10 random
+        # functions, as the rows of one stack: the whole stack fits one block
+        assert calls == [q + 12]

@@ -20,6 +20,7 @@ from helpers import (
     brute_positivity_deviation,
     build_rep,
     random_isometry,
+    row_by_row,
     scalar_z12_povm,
     standard_instances,
 )
@@ -33,6 +34,7 @@ class Wrapped:
         self.povm, self.extra = povm, extra
         self.ctx, self.dimension = povm.ctx, povm.dimension
 
+    @row_by_row
     def assembled(self, omega):
         m = self.povm.assembled(omega)
         hits = np.flatnonzero(omega)
@@ -135,6 +137,7 @@ class TestDetectionAndCounts:
             ctx = povm.ctx
             dimension = povm.dimension
 
+            @row_by_row
             def assembled(self, omega):
                 m = povm.assembled(omega)
                 if 1 < np.count_nonzero(omega) < q:
@@ -172,6 +175,7 @@ class TestDetectionAndCounts:
                 ctx = povm.ctx
                 dimension = povm.dimension
 
+                @row_by_row
                 def assembled(self, omega):
                     return povm.assembled(omega)
 
@@ -190,6 +194,7 @@ class TestDetectionAndCounts:
             ctx = povm.ctx
             dimension = povm.dimension
 
+            @row_by_row
             def assembled(self, omega):
                 return povm.assembled(omega)
 
