@@ -235,12 +235,9 @@ def diagonalizer_adjoint_apply(space: InducedSpace, phi: np.ndarray) -> np.ndarr
     """
     dspace = space.diagonal_space
     out = space.zero()
-    conj_pairing = dspace._rep_pairing.conj()  # (points, cosets)
-    for p in range(len(dspace.points)):
-        s = dspace._fiber_position[p]
-        out[:, s, :] += (
-            space.ctx.hperp_weight * conj_pairing[p][:, None] * phi[p][None, :]
-        )
+    terms = space.ctx.hperp_weight * dspace._rep_pairing.conj()  # (points, cosets)
+    # unbuffered, in point order: each fiber sums its points as a loop would
+    np.add.at(out.transpose(1, 0, 2), dspace._fiber_position, terms[:, :, None] * phi[:, None])
     return out
 
 

@@ -3,13 +3,14 @@
 Three constructions: the cyclic surrogate of the covariant position
 observable, the phase observable of a torus representation with arbitrary
 multiplicities, and the two-mode phase difference observable. The torus
-enters in band-limited form, so every Fourier coefficient is read off a
-trigonometric polynomial exactly; the cyclic case delegates to the
+enters in band-limited form: exact coefficients at frequency differences
+times a Gram matrix (:func:`_gram_formula`); the cyclic case delegates to the
 generic POVM builder.
 """
 
 from __future__ import annotations
 
+import cmath
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +26,18 @@ from .povm import DEFAULT_ATOL, CovariantPOVM, DiagonalRep, FieldTable, build_co
 SAMPLE_BLOCK = 1 << 16
 # position of a 64-bit word's top half among its two 32-bit halves in memory
 _HIGH_HALF = 1 if sys.byteorder == "little" else 0
+# torus frequencies lie in [-2**61, 2**61), so that the int64 sums and
+# differences of two of them, and their offsets in a window's box, never wrap
+_FREQUENCY_BOUND = 2**61
+
+
+def _as_frequency(value) -> int:
+    """An integer frequency (not a bool) inside the bound; ``ValueError``
+    naming the value otherwise."""
+    n = _as_int(value, "frequency")
+    if not -_FREQUENCY_BOUND <= n < _FREQUENCY_BOUND:
+        raise ValueError(f"frequency {n} is outside [-2**61, 2**61)")
+    return n
 
 
 @dataclass(frozen=True)
@@ -33,13 +46,21 @@ class TrigPolynomial:
 
     Exact zero coefficients are dropped. The cotransform convention is
     (1/2pi) integral of w(e^{i theta}) e^{i n theta}, which picks out the
-    coefficient at -n.
+    coefficient at -n. A frequency that is not an integer in
+    [-2**61, 2**61), or a coefficient that is not finite, raises
+    ``ValueError`` naming it.
     """
 
     coeffs: Mapping[int, complex]
 
     def __post_init__(self):
-        cleaned = {int(n): complex(c) for n, c in self.coeffs.items() if complex(c) != 0}
+        cleaned = {}
+        for n, c in self.coeffs.items():
+            n, c = _as_frequency(n), complex(c)
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient at frequency {n} is not finite: {c}")
+            if c != 0:
+                cleaned[n] = c
         object.__setattr__(self, "coeffs", cleaned)
 
     @property
@@ -48,7 +69,7 @@ class TrigPolynomial:
 
     def fourier_coefficient(self, n: int) -> complex:
         """Cotransform value at frequency n, i.e. the coefficient at -n."""
-        return self.coeffs.get(-int(n), 0.0 + 0.0j)
+        return self.coeffs.get(-_as_int(n, "frequency"), 0.0 + 0.0j)
 
     def eval_angle(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -76,13 +97,26 @@ class TrigPolynomial:
         return TrigPolynomial({1: 0.5, -1: 0.5})
 
 
+def _gram_formula(omega: TrigPolynomial, labels, columns, classes) -> np.ndarray:
+    """Entry (a, b): omega's coefficient at labels[b] - labels[a] times the Gram
+    matrix of the columns; a miss or a pair across classes reads the 0 sentinel."""
+    keys, values = map(np.array, zip(*sorted(omega.coeffs.items()), (np.iinfo(np.int64).max, 0j)))
+    m = labels[None, :] - labels[:, None]
+    at = np.searchsorted(keys, m)
+    at[(keys[at] != m) | (classes[:, None] != classes[None, :])] = -1
+    return values[at] * (columns.conj().T @ columns)
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseObservable:
     """Covariant observable of a torus representation with finite spectrum.
 
     One isometry of shape (e_dim, multiplicity) per occupied frequency;
     an optional degree window caps the band limit of admissible outcome
-    functions.
+    functions. A frequency that is not an integer in [-2**61, 2**61), a
+    matrix that is not two-dimensional with at least one column, and a
+    degree window that is not an integer >= 0 raise ``ValueError`` naming
+    the value.
     """
 
     isometries: Mapping[int, np.ndarray]
@@ -91,7 +125,18 @@ class PhaseObservable:
     def __post_init__(self):
         if not self.isometries:
             raise ValueError("at least one frequency is required")
-        mats = {int(k): np.asarray(w, dtype=complex) for k, w in self.isometries.items()}
+        if self.degree_window is not None:
+            window = _as_int(self.degree_window, "degree window")
+            if window < 0:
+                raise ValueError(f"degree window must be >= 0, got {window}")
+            object.__setattr__(self, "degree_window", window)
+        mats = {_as_frequency(k): np.asarray(w, dtype=complex) for k, w in self.isometries.items()}
+        for k, w in mats.items():
+            if w.ndim != 2 or w.shape[1] < 1:
+                raise ValueError(
+                    f"isometry at frequency {k} has shape {w.shape}, not "
+                    "(e_dim, multiplicity) with multiplicity >= 1"
+                )
         e_dims = {w.shape[0] for w in mats.values()}
         if len(e_dims) != 1:
             raise ValueError("all isometries must share the embedding dimension")
@@ -116,19 +161,21 @@ class PhaseObservable:
     def total_dim(self) -> int:
         return sum(self.f_dim(k) for k in self.indices)
 
+    def _check_degree(self, omega: TrigPolynomial) -> None:
+        if self.degree_window is not None and omega.degree > self.degree_window:
+            window = self.degree_window
+            raise ValueError(f"outcome function degree {omega.degree} exceeds the window {window}")
+
 
 def phase_matrix_element(
     obs: PhaseObservable, omega: TrigPolynomial, j: int, k: int
 ) -> np.ndarray:
     """Block of the phase observable between two frequencies: the outcome
     function's cotransform at j - k times the isometry overlap."""
+    j, k = _as_int(j, "frequency"), _as_int(k, "frequency")
     if j not in obs.isometries or k not in obs.isometries:
         raise ValueError(f"frequencies ({j}, {k}) outside the index set")
-    if obs.degree_window is not None and omega.degree > obs.degree_window:
-        raise ValueError(
-            f"outcome function degree {omega.degree} exceeds the window "
-            f"{obs.degree_window}"
-        )
+    obs._check_degree(omega)
     w_j = obs.isometries[j]
     w_k = obs.isometries[k]
     return omega.fourier_coefficient(j - k) * (w_j.conj().T @ w_k)
@@ -136,21 +183,18 @@ def phase_matrix_element(
 
 def assemble_phase_operator(obs: PhaseObservable, omega: TrigPolynomial) -> np.ndarray:
     """Dense matrix over the multiplicity sum, frequencies in sorted order."""
-    dims = [obs.f_dim(k) for k in obs.indices]
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    out = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
-    for a, j in enumerate(obs.indices):
-        for b, k in enumerate(obs.indices):
-            out[offsets[a] : offsets[a + 1], offsets[b] : offsets[b + 1]] = (
-                phase_matrix_element(obs, omega, j, k)
-            )
-    return out
+    obs._check_degree(omega)
+    rows = np.repeat(obs.indices, [obs.f_dim(k) for k in obs.indices])
+    columns = np.concatenate([obs.isometries[k] for k in obs.indices], axis=1)
+    return _gram_formula(omega, rows, columns, np.zeros_like(rows))
 
 
 @dataclass(frozen=True, eq=False)
 class PhaseDifferenceObservable:
     """Two-mode phase difference observable over a finite frequency window,
-    specified by one unit vector per occupied frequency pair."""
+    specified by one unit vector per occupied frequency pair. A key that is
+    not a pair of integers in [-2**61, 2**61), and a vector whose length
+    differs from the first one's, raise ``ValueError`` naming it."""
 
     vectors: Mapping[tuple[int, int], np.ndarray]
 
@@ -162,7 +206,12 @@ class PhaseDifferenceObservable:
             v = np.asarray(v, dtype=complex).reshape(-1)
             if not abs(np.linalg.norm(v) - 1.0) <= DEFAULT_ATOL:
                 raise ValueError(f"vector at {key} is not normalized")
-            vecs[(int(key[0]), int(key[1]))] = v
+            length = len(next(iter(vecs.values()), v))
+            if len(v) != length:
+                raise ValueError(f"vector at {key} has length {len(v)}, the first has {length}")
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise ValueError(f"key {key!r} is not a frequency pair (i, j)")
+            vecs[(_as_frequency(key[0]), _as_frequency(key[1]))] = v
         object.__setattr__(self, "vectors", vecs)
 
     @cached_property
@@ -182,8 +231,8 @@ def phase_difference_matrix_element(
     surviving diagonal it is the cotransform at the frequency mismatch
     times the overlap of the defining unit vectors.
     """
-    i, j = int(source[0]), int(source[1])
-    l, m = int(target[0]), int(target[1])
+    i, j = (_as_int(n, "frequency") for n in source)
+    l, m = (_as_int(n, "frequency") for n in target)
     if (i, j) not in obs.vectors or (l, m) not in obs.vectors:
         raise ValueError(f"frequency pairs {source}, {target} outside the window")
     if i + j != l + m:
@@ -197,13 +246,11 @@ def phase_difference_matrix_element(
 def assemble_phase_difference_operator(
     obs: PhaseDifferenceObservable, omega: TrigPolynomial
 ) -> np.ndarray:
-    """Dense matrix over the window, pairs in sorted order."""
-    window = obs.window
-    out = np.zeros((len(window), len(window)), dtype=complex)
-    for b, src in enumerate(window):
-        for a, tgt in enumerate(window):
-            out[a, b] = phase_difference_matrix_element(obs, omega, src, tgt)
-    return out
+    """Dense matrix over the window, pairs in sorted order; entries between
+    index-sum classes (i + j != l + m, the selection rule) are 0."""
+    pairs = np.array(obs.window, dtype=np.int64)
+    columns = np.array([obs.vectors[pair] for pair in obs.window]).T
+    return _gram_formula(omega, -pairs[:, 1], columns, pairs.sum(axis=1))
 
 
 def window_truncates_selection_rule(obs: PhaseDifferenceObservable) -> bool:
@@ -215,15 +262,13 @@ def window_truncates_selection_rule(obs: PhaseDifferenceObservable) -> bool:
     flagged; its assembled effects are still principal submatrices, but
     class blocks are incomplete.
     """
-    window = set(obs.window)
-    i_vals = [i for i, _ in window]
-    j_vals = [j for _, j in window]
-    sums = {i + j for i, j in window}
-    for i in range(min(i_vals), max(i_vals) + 1):
-        for j in range(min(j_vals), max(j_vals) + 1):
-            if i + j in sums and (i, j) not in window:
-                return True
-    return False
+    # an a x b box holds min(t + 1, a, b, a + b - 1 - t) points of offset sum t
+    offsets = np.array(obs.window, dtype=np.int64)
+    offsets -= offsets.min(axis=0)
+    a, b = offsets.max(axis=0) + 1
+    sums, held = np.unique(offsets.sum(axis=1), return_counts=True)
+    box = np.minimum(np.minimum(sums + 1, a + b - 1 - sums), min(a, b))
+    return bool((held < box).any())
 
 
 def position_povm_zn(n: int, unit_vectors: Sequence[np.ndarray]) -> CovariantPOVM:

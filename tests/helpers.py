@@ -15,16 +15,22 @@ from covpovm import (
     DiagonalRep,
     DiagonalSpace,
     DualCharacter,
+    FieldTable,
     FiniteAbelianGroup,
     IsometryField,
+    PhaseObservable,
     PovmBuildError,
     QuotientContext,
     QuotientGroup,
     SectorSpec,
     WeightedMeasure,
+    assemble_phase_difference_operator,
+    assemble_phase_operator,
     build_covariant_povm,
     intertwiner_matrix,
     pairing,
+    phase_difference_matrix_element,
+    phase_matrix_element,
     subgroup_from_generators,
     transported_multiplication_act,
     transported_multiplication_matrix,
@@ -526,3 +532,118 @@ def loop_intertwiner(povm):
                 scale * np.asarray(povm.fields[k].matrices[x], dtype=complex)
             )
     return out
+
+
+def loop_diagonalizer_adjoint_apply(space, phi):
+    """The adjoint diagonalizer one point at a time: conj(<x, g>) phi(x)
+    with the annihilator Haar weight, added into the coset of x."""
+    dspace = space.diagonal_space
+    out = space.zero()
+    conj_pairing = dspace._rep_pairing.conj()  # (points, cosets)
+    for p in range(len(dspace.points)):
+        s = dspace._fiber_position[p]
+        out[:, s, :] += (
+            space.ctx.hperp_weight * conj_pairing[p][:, None] * phi[p][None, :]
+        )
+    return out
+
+
+# --- the torus observables one block or entry at a time, and their surrogates -
+
+
+def loop_phase_operator(obs, omega):
+    """The phase observable one ``phase_matrix_element`` block per pair of
+    frequencies, in sorted order."""
+    dims = [obs.f_dim(k) for k in obs.indices]
+    offsets = np.concatenate([[0], np.cumsum(dims)])
+    out = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
+    for a, j in enumerate(obs.indices):
+        for b, k in enumerate(obs.indices):
+            out[offsets[a] : offsets[a + 1], offsets[b] : offsets[b + 1]] = (
+                phase_matrix_element(obs, omega, j, k)
+            )
+    return out
+
+
+def loop_phase_difference_operator(obs, omega):
+    """The phase difference observable one
+    ``phase_difference_matrix_element`` per pair of window points."""
+    window = obs.window
+    out = np.zeros((len(window), len(window)), dtype=complex)
+    for b, src in enumerate(window):
+        for a, tgt in enumerate(window):
+            out[a, b] = phase_difference_matrix_element(obs, omega, src, tgt)
+    return out
+
+
+def loop_truncates_selection_rule(obs):
+    """Whether some point of the window's bounding box lies off the window
+    on an occupied index-sum class, testing every box point."""
+    window = set(obs.window)
+    i_vals = [i for i, _ in window]
+    j_vals = [j for _, j in window]
+    sums = {i + j for i, j in window}
+    for i in range(min(i_vals), max(i_vals) + 1):
+        for j in range(min(j_vals), max(j_vals) + 1):
+            if i + j in sums and (i, j) not in window:
+                return True
+    return False
+
+
+def torus_span(obs):
+    """Largest frequency span of the observable along any one mode."""
+    keys = np.array(obs.indices if isinstance(obs, PhaseObservable) else obs.window)
+    keys = keys.reshape(len(keys), -1)
+    return int((keys.max(axis=0) - keys.min(axis=0)).max())
+
+
+def torus_surrogate(obs, n):
+    """The torus observable as a finite-group POVM: on Z_n with H trivial
+    for the phase observable, on Z_n x Z_n with H = <(1, 1)> for the phase
+    difference. Each frequency (pair) k, in sorted order, is the character
+    k mod n, alone in its own sector with weight 1 and its isometry (unit
+    vector) as the field, so the basis order is the torus one."""
+    if isinstance(obs, PhaseObservable):
+        group, generators = FiniteAbelianGroup((n,)), []
+        keys, mats = [[k] for k in obs.indices], [obs.isometries[k] for k in obs.indices]
+    else:
+        group = FiniteAbelianGroup((n, n))
+        generators = [group.element([1, 1])]
+        keys, mats = obs.window, [obs.vectors[pair][:, None] for pair in obs.window]
+    sectors = np.arange(len(keys))
+    indices = group.ravel(np.array(keys))
+    f_dims = [w.shape[1] for w in mats]
+    rep = DiagonalRep.of_arrays(group, sectors, indices, np.ones(len(keys)), f_dims)
+    shapes = np.array([w.shape for w in mats])
+    data = np.concatenate([w.ravel() for w in mats])
+    fields = FieldTable(group, sectors, sectors, indices, shapes, data)
+    subgroup = subgroup_from_generators(group, generators)
+    return build_covariant_povm(rep, subgroup, fields, e_dim=mats[0].shape[0])
+
+
+def reduction_gap(obs, omega, n):
+    """max |M(omega on the cosets) - torus matrix| for the surrogate on
+    Z_n (or Z_n x Z_n), with omega sampled at theta = 2 pi (g_1 - g_2) / n
+    on each coset representative g (g_2 = 0 on Z_n)."""
+    povm = torus_surrogate(obs, n)
+    coords = povm.ctx.group.coords[povm.ctx.quotient.rep_indices]
+    sampled = omega.eval_angle(2.0 * np.pi * (coords[:, 0] - coords[:, 1:].sum(axis=1)) / n)
+    if isinstance(obs, PhaseObservable):
+        torus = assemble_phase_operator(obs, omega)
+    else:
+        torus = assemble_phase_difference_operator(obs, omega)
+    return float(np.abs(povm.assembled(sampled) - torus).max())
+
+
+def assert_reduction_identity(obs, omega):
+    """The surrogate reproduces the torus matrix to 1e-12 at the smallest
+    exact n = span + degree + 1, and misses it by more than 1e-3 at
+    n = span + degree, where the alias of the widest frequency difference
+    lands inside the band. On the phase difference that alias needs a
+    rectangle window whose shorter side spans at least the degree. Returns
+    both gaps."""
+    exact = torus_span(obs) + omega.degree + 1
+    gaps = reduction_gap(obs, omega, exact), reduction_gap(obs, omega, exact - 1)
+    assert gaps[0] <= 1e-12, gaps
+    assert gaps[1] > 1e-3, gaps
+    return gaps

@@ -26,7 +26,7 @@ from covpovm import (
     transported_multiplication_matrix,
 )
 from covpovm.induction import _materialize
-from helpers import brute_shift_index, brute_shift_table
+from helpers import brute_shift_index, brute_shift_table, loop_diagonalizer_adjoint_apply
 
 Z12 = FiniteAbelianGroup((12,))
 
@@ -178,6 +178,15 @@ class TestDiagonalizer:
                 diagonalizer_adjoint_apply(space, diagonalizer_apply(space, f)),
                 f,
                 atol=1e-9,
+            )
+
+    def test_adjoint_equals_point_loop_bit_for_bit(self):
+        # the scatter-add sums each fiber's points in point order, as the loop does
+        rng = np.random.default_rng(9)
+        for space in spaces_under_test():
+            phi = space.diagonal_space.random(rng)
+            assert np.array_equal(
+                diagonalizer_adjoint_apply(space, phi), loop_diagonalizer_adjoint_apply(space, phi)
             )
 
     def test_adjoint_output_satisfies_covariance_rule(self):

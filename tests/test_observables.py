@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covpovm import (
     PhaseDifferenceObservable,
@@ -15,7 +19,16 @@ from covpovm import (
     sample_outcomes,
     window_truncates_selection_rule,
 )
-from helpers import random_isometry, scalar_z12_povm
+from helpers import (
+    assert_reduction_identity,
+    loop_phase_difference_operator,
+    loop_phase_operator,
+    loop_truncates_selection_rule,
+    random_isometry,
+    reduction_gap,
+    scalar_z12_povm,
+    torus_span,
+)
 
 
 def quadrature_coefficient(omega, n, n_grid=4096):
@@ -250,6 +263,163 @@ class TestPhaseDifference:
             phase_difference_matrix_element(
                 obs, TrigPolynomial.one(), (0, 0), (9, -9)
             )
+
+
+def unit_vector(rng, e_dim):
+    v = rng.standard_normal(e_dim) + 1j * rng.standard_normal(e_dim)
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def phase_cases(draw):
+    """Sparse frequencies in [-12, 12] with multiplicities 1-3, an optional
+    degree window and an outcome function of degree 0-5."""
+    frequencies = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=7, unique=True))
+    f_dims = [draw(st.integers(1, 3)) for _ in frequencies]
+    e_dim = max(f_dims) + draw(st.integers(0, 1))
+    window = draw(st.none() | st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    isometries = {k: random_isometry(rng, e_dim, f) for k, f in zip(frequencies, f_dims)}
+    omega = random_trig(rng, degree=draw(st.integers(0, 5)))
+    return PhaseObservable(isometries, degree_window=window), omega
+
+
+@st.composite
+def window_cases(draw):
+    """A full rectangle or a ragged set of pairs in [-4, 4]^2, unit vectors
+    in C^1 to C^3 and an outcome function of degree 0-5."""
+    corner = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    if draw(st.booleans()):
+        (i, j), a, b = draw(corner), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        pairs = [(i + u, j + v) for u in range(a) for v in range(b)]
+    else:
+        pairs = draw(st.lists(corner, min_size=1, max_size=12, unique=True))
+    e_dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = {pair: unit_vector(rng, e_dim) for pair in pairs}
+    return PhaseDifferenceObservable(vectors), random_trig(rng, degree=draw(st.integers(0, 5)))
+
+
+class TestTorusFormula:
+    """The array formulas against the per-block and per-entry loops, and
+    against the finite-group kernel route at the smallest exact n."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(phase_cases())
+    def test_phase_operator_matches_block_loop(self, case):
+        obs, omega = case
+        if obs.degree_window is not None and omega.degree > obs.degree_window:
+            for assemble in (assemble_phase_operator, loop_phase_operator):
+                with pytest.raises(ValueError, match="exceeds the window"):
+                    assemble(obs, omega)
+            return
+        np.testing.assert_allclose(
+            assemble_phase_operator(obs, omega), loop_phase_operator(obs, omega), rtol=0, atol=1e-12
+        )
+        assert reduction_gap(obs, omega, torus_span(obs) + omega.degree + 1) <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(window_cases())
+    def test_phase_difference_operator_matches_entry_loop(self, case):
+        obs, omega = case
+        np.testing.assert_allclose(
+            assemble_phase_difference_operator(obs, omega),
+            loop_phase_difference_operator(obs, omega),
+            rtol=0,
+            atol=1e-12,
+        )
+        assert window_truncates_selection_rule(obs) is loop_truncates_selection_rule(obs)
+        assert reduction_gap(obs, omega, torus_span(obs) + omega.degree + 1) <= 1e-12
+
+    def test_truncation_flag_on_a_sparse_window(self):
+        # a box of 10**12 x 10**12 points, counted without visiting them
+        v = np.array([1.0])
+        far = 10**12
+        assert not window_truncates_selection_rule(
+            PhaseDifferenceObservable({(0, 0): v, (far, far): v})
+        )
+        assert window_truncates_selection_rule(
+            PhaseDifferenceObservable({(0, 0): v, (0, far): v, (far, 0): v})
+        )
+
+    @pytest.mark.parametrize(
+        "frequencies, f_dims",
+        [(range(40), [1] * 40), ([-7, -3, 0, 2, 9], [1, 3, 2, 1, 2])],
+    )
+    def test_phase_reduction_identity_is_sharp(self, frequencies, f_dims):
+        rng = np.random.default_rng(21)
+        e_dim = max(f_dims) + 1
+        obs = PhaseObservable(
+            {k: random_isometry(rng, e_dim, f) for k, f in zip(frequencies, f_dims)}
+        )
+        assert_reduction_identity(obs, random_trig(rng, degree=3))
+
+    @pytest.mark.parametrize("rows, cols", [(range(6), range(6)), (range(-3, 1), range(-2, 5))])
+    def test_phase_difference_reduction_identity_is_sharp(self, rows, cols):
+        rng = np.random.default_rng(22)
+        pairs = [(i, j) for i in rows for j in cols]
+        obs = PhaseDifferenceObservable({pair: unit_vector(rng, 3) for pair in pairs})
+        assert_reduction_identity(obs, random_trig(rng, degree=3))
+
+
+class TestTorusBoundary:
+    """Malformed torus input is rejected at construction with a
+    ``ValueError`` naming the frequency, pair or value."""
+
+    def test_trig_polynomial_frequencies_are_integers(self):
+        for key in (0.5, True, 2**61, -(2**61) - 1):
+            with pytest.raises(ValueError, match="frequency"):
+                TrigPolynomial({key: 1.0})
+        assert TrigPolynomial({np.int64(-2): 1.0, 2**61 - 1: 1.0}).degree == 2**61 - 1
+        with pytest.raises(ValueError, match="0.5"):
+            TrigPolynomial.one().fourier_coefficient(0.5)
+
+    def test_trig_polynomial_coefficients_are_finite(self):
+        for bad in (np.inf, complex(0.0, np.nan)):
+            with pytest.raises(ValueError, match="coefficient at frequency 3 is not finite"):
+                TrigPolynomial({0: 1.0, 3: bad})
+
+    def test_phase_observable_frequencies_are_integers(self):
+        v, w = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+        with pytest.raises(ValueError, match="frequency must be an integer, got 0.7"):
+            PhaseObservable({0: v, 0.7: w})
+
+    def test_phase_observable_matrix_shapes(self):
+        with pytest.raises(ValueError, match=r"frequency 1 has shape \(2,\)"):
+            PhaseObservable({0: np.array([[1.0], [0.0]]), 1: np.array([1.0, 0.0])})
+        with pytest.raises(ValueError, match=r"frequency 0 has shape \(2, 0\)"):
+            PhaseObservable({0: np.zeros((2, 0))})
+
+    def test_phase_observable_degree_window(self):
+        v = np.array([[1.0]])
+        with pytest.raises(ValueError, match="degree window must be >= 0, got -1"):
+            PhaseObservable({0: v}, degree_window=-1)
+        with pytest.raises(ValueError, match="degree window must be an integer"):
+            PhaseObservable({0: v}, degree_window=1.5)
+        assert PhaseObservable({0: v}, degree_window=np.int64(0)).degree_window == 0
+
+    def test_phase_difference_pairs_are_integers(self):
+        with pytest.raises(ValueError, match="frequency must be an integer, got 0.4"):
+            PhaseDifferenceObservable({(0.4, 0): np.array([1.0])})
+        for key in (5, (0, 1, 2)):
+            with pytest.raises(ValueError, match=re.escape(f"key {key!r} is not a frequency pair")):
+                PhaseDifferenceObservable({key: np.array([1.0])})
+
+    def test_phase_difference_vectors_share_a_length(self):
+        with pytest.raises(ValueError, match=r"vector at \(1, 0\) has length 3, the first has 2"):
+            PhaseDifferenceObservable(
+                {(0, 0): np.array([1.0, 0.0]), (1, 0): np.array([0.0, 0.0, 1.0])}
+            )
+
+    def test_phase_matrix_element_indices_are_integers(self):
+        obs = PhaseObservable({0: np.array([[1.0]]), 1: np.array([[1.0]])})
+        with pytest.raises(ValueError, match="frequency must be an integer, got 1.0"):
+            phase_matrix_element(obs, TrigPolynomial.one(), 1.0, 0)
+
+    def test_phase_difference_matrix_element_indices_are_integers(self):
+        obs = PhaseDifferenceObservable({(0, 0): np.array([1.0])})
+        with pytest.raises(ValueError, match="frequency must be an integer, got 0.4"):
+            phase_difference_matrix_element(obs, TrigPolynomial.one(), (0.4, 0), (0, 0))
 
 
 class TestPositionPovm:
