@@ -257,8 +257,13 @@ def pairing_is_one(x: GroupElement, g: GroupElement) -> bool:
 
 
 def _trivial_pairing(group: FiniteAbelianGroup, indices) -> np.ndarray:
-    """Mask of the points that pair trivially with every point at the indices."""
-    return (group.exponents(slice(None), indices) == 0).all(axis=1)
+    """Mask of the points x that pair trivially with every point g at the indices:
+    sum_k x_k (L / n_k) g_k = 0 mod L, as one broadcast sum of per-axis terms."""
+    lcm, axes = group.exponent, np.ix_(*map(np.arange, group.factors))
+    mask = np.ones(group.factors, dtype=bool)
+    for g in zip(*np.unravel_index(np.asarray(indices, dtype=np.int64), group.factors)):
+        mask &= sum(x * (lcm // n * c) for x, n, c in zip(axes, group.factors, g)) % lcm == 0
+    return mask.ravel()
 
 
 def _triangular_generators(group: FiniteAbelianGroup, indices) -> np.ndarray:
@@ -367,7 +372,8 @@ def annihilator(group: FiniteAbelianGroup, subgroup: Subgroup) -> Subgroup:
     kept = np.flatnonzero(subgroup._annihilator_mask)
     point_type = GroupElement if subgroup.point_type is DualCharacter else DualCharacter
     generators = group.points(point_type, _triangular_generators(group, kept))
-    member = np.isin(np.arange(group.order), subgroup.indices)
+    member = np.zeros(group.order, dtype=bool)
+    member[subgroup.indices] = True
     return Subgroup._of_indices(group, generators, point_type, kept, member)
 
 
@@ -411,23 +417,22 @@ class QuotientGroup:
 def quotient(group: FiniteAbelianGroup, subgroup: Subgroup) -> QuotientGroup:
     """Enumerate the cosets of a subgroup, on either side of the duality.
 
-    Each point is reduced to its coset's lexicographically smallest member
-    (Hermite normal form). The triangular generator t_j is zero before
-    coordinate j and holds there d_j, the least positive j-th coordinate of
-    a subgroup element zero before j; those coordinates form a subgroup of
-    Z_{n_j}, so d_j divides n_j. Subtracting floor(c_j / d_j) t_j, j in
-    order, leaves c_j mod d_j, the least value given the coordinates before
-    j, which it keeps. A point represents its coset iff it reduces to itself.
+    Cosets are indexed by their lexicographically smallest member. With d_j
+    the pivot of the subgroup's triangular generator at coordinate j (n_j
+    where there is none), those members are the transversal box
+    prod_j [0, d_j), in index order, and the box plus the subgroup covers
+    every point once (BASIS.md, "Orderings").
     """
     if subgroup.parent != group:
         raise ValueError("subgroup does not belong to the given group")
-    coords = group.coords
-    for t in group.coords[_triangular_generators(group, subgroup.indices)]:
-        j = np.flatnonzero(t)[0]
-        coords = (coords - (coords[:, j] // t[j])[:, None] * t) % group.factors
-    reduced = group.ravel(coords)
-    rep_indices = np.flatnonzero(reduced == np.arange(group.order))
-    return QuotientGroup(subgroup, rep_indices, np.searchsorted(rep_indices, reduced))
+    t = np.array(np.unravel_index(_triangular_generators(group, subgroup.indices), group.factors))
+    box, pivots = np.array(group.factors), (t != 0).argmax(axis=0)
+    box[pivots] = t[pivots, np.arange(len(pivots))]
+    axes, h = np.ix_(*map(np.arange, box)), np.unravel_index(subgroup.indices, group.factors)
+    sums = np.ravel_multi_index([x[..., None] + y for x, y in zip(axes, h)], group.factors, "wrap")
+    projection = np.empty(group.order, dtype=np.int64)
+    projection[sums] = np.arange(box.prod()).reshape(*box, 1)
+    return QuotientGroup(subgroup, np.ravel_multi_index(axes, group.factors).ravel(), projection)
 
 
 def quotient_pairing(quot: QuotientGroup, character, coset_index: int) -> complex:

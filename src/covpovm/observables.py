@@ -53,6 +53,9 @@ class TrigPolynomial:
 
     coeffs: Mapping[int, complex]
 
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
     def __post_init__(self):
         cleaned = {}
         for n, c in self.coeffs.items():
@@ -72,14 +75,21 @@ class TrigPolynomial:
         return self.coeffs.get(-_as_int(n, "frequency"), 0.0 + 0.0j)
 
     def eval_angle(self, theta) -> np.ndarray:
+        """w(e^{i theta}); ``ValueError`` at the first finite angle where it is not."""
         theta = np.asarray(theta, dtype=float)
         out = np.zeros_like(theta, dtype=complex)
-        for n, c in self.coeffs.items():
-            out = out + c * np.exp(1j * n * theta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, c in self.coeffs.items():
+                out = out + c * np.exp(1j * n * theta)
+        overflow = np.isfinite(theta) & ~np.isfinite(out)
+        if overflow.any():
+            raise ValueError(f"value at angle {float(theta[overflow][0])!r} is not finite")
         return out
 
     def rotated(self, z: complex) -> "TrigPolynomial":
-        """Precomposition with rotation by z: w_z(w) = w(z^{-1} w)."""
+        """Precomposition with rotation by z: w_z(w) = w(z^{-1} w), for |z| = 1."""
+        if not abs(abs(z) - 1) <= 1e-12:
+            raise ValueError(f"rotation {z} is not a finite complex number of modulus 1")
         return TrigPolynomial({n: c * z ** (-n) for n, c in self.coeffs.items()})
 
     def is_real_valued(self, atol: float = 1e-12) -> bool:

@@ -1,6 +1,6 @@
-"""Coset tables by reduction against the flood-fill oracle, the `group`
-command's pairing table against scalar pairings, and the adjoint
-cotransform's shape check."""
+"""Coset tables as a transversal box against the flood-fill oracle, the
+broadcast pairing mask and the `group` command's pairing table against
+scalar pairings, and the adjoint cotransform's shape check."""
 
 import json
 
@@ -15,12 +15,13 @@ from covpovm import (
     annihilator,
     iojson,
     pairing,
+    pairing_is_one,
     quotient,
     subgroup_from_generators,
     trivial_subgroup,
 )
 from covpovm.cli import main
-from covpovm.groups import _triangular_generators
+from covpovm.groups import _triangular_generators, _trivial_pairing
 from helpers import brute_quotient
 
 
@@ -67,8 +68,10 @@ class TestReductionMatchesFloodFill:
             ((64, 64), [(2, 0), (0, 2)]),
             ((64, 64), [(4, 0), (0, 4)]),
             ((1, 5, 1), [(0, 1, 0)]),
+            ((12, 18, 30), [(2, 3, 5), (0, 6, 10)]),
+            ((256, 256), [(4, 0), (0, 4)]),
         ],
-        ids=["Z4096", "Z64^2/<2>", "Z64^2/<4>", "unit-factors"],
+        ids=["Z4096", "Z64^2/<2>", "Z64^2/<4>", "unit-factors", "Z12xZ18xZ30", "Z256^2/<4>"],
     )
     def test_ladder_cases(self, factors, gens):
         group = FiniteAbelianGroup(factors)
@@ -80,6 +83,19 @@ class TestReductionMatchesFloodFill:
         z12, z6 = FiniteAbelianGroup((12,)), FiniteAbelianGroup((6,))
         with pytest.raises(ValueError, match="does not belong"):
             quotient(z12, trivial_subgroup(z6))
+
+
+@given(
+    st.lists(st.integers(1, 30), min_size=1, max_size=3).filter(lambda f: np.prod(f) <= 1200),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_trivial_pairing_equals_scalar_pairings(factors, data):
+    group = FiniteAbelianGroup(tuple(factors))
+    indices = data.draw(st.lists(st.integers(0, group.order - 1), max_size=3))
+    gens = group.points(type(group.zero), indices)
+    want = [all(pairing_is_one(x, g) for g in gens) for x in group.elements()]
+    assert _trivial_pairing(group, indices).tolist() == want
 
 
 class TestGroupCommandPairingTable:

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,24 @@ class TestTrigPolynomial:
         np.testing.assert_allclose(
             rotated.eval_angle(theta), omega.eval_angle(theta - 0.37), atol=1e-12
         )
+
+    @pytest.mark.parametrize("z", [0, 2, 0.5j, complex("nan"), float("inf")])
+    def test_rotation_off_the_unit_circle_names_z(self, z):
+        with pytest.raises(ValueError, match=re.escape(f"rotation {z} ")):
+            TrigPolynomial.cosine().rotated(z)
+
+    def test_equal_polynomials_hash_equal(self):
+        a, b = TrigPolynomial({0: 1, 3: 0.0}), TrigPolynomial({0: 1 + 0j})
+        assert a == b and hash(a) == hash(b)
+        assert {a: "one"}[b] == "one" and len({a, b, TrigPolynomial.cosine()}) == 2
+
+    def test_overflowing_value_names_the_angle(self):
+        omega = TrigPolynomial({0: 1e308, 1: 1e308})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(omega.eval_angle([np.pi])).all()
+            with pytest.raises(ValueError, match=r"value at angle 0\.0 is not finite"):
+                omega.eval_angle([np.pi, 0.0])
 
 
 class TestPhaseObservable:
