@@ -24,14 +24,10 @@ from .harmonic import (
     DOMAIN_DUAL,
     DOMAIN_DUAL_QUOTIENT,
     DOMAIN_QUOTIENT,
-    HaarConventions,
     QuotientContext,
     WeightedMeasure,
     counting_measure,
-    decompose_measure,
-    haar_conventions,
     image_measure,
-    is_absolutely_continuous,
     lift_measure,
 )
 from .induction import (
@@ -64,7 +60,6 @@ from .observables import (
     window_truncates_selection_rule,
 )
 from .povm import (
-    AdmissibilityResult,
     BlockOperator,
     CheckResult,
     CovariantPOVM,
@@ -77,7 +72,6 @@ from .povm import (
     SectorSpec,
     SupportTable,
     VerificationReport,
-    admits_covariant_povm,
     apply_via_intertwiner,
     build_covariant_povm,
     class_measure,

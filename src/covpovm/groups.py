@@ -406,9 +406,6 @@ class QuotientGroup:
             raise ValueError(f"{point} is not a point of the quotiented group")
         return int(self.projection[self.subgroup.parent.index_of(point)])
 
-    def coset_members(self, index: int) -> tuple:
-        return self.subgroup.parent.points(self.subgroup.point_type, self.members[index])
-
     def add(self, i: int, j: int) -> int:
         """Induced coset group law."""
         return self.index_of(self.representatives[i] + self.representatives[j])

@@ -30,11 +30,8 @@ from .groups import (
     quotient,
 )
 
-DOMAIN_GROUP = "group"
-DOMAIN_SUBGROUP = "subgroup"
 DOMAIN_QUOTIENT = "quotient"
 DOMAIN_DUAL = "dual"
-DOMAIN_DUAL_SUBGROUP = "dual_subgroup"
 DOMAIN_DUAL_QUOTIENT = "dual_quotient"
 
 
@@ -69,30 +66,13 @@ class WeightedMeasure:
     def __call__(self, point) -> float:
         return self.weights.get(point, 0.0)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.weights
-
     def items(self):
         """Deterministic (point, weight) pairs, sorted by point."""
         return sorted(self.weights.items())
 
-    def __add__(self, other: "WeightedMeasure") -> "WeightedMeasure":
-        if self.domain != other.domain:
-            raise ValueError(f"domain mismatch: {self.domain} vs {other.domain}")
-        merged = dict(self.weights)
-        for p, w in other.weights.items():
-            merged[p] = merged.get(p, 0.0) + w
-        return WeightedMeasure(self.domain, merged)
-
 
 def counting_measure(domain: str, points) -> WeightedMeasure:
     return WeightedMeasure(domain, {p: 1.0 for p in points})
-
-
-def is_absolutely_continuous(num: WeightedMeasure, den: WeightedMeasure) -> bool:
-    """Exact support-inclusion test, the atomic form of having a density."""
-    return num.support <= den.support
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +145,11 @@ class QuotientContext:
         return summed.ravel()[self.quotient.rep_indices]
 
     def translated(self, a: GroupElement, omega) -> np.ndarray:
-        """The shifted quotient function (a . omega)(coset) = omega(a^-1[coset])."""
+        """The shifted quotient function (a . omega)(coset) = omega(a^-1[coset]).
+        Omega must hold one value per coset (``ValueError`` otherwise)."""
         omega = np.asarray(omega, dtype=complex)
+        if omega.shape != (self.n_cosets,):
+            raise ValueError(f"expected {self.n_cosets} coset values, got {omega.shape}")
         coords = self.group.coords
         shifted = coords[self.quotient.rep_indices] - coords[self.group.index_of(a)]
         return omega[self.quotient.projection[self.group.ravel(shifted)]]
@@ -181,60 +164,43 @@ class QuotientContext:
         return values
 
 
-@dataclass(frozen=True)
-class HaarConventions:
-    """The four fixed Haar measures for one (G, H) choice."""
-
-    on_group: WeightedMeasure
-    on_subgroup: WeightedMeasure
-    on_quotient: WeightedMeasure
-    on_annihilator: WeightedMeasure
-
-
-def haar_conventions(ctx: QuotientContext) -> HaarConventions:
-    """Counting measure on G, H, G/H; weight 1/|G/H| per annihilator point."""
-    return HaarConventions(
-        on_group=counting_measure(DOMAIN_GROUP, ctx.group.elements()),
-        on_subgroup=counting_measure(DOMAIN_SUBGROUP, ctx.subgroup.elements),
-        on_quotient=counting_measure(DOMAIN_QUOTIENT, range(ctx.n_cosets)),
-        on_annihilator=WeightedMeasure(
-            DOMAIN_DUAL_SUBGROUP,
-            {y: ctx.hperp_weight for y in ctx.hperp_points},
-        ),
-    )
-
-
 def lift_measure(ctx: QuotientContext, nu) -> np.ndarray:
     """Lift a measure on the dual quotient, given as its weight at each
     coset, to the dual group: the weight at every character index.
 
     The lifted weight at a character x is nu(coset of x) times the Haar
     weight of the annihilator, so integrating any function against the
-    lift equals integrating its fiber averages against nu.
+    lift equals integrating its fiber averages against nu. A wrong shape,
+    or a weight that is not finite and >= 0, raises ``ValueError``.
     """
     nu = np.asarray(nu, dtype=float)
     if nu.shape != (len(ctx.dual_quotient),):
         raise ValueError(f"expected {len(ctx.dual_quotient)} dual coset weights, got {nu.shape}")
+    _reject_first("dual coset weight is not finite and >= 0", nu, ~(nu >= 0.0) | (nu == np.inf))
     return (nu * ctx.hperp_weight)[ctx.dual_quotient.projection]
 
 
 def image_measure(ctx: QuotientContext, indices, weights) -> np.ndarray:
     """Push a measure on the dual group, given as weights at character
-    indices, down to the dual quotient: the fiber sum at each coset."""
-    cosets = ctx.dual_quotient.projection[np.asarray(indices, dtype=np.intp)]
+    indices, down to the dual quotient: the fiber sum at each coset. One
+    weight per index is required; an index that is not an integer in
+    [0, |G|), or a weight that is not finite and >= 0, raises
+    ``ValueError``."""
+    indices, weights = np.asarray(indices), np.asarray(weights, dtype=float)
+    if indices.ndim != 1 or weights.shape != indices.shape:
+        shapes = f"{indices.shape} and {weights.shape}"
+        raise ValueError(f"expected one weight per character index, got shapes {shapes}")
+    if indices.size and indices.dtype.kind not in "iu":
+        raise ValueError(f"character indices must be integers, got dtype {indices.dtype}")
+    outside = (indices < 0) | (indices >= ctx.group.order)
+    _reject_first("character index is outside [0, |G|)", indices, outside)
+    _reject_first("weight is not finite and >= 0", weights, ~(weights >= 0.0) | (weights == np.inf))
+    cosets = ctx.dual_quotient.projection[indices.astype(np.intp)]
     return np.bincount(cosets, weights, len(ctx.dual_quotient))
 
 
-def decompose_measure(
-    nu: WeightedMeasure, reference: WeightedMeasure
-) -> tuple[WeightedMeasure, WeightedMeasure]:
-    """Split nu into the part carried by the reference support and the part
-    disjoint from it; the two parts sum back to nu exactly."""
-    if nu.domain != reference.domain:
-        raise ValueError(f"domain mismatch: {nu.domain} vs {reference.domain}")
-    inside = {p: w for p, w in nu.weights.items() if p in reference.support}
-    outside = {p: w for p, w in nu.weights.items() if p not in reference.support}
-    return (
-        WeightedMeasure(nu.domain, inside),
-        WeightedMeasure(nu.domain, outside),
-    )
+def _reject_first(message: str, values: np.ndarray, bad: np.ndarray) -> None:
+    """``ValueError`` naming the first position where ``bad`` holds, and its value."""
+    if bad.any():
+        p = int(np.argmax(bad))
+        raise ValueError(f"{message}: position {p}, value {values[p].item()!r}")

@@ -58,10 +58,6 @@ def pairs_to_json(array) -> np.ndarray:
     return np.stack((a.real, a.imag), axis=-1)
 
 
-def vector_from_json(obj) -> np.ndarray:
-    return _complex_values(obj)
-
-
 def matrix_to_json(matrix) -> dict:
     """Rows, cols and the row-major entries as a (rows * cols, 2) float array
     of [re, im] pairs, written by :func:`dumps` (the stock encoder rejects
@@ -132,7 +128,7 @@ def measure_from_json(group: FiniteAbelianGroup, obj) -> WeightedMeasure:
 def quotient_function_from_json(obj) -> np.ndarray:
     if "values" not in obj:
         raise ValueError("quotient function file must carry a 'values' list")
-    values = vector_from_json(obj["values"])
+    values = _complex_values(obj["values"])
     if not np.isfinite(values).all():
         raise ValueError("quotient function has non-finite values")
     return values
@@ -155,7 +151,7 @@ def trig_polynomial_from_json(obj):
 def state_from_json(obj) -> np.ndarray:
     if "state" not in obj:
         raise ValueError("state file must carry a 'state' list")
-    return vector_from_json(obj["state"])
+    return _complex_values(obj["state"])
 
 
 def partition_from_json(obj) -> list:

@@ -11,6 +11,7 @@ generic POVM builder.
 from __future__ import annotations
 
 import cmath
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -87,9 +88,17 @@ class TrigPolynomial:
         return out
 
     def rotated(self, z: complex) -> "TrigPolynomial":
-        """Precomposition with rotation by z: w_z(w) = w(z^{-1} w), for |z| = 1."""
+        """Precomposition with rotation by z: w_z(w) = w(z^{-1} w), for |z| = 1.
+        The 1e-12 slack allowed in |z| grows with the frequency: if z ** (-n)
+        would leave [1/2, 2] in modulus at the widest frequency n,
+        ``ValueError`` names z and n before any power is taken."""
         if not abs(abs(z) - 1) <= 1e-12:
             raise ValueError(f"rotation {z} is not a finite complex number of modulus 1")
+        z, n = complex(z), max(self.coeffs, key=abs, default=0)
+        if abs(n * math.log(abs(z))) > math.log(2):
+            raise ValueError(
+                f"rotation {z} to the power {-n} leaves modulus [1/2, 2] at frequency {n}"
+            )
         return TrigPolynomial({n: c * z ** (-n) for n, c in self.coeffs.items()})
 
     def is_real_valued(self, atol: float = 1e-12) -> bool:

@@ -270,32 +270,15 @@ def validate_rep(rep: DiagonalRep) -> None:
 class MeasureClassData:
     """Canonical representatives of the measure class of a diagonal rep.
 
-    ``support`` holds the group indices of the union of sector supports,
-    sorted; ``quotient_measure`` puts weight 1 on each occupied coset of the
-    dual quotient (any equivalent choice yields the same POVM, this one
-    matches the Haar normalization so that for the trivial subgroup the
-    densities are taken against Haar measure on the dual);
-    ``lifted_weights`` is its lift back to the dual group, one weight per
-    character index. ``support_indicator`` and ``lifted_measure`` are the
-    same as measures, built on first read.
+    ``quotient_measure`` puts weight 1 on each occupied coset of the dual
+    quotient (any equivalent choice yields the same POVM, this one matches
+    the Haar normalization so that for the trivial subgroup the densities
+    are taken against Haar measure on the dual); ``lifted_weights`` is its
+    lift back to the dual group, one weight per character index.
     """
 
-    group: FiniteAbelianGroup
-    support: np.ndarray
     quotient_measure: WeightedMeasure
     lifted_weights: np.ndarray
-
-    @cached_property
-    def support_indicator(self) -> WeightedMeasure:
-        points = self.group.points(DualCharacter, self.support)
-        return WeightedMeasure(DOMAIN_DUAL, dict.fromkeys(points, 1.0))
-
-    @cached_property
-    def lifted_measure(self) -> WeightedMeasure:
-        lifted = self.lifted_weights
-        support = np.flatnonzero(lifted > 0.0)
-        points = self.group.points(DualCharacter, support)
-        return WeightedMeasure(DOMAIN_DUAL, dict(zip(points, lifted[support].tolist())))
 
 
 def class_measure(
@@ -322,39 +305,7 @@ def class_measure(
             )
     nu = np.zeros(len(ctx.dual_quotient))
     nu[list(quotient_measure.weights)] = list(quotient_measure.weights.values())
-    return MeasureClassData(ctx.group, support, quotient_measure, lift_measure(ctx, nu))
-
-
-@dataclass(frozen=True)
-class AdmissibilityResult:
-    """Outcome of the density criterion, with the per-sector densities."""
-
-    admits: bool
-    densities: tuple[Mapping[DualCharacter, float], ...]
-    support_certificates: tuple[bool, ...]
-
-
-def admits_covariant_povm(
-    ctx: QuotientContext,
-    rep: DiagonalRep,
-    quotient_measure: WeightedMeasure | None = None,
-) -> AdmissibilityResult:
-    """Density criterion for the existence of covariant POVMs.
-
-    Each sector measure must have a density against the lifted class
-    measure; with atomic measures the support inclusion holds by
-    construction, so at this scale the answer is always yes and the value
-    of the call is the density table.
-    """
-    table = rep.support_table
-    lifted = class_measure(ctx, rep, quotient_measure).lifted_weights[table.indices]
-    n_sectors = len(table.sector_f_dims)
-    certificates = np.bincount(table.sectors[lifted <= 0.0], minlength=n_sectors) == 0
-    return AdmissibilityResult(
-        admits=bool(certificates.all()),
-        densities=_sector_dicts(rep, table.weights / lifted),
-        support_certificates=tuple(certificates.tolist()),
-    )
+    return MeasureClassData(quotient_measure, lift_measure(ctx, nu))
 
 
 @dataclass(frozen=True, eq=False)
@@ -478,11 +429,6 @@ class CovariantPOVM:
         in support-table order."""
         table = self.rep.support_table
         return table.weights / self.class_data.lifted_weights[table.indices]
-
-    @cached_property
-    def densities(self) -> tuple[dict[DualCharacter, float], ...]:
-        """``point_densities`` as one {character: density} dict per sector."""
-        return _sector_dicts(self.rep, self.point_densities)
 
     @cached_property
     def _isometry_stacks(self) -> tuple[np.ndarray, ...]:

@@ -217,6 +217,12 @@ def brute_sector_pointwise_operator(rep, sector_maps):
     return out
 
 
+def point_density(povm, k, x):
+    """The density of sector k at x, by its definition: the sector weight
+    over the lifted class weight."""
+    return povm.rep.sectors[k].rho(x) / povm.class_data.lifted_weights[povm.rep.group.index_of(x)]
+
+
 def brute_equivalence_deviation(povm_a, povm_b, sector_maps):
     """The equivalence criterion's deviation, one support-point pair at a
     time, with fiber membership tested against the annihilator points."""
@@ -230,7 +236,7 @@ def brute_equivalence_deviation(povm_a, povm_b, sector_maps):
             w_j = np.asarray(povm_a.fields[j].matrices[x], dtype=complex)
             wp_j = np.asarray(povm_b.fields[j].matrices[x], dtype=complex)
             s_j = np.asarray(sector_maps[j][x], dtype=complex)
-            weight = math.sqrt(povm_a.densities[k][xp])
+            weight = math.sqrt(point_density(povm_a, k, xp))
             w_k = np.asarray(povm_a.fields[k].matrices[xp], dtype=complex)
             wp_k = np.asarray(povm_b.fields[k].matrices[xp], dtype=complex)
             s_k = np.asarray(sector_maps[k][xp], dtype=complex)
@@ -443,8 +449,9 @@ def dense_kernel(povm):
 
 def reference_build(rep, subgroup, fields, e_dim, quotient_measure=None, atol=1e-9):
     """The dict-based build: per-point field checks, the class measure as
-    measures, densities as dicts, the isometries stacked point by point
-    and the intertwiner by the per-point loop."""
+    measures (its lift returned as one weight per character index),
+    densities as dicts, the isometries stacked point by point and the
+    intertwiner by the per-point loop."""
     sector_points = [sorted(spec.rho.support) for spec in rep.sectors]
     for k, (field, spec) in enumerate(zip(fields, rep.sectors)):
         for x in sector_points[k]:
@@ -495,12 +502,12 @@ def reference_build(rep, subgroup, fields, e_dim, quotient_measure=None, atol=1e
                 scale * np.asarray(fields[k].matrices[x], dtype=complex)
             )
         offset += len(sector_points[k]) * f
+    lifted_weights = np.zeros(rep.group.order)
+    lifted_weights[[rep.group.index_of(x) for x in lifted.weights]] = list(lifted.weights.values())
     return SimpleNamespace(
         support_table=table,
-        support_indicator=indicator,
         quotient_measure=quotient_measure,
-        lifted_measure=lifted,
-        densities=densities,
+        lifted_weights=lifted_weights,
         point_densities=point_densities,
         isometry_stacks=stacks,
         intertwiner=intertwiner,
@@ -517,17 +524,19 @@ def sector_slices(rep):
 
 def loop_intertwiner(povm):
     """The intertwiner one support point at a time, from the POVM's
-    per-sector views: densities, lifted measure, sector measures and fields."""
+    per-sector views: sector measures, lifted weights and fields, with each
+    density taken from its definition (``point_density``)."""
     dspace = povm.diagonal_space
     out = np.zeros((dspace.dim, povm.dimension), dtype=complex)
     e = povm.e_dim
-    lifted = povm.class_data.lifted_measure
+    lifted = povm.class_data.lifted_weights
     for k, spec in enumerate(povm.rep.sectors):
         f = spec.f_dim
         off = sector_slices(povm.rep)[k].start
         for a, x in enumerate(povm.rep.sector_points[k]):
             p = int(np.searchsorted(dspace.point_indices, povm.rep.group.index_of(x)))
-            scale = math.sqrt(lifted(x) * povm.densities[k][x] / spec.rho(x))
+            density = point_density(povm, k, x)
+            scale = math.sqrt(lifted[povm.rep.group.index_of(x)] * density / spec.rho(x))
             out[p * e : (p + 1) * e, off + a * f : off + (a + 1) * f] = (
                 scale * np.asarray(povm.fields[k].matrices[x], dtype=complex)
             )

@@ -282,7 +282,7 @@ class TestIndexLayerProperties:
         oracle = brute_cosets(group, h.elements)
         assert list(q.representatives) == [coset[0] for coset in oracle]
         for i, coset in enumerate(oracle):
-            assert q.coset_members(i) == tuple(sorted(coset))
+            assert q.members[i].tolist() == sorted(group.index_of(g) for g in coset)
             assert {q.index_of(g) for g in coset} == {i}
 
     @given(groups_with_generators())
@@ -301,7 +301,7 @@ class TestIndexLayerProperties:
                 oracle.append([x])
         assert list(dq.representatives) == [coset[0] for coset in oracle]
         for i, coset in enumerate(oracle):
-            assert dq.coset_members(i) == tuple(coset)
+            assert dq.members[i].tolist() == [group.index_of(x) for x in coset]
             assert {dq.index_of(x) for x in coset} == {i}
 
     @given(groups_with_generators())

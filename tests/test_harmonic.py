@@ -6,10 +6,7 @@ from covpovm import (
     FiniteAbelianGroup,
     QuotientContext,
     WeightedMeasure,
-    decompose_measure,
-    haar_conventions,
     image_measure,
-    is_absolutely_continuous,
     lift_measure,
     pairing,
     quotient_pairing,
@@ -48,12 +45,6 @@ class TestWeightedMeasure:
         with pytest.raises(ValueError):
             WeightedMeasure(DOMAIN_DUAL_QUOTIENT, {0: -0.5})
 
-    def test_absolute_continuity(self):
-        a = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, {0: 1.0})
-        b = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, {0: 2.0, 1: 1.0})
-        assert is_absolutely_continuous(a, b)
-        assert not is_absolutely_continuous(b, a)
-
     def test_indicator_bounds(self, ctx):
         with pytest.raises(ValueError):
             ctx.indicator([4])
@@ -63,10 +54,8 @@ class TestWeightedMeasure:
 
 class TestHaar:
     def test_annihilator_weight_z12(self, ctx):
-        haar = haar_conventions(ctx)
-        assert set(haar.on_annihilator.support) == set(ctx.hperp_points)
-        for y in ctx.hperp_points:
-            assert haar.on_annihilator(y) == pytest.approx(0.25)
+        assert [y.coords for y in ctx.hperp_points] == [(0,), (3,), (6,), (9,)]
+        assert ctx.hperp_weight == pytest.approx(0.25)
 
     def test_trivial_subgroup_weight(self):
         c = QuotientContext.build(Z12, trivial_subgroup(Z12))
@@ -76,9 +65,8 @@ class TestHaar:
         c = QuotientContext.build(
             Z12, subgroup_from_generators(Z12, [Z12.element([1])])
         )
-        haar = haar_conventions(c)
-        assert len(haar.on_annihilator.support) == 1
-        assert haar.on_annihilator(Z12.trivial_character) == pytest.approx(1.0)
+        assert c.hperp_points == (Z12.trivial_character,)
+        assert c.hperp_weight == pytest.approx(1.0)
 
     def test_weight_solves_unitarity_of_delta(self, ctx):
         # ||F delta_coset0||^2 = sum over annihilator of |<y, 0>|^2 * w = 4w = 1
@@ -249,34 +237,33 @@ class TestImageMeasure:
         assert image[coset] == pytest.approx(5.0)
 
 
-class TestDecompose:
-    def test_inside_reference(self):
-        nu = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, {0: 1.0, 1: 2.0})
-        ref = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, {0: 1.0, 1: 1.0, 2: 1.0})
-        inside, outside = decompose_measure(nu, ref)
-        assert inside.weights == nu.weights
-        assert outside.is_zero
+class TestBoundary:
+    """Malformed input to the measure maps and the translation raises
+    ``ValueError`` naming the shape, or the position and the value, checked
+    in bulk; nothing wraps, truncates or passes quietly."""
 
-    def test_point_outside(self):
-        nu = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, {0: 1.0, 5: 1.0})
-        ref = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, {0: 1.0})
-        inside, outside = decompose_measure(nu, ref)
-        assert outside.weights == {5: 1.0}
-        assert inside.support <= ref.support
-        assert not (outside.support & ref.support)
+    @pytest.mark.parametrize("n_values", [2, 9])
+    def test_translated_wrong_length(self, ctx, n_values):
+        with pytest.raises(ValueError, match=rf"expected 4 coset values, got \({n_values},\)"):
+            ctx.translated(Z12.element([1]), np.ones(n_values))
 
-    def test_equal_measures(self):
-        nu = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, {0: 0.5, 2: 1.5})
-        inside, outside = decompose_measure(nu, nu)
-        assert inside.weights == nu.weights
-        assert outside.is_zero
+    @pytest.mark.parametrize(
+        "indices, weights, message",
+        [
+            ([-1], [1.0], "character index is outside [0, |G|): position 0, value -1"),
+            ([0, 12], [1.0, 1.0], "character index is outside [0, |G|): position 1, value 12"),
+            ([0, 1], [1.0], "expected one weight per character index, got shapes (2,) and (1,)"),
+            ([0, 1, 2], [1.0, np.nan, 1.0], "weight is not finite and >= 0: position 1, value nan"),
+            ([0.0], [1.0], "character indices must be integers, got dtype float64"),
+        ],
+    )
+    def test_image_measure_rejects(self, ctx, indices, weights, message):
+        with pytest.raises(ValueError) as got:
+            image_measure(ctx, indices, weights)
+        assert str(got.value) == message
 
-    def test_parts_sum_exactly(self):
-        rng = np.random.default_rng(4)
-        nu = WeightedMeasure(
-            DOMAIN_DUAL_QUOTIENT, {i: float(w) for i, w in enumerate(rng.random(6))}
-        )
-        ref = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, {0: 1.0, 2: 1.0, 4: 1.0})
-        inside, outside = decompose_measure(nu, ref)
-        total = inside + outside
-        assert total.weights == nu.weights
+    def test_lift_measure_rejects_nan(self, ctx):
+        nu = np.array([1.0, np.nan, 2.0])
+        with pytest.raises(ValueError) as got:
+            lift_measure(ctx, nu)
+        assert str(got.value) == "dual coset weight is not finite and >= 0: position 1, value nan"

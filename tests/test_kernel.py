@@ -14,7 +14,7 @@ from covpovm import (
     pairing_is_one,
     subgroup_from_generators,
 )
-from helpers import build_rep, dense_kernel, random_povms, sector_slices
+from helpers import build_rep, dense_kernel, point_density, random_povms, sector_slices
 
 
 @st.composite
@@ -129,7 +129,7 @@ def test_kernel_equals_per_pair_formula_exactly():
                     if x - xp not in hperp:
                         continue
                     c = sector_slices(rep)[k].start + b * f_k
-                    ratio = math.sqrt(povm.densities[k][xp] / povm.densities[j][x])
+                    ratio = math.sqrt(point_density(povm, k, xp) / point_density(povm, j, x))
                     scale = math.sqrt(spec_j.rho(x) / spec_k.rho(xp))
                     expected_d[r : r + f_j, c : c + f_k] = hperp[x - xp]
                     expected_k[r : r + f_j, c : c + f_k] = (

@@ -90,6 +90,20 @@ class TestTrigPolynomial:
         with pytest.raises(ValueError, match=re.escape(f"rotation {z} ")):
             TrigPolynomial.cosine().rotated(z)
 
+    @pytest.mark.parametrize(
+        "z", [complex(1 + 5e-13, 0), np.exp(0.3j) * (1 - 5e-13)], ids=["overflow", "underflow"]
+    )
+    def test_rotation_power_off_the_unit_circle_names_z_and_frequency(self, z):
+        # |z| passes the 1e-12 check, but z ** (-n) leaves [1/2, 2] in
+        # modulus at n near +-2**61; no numpy warning may precede the error
+        omega = TrigPolynomial({2**61 - 1: 1.0, -(2**61): 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as got:
+                omega.rotated(z)
+        assert f"rotation {complex(z)} " in str(got.value)
+        assert str(got.value).endswith("at frequency -2305843009213693952")
+
     def test_equal_polynomials_hash_equal(self):
         a, b = TrigPolynomial({0: 1, 3: 0.0}), TrigPolynomial({0: 1 + 0j})
         assert a == b and hash(a) == hash(b)

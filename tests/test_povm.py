@@ -11,7 +11,6 @@ from covpovm import (
     QuotientContext,
     SectorSpec,
     WeightedMeasure,
-    admits_covariant_povm,
     apply_via_intertwiner,
     build_covariant_povm,
     class_measure,
@@ -80,56 +79,52 @@ class TestClassMeasure:
         rep = DiagonalRep(Z12, (delta_sector(Z12, [0]),))
         data = class_measure(ctx, rep)
         assert data.quotient_measure.weights == {0: 1.0}
-        assert data.lifted_measure.support == set(ctx.hperp_points)
-        for y in ctx.hperp_points:
-            assert data.lifted_measure(y) == pytest.approx(0.25)
-        result = admits_covariant_povm(ctx, rep)
-        assert result.admits
-        assert result.densities[0][Z12.character([0])] == pytest.approx(4.0)
+        hperp = ctx.annihilator.indices
+        assert np.flatnonzero(data.lifted_weights).tolist() == sorted(hperp.tolist())
+        np.testing.assert_allclose(data.lifted_weights[hperp], 0.25)
+        assert scalar_z12_povm().point_densities.tolist() == pytest.approx([4.0])
 
     def test_full_support_trivial_subgroup(self):
         ctx = QuotientContext.build(Z12, trivial_subgroup(Z12))
         rho = WeightedMeasure(DOMAIN_DUAL, {x: 1.0 for x in Z12.characters()})
         rep = DiagonalRep(Z12, (SectorSpec(rho, 1),))
         data = class_measure(ctx, rep)
-        for x in Z12.characters():
-            assert data.lifted_measure(x) == pytest.approx(1.0 / 12.0)
-        result = admits_covariant_povm(ctx, rep)
-        for x in Z12.characters():
-            assert result.densities[0][x] == pytest.approx(12.0)
+        np.testing.assert_allclose(data.lifted_weights, 1.0 / 12.0)
+        field = IsometryField(0, {x: np.eye(1) for x in Z12.characters()})
+        povm = build_covariant_povm(rep, ctx.subgroup, (field,), e_dim=1)
+        np.testing.assert_allclose(povm.point_densities, 12.0)
 
     def test_empty_rep_gives_zero_measures(self):
         ctx = QuotientContext.build(
             Z12, subgroup_from_generators(Z12, [Z12.element([4])])
         )
         data = class_measure(ctx, DiagonalRep(Z12, ()))
-        assert data.support_indicator.is_zero
-        assert data.quotient_measure.is_zero
-        assert data.lifted_measure.is_zero
+        assert not data.quotient_measure.weights
+        assert data.lifted_weights.shape == (12,)
+        assert not data.lifted_weights.any()
 
-    def test_admits_always_with_certificates(self):
+    def test_lifted_weight_positive_on_support(self):
+        # the class measure weights every occupied coset, so every support
+        # point has a finite, positive density
         for _, povm in standard_instances():
-            result = admits_covariant_povm(povm.ctx, povm.rep)
-            assert result.admits
-            assert all(result.support_certificates)
+            table = povm.rep.support_table
+            assert (povm.class_data.lifted_weights[table.indices] > 0.0).all()
+            assert (np.isfinite(povm.point_densities) & (povm.point_densities > 0.0)).all()
 
     def test_mass_bookkeeping_identity(self):
         # summing density times lifted weight over a fiber recovers the
         # sector mass carried by that fiber
         for _, povm in standard_instances():
-            ctx = povm.ctx
-            lifted = povm.class_data.lifted_measure
+            ctx, table = povm.ctx, povm.rep.support_table
+            mass = povm.point_densities * povm.class_data.lifted_weights[table.indices]
+            cosets = ctx.dual_quotient.projection[table.indices]
+            lhs = np.bincount(cosets, mass, len(ctx.dual_quotient))
             for i, rep_char in enumerate(ctx.dual_quotient.representatives):
                 fiber = [rep_char + y for y in ctx.hperp_points]
-                lhs = sum(
-                    povm.densities[k].get(x, 0.0) * lifted(x)
-                    for k in range(len(povm.rep.sectors))
-                    for x in fiber
-                )
                 rhs = sum(
                     spec.rho(x) for spec in povm.rep.sectors for x in fiber
                 )
-                assert lhs == pytest.approx(rhs, abs=1e-9)
+                assert lhs[i] == pytest.approx(rhs, abs=1e-9)
 
 
 class TestBuildRejections:
@@ -471,9 +466,12 @@ class TestTrivialSubgroupReduction:
         povm = build_covariant_povm(rep, trivial_subgroup(g8), fields, e_dim=2)
         # with the trivial subgroup the lifted class measure is dual Haar,
         # weight 1/8 per character, so densities are 8 times the weights
-        for k, spec in enumerate(rep.sectors):
-            for x in spec.rho.support:
-                assert povm.densities[k][x] == pytest.approx(8.0 * spec.rho(x))
+        expected = [
+            8.0 * spec.rho(x)
+            for spec, points in zip(rep.sectors, rep.sector_points)
+            for x in points
+        ]
+        np.testing.assert_allclose(povm.point_densities, expected)
         report = verify_axioms(povm).merged(verify_covariance(povm))
         assert report.passed
         for _ in range(5):
