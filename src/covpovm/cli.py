@@ -138,8 +138,9 @@ def _oracle_report(povm, tolerance: float, extra_omegas) -> VerificationReport:
     ten seeded random ones; both routes run over the whole stack."""
     q = povm.ctx.n_cosets
     rng = np.random.default_rng(2024)
-    randoms = [rng.standard_normal(q) + 1j * rng.standard_normal(q) for _ in range(10)]
-    omegas = np.vstack((np.eye(q), np.ones(q), *extra_omegas, *randoms))
+    parts = rng.standard_normal((10, 2, q))  # real then imaginary part of each, in draw order
+    randoms = parts[:, 0] + 1j * parts[:, 1]
+    omegas = np.vstack((np.eye(q), np.ones(q), *extra_omegas, randoms))
     # the kernel effects of each block of compressions, stacked alike
     devs, start = [], 0
     for oracle in intertwiner_compressions(povm, omegas):

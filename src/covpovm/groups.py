@@ -167,18 +167,35 @@ class FiniteAbelianGroup:
     def trivial_character(self) -> DualCharacter:
         return DualCharacter((0,) * self.rank, self.factors)
 
+    @cached_property
+    def _doubling(self) -> np.ndarray:
+        """(i, k) for every factor i and every k < (n_i - 1).bit_length(), one row each."""
+        pairs = [(i, k) for i, n in enumerate(self.factors) for k in range((n - 1).bit_length())]
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
     def doubling_generators(self) -> tuple[GroupElement, ...]:
         """2^k e_i for every factor i and every k < (n_i - 1).bit_length().
 
         The binary digits of an element's coordinates name distinct
-        generators summing to it, so every element is a word of length at
-        most the number of generators.
+        generators summing to it (:meth:`doubling_digits`), so every element
+        is a word of length at most the number of generators. Built once per
+        group.
         """
+        return self._doubling_generators
+
+    @cached_property
+    def _doubling_generators(self) -> tuple[GroupElement, ...]:
         return tuple(
             self.element([1 << k if j == i else 0 for j in range(self.rank)])
-            for i, n in enumerate(self.factors)
-            for k in range((n - 1).bit_length())
+            for i, k in self._doubling.tolist()
         )
+
+    def doubling_digits(self, indices) -> np.ndarray:
+        """D[a, l] = 1 when generator l of :meth:`doubling_generators` is one
+        of the distinct generators summing to the point at ``indices[a]``,
+        else 0: bit k of its coordinate i, for the generator 2^k e_i."""
+        axes, shifts = self._doubling.T
+        return (self.coords[indices][:, axes] >> shifts) & 1
 
     def elements(self) -> list[GroupElement]:
         """All group elements in lexicographic order."""
@@ -194,8 +211,10 @@ class FiniteAbelianGroup:
         return np.indices(self.factors).reshape(self.rank, -1).T
 
     def ravel(self, coords) -> np.ndarray:
-        """Indices of integer coordinates (last axis), reduced mod the factors."""
-        return np.ravel_multi_index(np.moveaxis(coords, -1, 0), self.factors, mode="wrap")
+        """Indices of integer coordinates (last axis), reduced mod the factors.
+        Transposing puts the coordinate axis first as views, for both the
+        coordinates and the result."""
+        return np.ravel_multi_index(np.asarray(coords).T, self.factors, mode="wrap").T
 
     def index_of(self, point) -> int:
         """Index of an element or character of this group."""
@@ -217,9 +236,13 @@ class FiniteAbelianGroup:
 
     def exponents(self, x_indices, g_indices) -> np.ndarray:
         """t[a, b] with <x_a, g_b> = exp(2 pi i t / L), 0 <= t < L, exactly."""
-        lcm = self.exponent
-        scaled = self.coords[x_indices] * (lcm // np.array(self.factors))
-        return scaled @ self.coords[g_indices].T % lcm
+        scaled = self.coords[x_indices] * self._pairing_scales
+        return scaled @ self.coords[g_indices].T % self.exponent
+
+    @cached_property
+    def _pairing_scales(self) -> np.ndarray:
+        """L / n_j for every factor n_j, L the exponent."""
+        return self.exponent // np.array(self.factors)
 
     def pairing_matrix(self, x_indices, g_indices) -> np.ndarray:
         """P[a, b] = <x_a, g_b>, equal entry for entry to :func:`pairing`. An

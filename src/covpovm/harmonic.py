@@ -116,12 +116,18 @@ class QuotientContext:
         like ``hperp_points``; for a (k, q) stack of quotient functions, the
         (k, |H-perp|) stack of their cotransforms, each row the same
         matrix-vector product as for that function alone."""
+        omega = self._coset_values(omega, (1, 2))
+        return (self._fourier_matrix @ omega[..., None])[..., 0]
+
+    def _coset_values(self, omega, ndims) -> np.ndarray:
+        """A quotient function (ndim 1), or a stack of them, as a complex
+        array; another shape or a non-finite value raises ``ValueError``."""
         omega = np.asarray(omega, dtype=complex)
-        if omega.ndim not in (1, 2) or omega.shape[-1] != self.n_cosets:
+        if omega.ndim not in ndims or omega.shape[-1] != self.n_cosets:
             raise ValueError(f"expected {self.n_cosets} coset values, got {omega.shape}")
         if not np.isfinite(omega).all():
             raise ValueError("quotient function has non-finite values")
-        return (self._fourier_matrix @ omega[..., None])[..., 0]
+        return omega
 
     def cotransform_adjoint(self, phi) -> np.ndarray:
         """Adjoint of :meth:`cotransform`; inverse of it, by unitarity."""
@@ -146,10 +152,9 @@ class QuotientContext:
 
     def translated(self, a: GroupElement, omega) -> np.ndarray:
         """The shifted quotient function (a . omega)(coset) = omega(a^-1[coset]).
-        Omega must hold one value per coset (``ValueError`` otherwise)."""
-        omega = np.asarray(omega, dtype=complex)
-        if omega.shape != (self.n_cosets,):
-            raise ValueError(f"expected {self.n_cosets} coset values, got {omega.shape}")
+        Omega must hold one finite value per coset (``ValueError`` otherwise,
+        as for :meth:`cotransform`)."""
+        omega = self._coset_values(omega, (1,))
         coords = self.group.coords
         shifted = coords[self.quotient.rep_indices] - coords[self.group.index_of(a)]
         return omega[self.quotient.projection[self.group.ravel(shifted)]]
@@ -171,9 +176,9 @@ def lift_measure(ctx: QuotientContext, nu) -> np.ndarray:
     The lifted weight at a character x is nu(coset of x) times the Haar
     weight of the annihilator, so integrating any function against the
     lift equals integrating its fiber averages against nu. A wrong shape,
-    or a weight that is not finite and >= 0, raises ``ValueError``.
+    or a weight that is not real, finite and >= 0, raises ``ValueError``.
     """
-    nu = np.asarray(nu, dtype=float)
+    nu = _real(nu, "dual coset weight")
     if nu.shape != (len(ctx.dual_quotient),):
         raise ValueError(f"expected {len(ctx.dual_quotient)} dual coset weights, got {nu.shape}")
     _reject_first("dual coset weight is not finite and >= 0", nu, ~(nu >= 0.0) | (nu == np.inf))
@@ -184,9 +189,9 @@ def image_measure(ctx: QuotientContext, indices, weights) -> np.ndarray:
     """Push a measure on the dual group, given as weights at character
     indices, down to the dual quotient: the fiber sum at each coset. One
     weight per index is required; an index that is not an integer in
-    [0, |G|), or a weight that is not finite and >= 0, raises
+    [0, |G|), or a weight that is not real, finite and >= 0, raises
     ``ValueError``."""
-    indices, weights = np.asarray(indices), np.asarray(weights, dtype=float)
+    indices, weights = np.asarray(indices), _real(weights, "weight")
     if indices.ndim != 1 or weights.shape != indices.shape:
         shapes = f"{indices.shape} and {weights.shape}"
         raise ValueError(f"expected one weight per character index, got shapes {shapes}")
@@ -197,6 +202,16 @@ def image_measure(ctx: QuotientContext, indices, weights) -> np.ndarray:
     _reject_first("weight is not finite and >= 0", weights, ~(weights >= 0.0) | (weights == np.inf))
     cosets = ctx.dual_quotient.projection[indices.astype(np.intp)]
     return np.bincount(cosets, weights, len(ctx.dual_quotient))
+
+
+def _real(values, what: str) -> np.ndarray:
+    """Weights as a float array; a complex entry with a nonzero imaginary
+    part raises ``ValueError`` naming the first one."""
+    values = np.asarray(values)
+    if values.dtype.kind == "c":
+        _reject_first(f"{what} is not real", values, values.imag != 0)
+        values = values.real
+    return values.astype(float)
 
 
 def _reject_first(message: str, values: np.ndarray, bad: np.ndarray) -> None:

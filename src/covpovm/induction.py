@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import DualCharacter, GroupElement, pairing
+from .groups import DualCharacter, GroupElement, _isin, pairing
 from .harmonic import DOMAIN_DUAL_QUOTIENT, QuotientContext, WeightedMeasure
 
 
@@ -142,7 +142,7 @@ class DiagonalSpace(_WeightedSpace):
     def point_indices(self) -> np.ndarray:
         """Group indices of the characters in the preimage of the measure
         support, sorted (index order is lexicographic order)."""
-        return np.flatnonzero(np.isin(self.ctx.dual_quotient.projection, self.support))
+        return np.flatnonzero(_isin(self.ctx.dual_quotient.projection, self.support))
 
     @cached_property
     def points(self) -> tuple[DualCharacter, ...]:
@@ -162,11 +162,12 @@ class DiagonalSpace(_WeightedSpace):
     def weight_array(self) -> np.ndarray:
         return np.broadcast_to(self.point_weights[:, None], self.shape).copy()
 
-    def _differences(self, indices) -> np.ndarray:
-        """Group index of points[p] - y for every point and every group index
-        of ``indices``, shape (n_points, len(indices))."""
+    def _differences(self, indices, at=slice(None)) -> np.ndarray:
+        """Group index of points[p] - y for every point position p of ``at``
+        (every point by default) and every group index y of ``indices``,
+        shape (len(at), len(indices))."""
         coords = self.ctx.group.coords
-        diff = coords[self.point_indices][:, None] - coords[indices][None]
+        diff = coords[self.point_indices[at]][:, None] - coords[indices][None]
         return self.ctx.group.ravel(diff)
 
     @cached_property
@@ -180,7 +181,14 @@ class DiagonalSpace(_WeightedSpace):
     def _shift_index(self) -> np.ndarray:
         """A[p, j] = a with points[p] - points[j] = hperp[a], or -1 when the
         two points lie in different fibers."""
-        return self.ctx.annihilator.position(self._differences(self.point_indices))
+        return self._shift_index_at(slice(None), slice(None))
+
+    def _shift_index_at(self, rows, cols) -> np.ndarray:
+        """``_shift_index[rows][:, cols]`` for point positions (or slices)
+        ``rows`` and ``cols``, computed for those points only."""
+        return self.ctx.annihilator.position(
+            self._differences(self.point_indices[cols], rows)
+        )
 
     @cached_property
     def _rep_pairing(self) -> np.ndarray:
@@ -291,7 +299,9 @@ def diagonalizer_adjoint_matrix(space: InducedSpace) -> np.ndarray:
     )
 
 
-def transported_multiplication_matrix(dspace: DiagonalSpace, omega) -> np.ndarray:
+def transported_multiplication_matrix(
+    dspace: DiagonalSpace, omega, points=None
+) -> np.ndarray:
     """Matrix of :func:`transported_multiplication_act` in orthonormal
     coordinates, read off its response to one impulse; for a (k, q) stack
     of quotient functions, the (k, dim, dim) stack of their matrices.
@@ -304,26 +314,43 @@ def transported_multiplication_matrix(dspace: DiagonalSpace, omega) -> np.ndarra
     the impulse at points[0] (its fiber holds every shift); one act call
     on the whole stack gives them, the shift-index table spreads them, and
     the point matrix is written onto the C^E diagonal of each point block.
+
+    With ``points``, an array of point positions, the result is the point
+    matrix at those points only, entry (p, j) = P[points[p], points[j]]:
+    entry (points[p] * E, points[j] * E) of the dense matrix, shape
+    (len(points), len(points)) per omega. Its shift index is computed for
+    those points alone, and no dense matrix is formed.
     """
     lead = np.shape(omega)[:-1]  # () for one omega, (k,) for a stack
     n_points, e = dspace.shape
+    if points is not None:
+        if not n_points:
+            return np.zeros((*lead, len(points), len(points)), dtype=complex)
+        return _shift_values(dspace, omega)[..., dspace._shift_index_at(points, points)]
     out = np.zeros((*lead, n_points, e, n_points, e), dtype=complex)
-    if dspace.dim:
-        impulse = np.zeros(dspace.dim, dtype=complex)
-        impulse[0] = 1.0
-        impulse = dspace.from_coords(impulse)
-        responses = transported_multiplication_act(dspace, omega, impulse)
-        # orthonormal coordinates of each point's first C^E coordinate
-        firsts = responses[..., 0] * dspace._sqrt_weights[:, 0]
-        shifts = dspace._shift_index
-        in_fiber = shifts[:, 0] >= 0
-        # one slot per annihilator shift and a last one, 0, that -1 reads
-        values = np.zeros((*lead, dspace.ctx.annihilator.order + 1), dtype=complex)
-        values[..., shifts[in_fiber, 0]] = firsts[..., in_fiber]
-        block = values[..., shifts]
+    if n_points:
+        block = _shift_values(dspace, omega)[..., dspace._shift_index]
         for i in range(e):
             out[..., :, i, :, i] = block
     return out.reshape(*lead, dspace.dim, dspace.dim)
+
+
+def _shift_values(dspace: DiagonalSpace, omega) -> np.ndarray:
+    """The point-matrix entry of every annihilator shift a, hw * fo[a] in
+    orthonormal coordinates, and a last slot, 0, that a shift index of -1
+    (across fibers) reads: shape (..., |H-perp| + 1). The entries are the
+    act's response to the impulse at points[0], placed by the shift index
+    of column 0 alone."""
+    impulse = np.zeros(dspace.dim, dtype=complex)
+    impulse[0] = 1.0
+    responses = transported_multiplication_act(dspace, omega, dspace.from_coords(impulse))
+    # orthonormal coordinates of each point's first C^E coordinate
+    firsts = responses[..., 0] * dspace._sqrt_weights[:, 0]
+    shifts = dspace._shift_index_at(slice(None), [0])[:, 0]
+    in_fiber = shifts >= 0
+    values = np.zeros((*firsts.shape[:-1], dspace.ctx.annihilator.order + 1), dtype=complex)
+    values[..., shifts[in_fiber]] = firsts[..., in_fiber]
+    return values
 
 
 def character_multiplication_matrix(dspace: DiagonalSpace, a: GroupElement) -> np.ndarray:

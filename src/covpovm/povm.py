@@ -687,17 +687,6 @@ def _one_point_columns(w: np.ndarray, e_dim: int) -> tuple[np.ndarray, np.ndarra
     return rows, w[rows, np.arange(dim)]
 
 
-def _gathered_sum(a: np.ndarray, rows: np.ndarray, factors: np.ndarray, axis: int) -> np.ndarray:
-    """Sum over e of ``a`` gathered at ``rows[e]`` along ``axis``, times ``factors[e]``."""
-    out = np.take(a, rows[0], axis=axis)
-    out *= factors[0]
-    for index, factor in zip(rows[1:], factors[1:]):
-        term = np.take(a, index, axis=axis)
-        term *= factor
-        out += term
-    return out
-
-
 def intertwiner_compressions(povm: CovariantPOVM, omegas):
     """Yield W^H T(omega) W for a (k, q) stack of quotient functions, in
     order, as (n, dim, dim) stacks of n omegas at a time; W is the
@@ -705,27 +694,30 @@ def intertwiner_compressions(povm: CovariantPOVM, omegas):
     :mod:`covpovm.induction`.
 
     Column c of W is nonzero only on the E rows (p(c), e) of one point, read
-    off W itself, so entry (r, c) of the compression is the sum over e, e' of
-    conj(W[(p(r), e), r]) T[(p(r), e), (p(c), e')] W[(p(c), e'), c]: two
-    gathers of T and entrywise products, with no dense product. W is
-    checked once for entries off those rows, so the result is W^H T W to
-    rounding whatever W holds. A block holds as many omegas as keep its
-    arrays within ``_BLOCK_ENTRIES`` entries, and at least one: T, T W and
-    one gathered term, dim_T * (dim_T + 2 dim) entries per omega, bound
-    every step.
+    off W itself, and T = P (x) I_E, so entry (r, c) of the compression is
+    P[p(r), p(c)] G[r, c] with G[r, c] = sum over e of conj(W[(p(r), e), r])
+    W[(p(c), e), c], the Gram matrix of the one-point column values, formed
+    once. P is read at the home points only (``points=`` of
+    :func:`transported_multiplication_matrix`), so no array has more than
+    dim^2 entries per omega besides the act's response. W is checked once
+    for entries off those rows, so the result is W^H T W to rounding
+    whatever W holds. A block holds as many omegas as keep P and the act's
+    response, dim^2 + dim_T entries per omega, within ``_BLOCK_ENTRIES``
+    entries, and at least one.
     """
     rows, values = _one_point_columns(povm.intertwiner, povm.e_dim)
+    gram = values.conj().T @ values
+    home = rows[0] // povm.e_dim
     dspace = povm.diagonal_space
     omegas = np.asarray(omegas)
-    per_omega = dspace.dim * (dspace.dim + 2 * povm.dimension)
+    per_omega = povm.dimension**2 + dspace.dim
     block = max(1, _BLOCK_ENTRIES // max(per_omega, 1))
     for start in range(0, len(omegas), block):
-        # (T W)[:, d, c] = sum over e of T[:, d, rows[e, c]] W[rows[e, c], c], then
-        # (W^H T W)[:, r, c] = sum over e of conj(W[rows[e, r], r]) (T W)[:, rows[e, r], c]
-        t = transported_multiplication_matrix(dspace, omegas[start : start + block])
-        tw = _gathered_sum(t, rows, values, axis=2)
-        del t  # T is not needed for the second gather
-        yield _gathered_sum(tw, rows, values.conj()[:, :, None], axis=1)
+        compressed = transported_multiplication_matrix(
+            dspace, omegas[start : start + block], points=home
+        )
+        compressed *= gram
+        yield compressed
 
 
 def apply_via_intertwiner(povm: CovariantPOVM, omega) -> BlockOperator:
@@ -802,18 +794,38 @@ def _diagonal_phases(povm_like, g: GroupElement) -> np.ndarray:
     return phases
 
 
+def _generator_phases(povm_like) -> np.ndarray:
+    """The diagonals of U(s) at the doubling generators s of G, one row each."""
+    generators = povm_like.ctx.group.doubling_generators()
+    rows = [_diagonal_phases(povm_like, s) for s in generators]
+    return np.array(rows, dtype=complex).reshape(len(generators), povm_like.dimension)
+
+
+def _composed_phases(ctx: QuotientContext, generators: np.ndarray, cosets) -> np.ndarray:
+    """The diagonal of U(r_j) for the representative r_j of each coset j of
+    ``cosets``, one row each: the product of the generator diagonals
+    (:func:`_generator_phases`) that the binary digits of r_j name."""
+    digits = ctx.group.doubling_digits(ctx.quotient.rep_indices[cosets])
+    return np.where(digits[:, :, None] == 1, generators, 1.0).prod(axis=1)
+
+
 def verify_axioms(povm_like, atol: float = DEFAULT_ATOL) -> VerificationReport:
     """Positivity of the singleton effects and normalization of the whole
     outcome space.
 
     Positivity by transitivity: G acts transitively on G/H, so M(e_j)
-    should be U(r_j) M(e_0) U(r_j)*, r_j the representative of coset j,
-    which has the spectrum of M(e_0). One ``eigvalsh`` reads the positivity
-    deviation p_0 of M(e_0) (the larger of its hermiticity defect and its
-    most negative eigenvalue); delta is the worst entrywise gap between
-    M(e_j) and U(r_j) M(e_0) U(r_j)* over all j. By Weyl's inequality, with
-    the spectral norm of the gap at most dim * delta and its hermiticity
-    defect at most 2 * delta, the reported
+    should be V_j M(e_0) V_j*, V_j = U(r_j) for the representative r_j of
+    coset j, which has the spectrum of M(e_0). V_j is composed from the
+    diagonals of U(s) at the doubling generators s alone
+    (:meth:`FiniteAbelianGroup.doubling_digits`): r_j is the sum of the
+    generators its coordinates' binary digits name, and U is a
+    homomorphism. One ``eigvalsh`` reads the positivity deviation p_0 of
+    M(e_0) (the larger of its hermiticity defect and its most negative
+    eigenvalue); delta is the worst entrywise gap between M(e_j) and
+    V_j M(e_0) V_j* over all j. The bound below needs only that V_j is a
+    diagonal unitary, which a product of checked diagonal unitaries is. By
+    Weyl's inequality, with the spectral norm of the gap at most
+    dim * delta and its hermiticity defect at most 2 * delta, the reported
 
         max(p_0, a) + max(dim, 2) * delta
 
@@ -827,10 +839,11 @@ def verify_axioms(povm_like, atol: float = DEFAULT_ATOL) -> VerificationReport:
 
     Accepts any object with ``ctx``, ``dimension``, ``u_matrix(g)`` and
     ``assembled(omegas)``, which maps a (k, q) stack of quotient functions
-    to the (k, dim, dim) stack of their effects; U(g) must be diagonal, as
-    it is for a :class:`DiagonalRep`, and a U(r_j) with a nonzero
-    off-diagonal entry raises ``ValueError``. Never raises on numerical
-    failure otherwise: the report carries the deviations, NaN included.
+    to the (k, dim, dim) stack of their effects; ``u_matrix`` is called at
+    the doubling generators only, once each. U(g) must be diagonal, as it
+    is for a :class:`DiagonalRep`, and a U(s) with a nonzero off-diagonal
+    entry raises ``ValueError``. Never raises on numerical failure
+    otherwise: the report carries the deviations, NaN included.
     """
     ctx = povm_like.ctx
     q = ctx.n_cosets
@@ -838,13 +851,14 @@ def verify_axioms(povm_like, atol: float = DEFAULT_ATOL) -> VerificationReport:
     unions = [ctx.indicator([0, 1])] if q > 1 else []
     omegas = np.vstack((np.eye(q), np.ones(q), *unions))
     block = max(1, _BLOCK_ENTRIES // max(povm_like.dimension**2, 1))
-    reps, kept, gaps = ctx.quotient.representatives, {}, []
+    generators = _generator_phases(povm_like)
+    kept, gaps = {}, []
     for start in range(0, len(omegas), block):
         effects = povm_like.assembled(omegas[start : start + block])
         kept.update((j, effects[j - start]) for j in (0, 1, q, q + 1) if 0 <= j - start < len(effects))
         singles = range(max(start, 1), min(start + len(effects), q))
         if len(singles):
-            phases = np.stack([_diagonal_phases(povm_like, reps[j]) for j in singles])
+            phases = _composed_phases(ctx, generators, singles)
             moved = phases[:, :, None] * kept[0]
             moved *= phases.conj()[:, None, :]
             moved -= effects[singles.start - start : singles.stop - start]

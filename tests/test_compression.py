@@ -61,6 +61,28 @@ def test_compression_on_random_instances(case):
     check_compression(povm, omegas)
 
 
+@given(povms_and_omegas(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_home_point_route_against_the_dense_matrix(case, data):
+    """The compression against the dense W^H T W at 1e-12, and the point
+    matrix at any points (the home points of W's columns, then a random
+    list with repeats) equal to the dense T's (p E, j E) entries bit for bit."""
+    povm, omegas = case
+    dspace = povm.diagonal_space
+    dense = transported_multiplication_matrix(dspace, omegas)
+    w = povm.intertwiner
+    want = w.conj().T @ dense @ w
+    np.testing.assert_allclose(stacked(povm, omegas), want, rtol=0, atol=1e-12)
+    e = povm.e_dim
+    home = np.array([np.flatnonzero(w[:, c])[0] // e for c in range(povm.dimension)], dtype=np.intp)
+    drawn = data.draw(st.lists(st.integers(0, dspace.shape[0] - 1), max_size=8))
+    for points in (home, np.array(drawn, dtype=np.intp)):
+        got = transported_multiplication_matrix(dspace, omegas, points=points)
+        assert got.shape == (len(omegas), len(points), len(points))
+        rows = points * e
+        assert np.array_equal(got, dense[:, rows[:, None], rows])
+
+
 @pytest.mark.parametrize("name, povm", FIXED, ids=[name for name, _ in FIXED])
 def test_compression_on_fixed_instances(name, povm):
     rng = np.random.default_rng(13)
@@ -72,8 +94,9 @@ def test_blocks_of_any_size_give_the_same_stack(monkeypatch, per_block):
     povm = fibered_instance()
     omegas = random_omegas(povm, np.random.default_rng(3), 5)
     whole = stacked(povm, omegas)
-    d = povm.diagonal_space.dim
-    monkeypatch.setattr(povm_module, "_BLOCK_ENTRIES", per_block * d * (d + 2 * povm.dimension))
+    # P at the home points and the act's response: dim^2 + dim_T entries per omega
+    per_omega = povm.dimension**2 + povm.diagonal_space.dim
+    monkeypatch.setattr(povm_module, "_BLOCK_ENTRIES", per_block * per_omega)
     blocks = list(intertwiner_compressions(povm, omegas))
     assert [len(b) for b in blocks] == [min(per_block, 5 - s) for s in range(0, 5, per_block)]
     np.testing.assert_allclose(np.concatenate(blocks), whole, rtol=0, atol=1e-14)

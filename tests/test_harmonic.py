@@ -267,3 +267,30 @@ class TestBoundary:
         with pytest.raises(ValueError) as got:
             lift_measure(ctx, nu)
         assert str(got.value) == "dual coset weight is not finite and >= 0: position 1, value nan"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_translated_rejects_non_finite_like_cotransform(self, ctx, bad):
+        omega = np.ones(4, dtype=complex)
+        omega[2] = bad
+        with pytest.raises(ValueError) as shifted:
+            ctx.translated(Z12.element([1]), omega)
+        with pytest.raises(ValueError) as transformed:
+            ctx.cotransform(omega)
+        assert str(shifted.value) == str(transformed.value)
+        assert str(shifted.value) == "quotient function has non-finite values"
+
+    @pytest.mark.parametrize("weights", [np.array([1.0, 2.0 + 1e-3j]), [1.0, 2.0 + 1e-3j]])
+    def test_measure_maps_reject_complex_weights(self, ctx, weights):
+        with pytest.raises(ValueError) as imaged:
+            image_measure(ctx, [0, 1], weights)
+        assert str(imaged.value) == "weight is not real: position 1, value (2+0.001j)"
+        nu = np.concatenate((np.asarray(weights), [1.0]))
+        with pytest.raises(ValueError) as lifted:
+            lift_measure(ctx, nu)
+        assert str(lifted.value) == "dual coset weight is not real: position 1, value (2+0.001j)"
+
+    def test_measure_maps_take_complex_weights_with_zero_imaginary_part(self, ctx):
+        nu = np.array([1.0, 2.0, 0.0], dtype=complex)
+        assert np.array_equal(lift_measure(ctx, nu), lift_measure(ctx, nu.real))
+        weights = np.array([2.0, 3.0], dtype=complex)
+        assert np.array_equal(image_measure(ctx, [1, 4], weights), image_measure(ctx, [1, 4], weights.real))

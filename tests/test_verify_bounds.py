@@ -15,6 +15,7 @@ from covpovm import (
     verify_axioms,
     verify_covariance,
 )
+from covpovm.povm import _composed_phases, _generator_phases
 from helpers import (
     brute_covariance_deviation,
     brute_positivity_deviation,
@@ -185,6 +186,44 @@ class TestDetectionAndCounts:
 
             assert verify_covariance(Counting()).passed
             assert calls == list(povm.ctx.group.doubling_generators())
+
+    def test_axioms_call_u_matrix_once_per_generator(self):
+        for _, povm in standard_instances():
+            calls = []
+
+            class Counting:
+                ctx = povm.ctx
+                dimension = povm.dimension
+
+                @row_by_row
+                def assembled(self, omega):
+                    return povm.assembled(omega)
+
+                def u_matrix(self, g):
+                    calls.append(g)
+                    return povm.u_matrix(g)
+
+            assert verify_axioms(Counting()).passed
+            assert calls == list(povm.ctx.group.doubling_generators())
+
+    def test_composed_transport_is_u_at_each_representative(self):
+        for name, povm in standard_instances():
+            ctx = povm.ctx
+            cosets = np.arange(ctx.n_cosets)
+            composed = _composed_phases(ctx, _generator_phases(povm), cosets)
+            for j, r in enumerate(ctx.quotient.representatives):
+                want = np.diagonal(povm.u_matrix(r))
+                assert np.abs(composed[j] - want).max() <= 1e-14, (name, j)
+
+    def test_perturbed_last_coset_fails_positivity(self):
+        # the transport to the last coset is composed from generator diagonals
+        for _, povm in standard_instances():
+            q, dim = povm.ctx.n_cosets, povm.dimension
+            bump = np.zeros((dim, dim), dtype=complex)
+            bump[0, dim - 1] = 1e-4
+            positivity = verify_axioms(Wrapped(povm, {q - 1: bump})).checks[0]
+            assert not positivity.passed
+            assert positivity.max_deviation >= 1e-4
 
     def test_axioms_reject_a_non_diagonal_u(self):
         povm = standard_instances()[1][1]
