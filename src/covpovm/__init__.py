@@ -64,6 +64,7 @@ from .povm import (
     CheckResult,
     CovariantPOVM,
     DiagonalRep,
+    DilationSweep,
     EquivalenceResult,
     FieldTable,
     IsometryField,
@@ -75,6 +76,7 @@ from .povm import (
     apply_via_intertwiner,
     build_covariant_povm,
     class_measure,
+    dilation_sweep,
     equivalence_check,
     intertwiner_compressions,
     intertwiner_matrix,

@@ -32,6 +32,7 @@ from .povm import (
     CheckResult,
     PovmBuildError,
     VerificationReport,
+    dilation_sweep,
     intertwiner_compressions,
     verify_axioms,
     verify_covariance,
@@ -132,23 +133,20 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _oracle_report(povm, tolerance: float, extra_omegas) -> VerificationReport:
-    """Compare the kernel formula against the intertwiner compression over
-    the indicator basis, the constant function, any provided functions and
-    ten seeded random ones; both routes run over the whole stack."""
-    q = povm.ctx.n_cosets
-    rng = np.random.default_rng(2024)
-    parts = rng.standard_normal((10, 2, q))  # real then imaginary part of each, in draw order
-    randoms = parts[:, 0] + 1j * parts[:, 1]
-    omegas = np.vstack((np.eye(q), np.ones(q), *extra_omegas, randoms))
-    # the kernel effects of each block of compressions, stacked alike
-    devs, start = [], 0
-    for oracle in intertwiner_compressions(povm, omegas):
-        kernel = povm.assembled(omegas[start : start + len(oracle)])
-        devs.append(np.abs(kernel - oracle).max(initial=0.0))
-        start += len(oracle)
+def _oracle_report(povm, tolerance: float, extra_omegas, sweep=None) -> VerificationReport:
+    """Compare the kernel formula against the intertwiner compression: the
+    gaps of the :class:`~covpovm.povm.DilationSweep` (the indicator basis,
+    the constant function, the indicator of {0, 1} and ten seeded random
+    functions; computed when not given) and any provided functions, each
+    route over them as one stack."""
+    sweep = dilation_sweep(povm) if sweep is None else sweep
+    devs = [sweep.gaps]
+    if len(extra_omegas):
+        extra = np.asarray(extra_omegas)
+        oracle = np.concatenate(list(intertwiner_compressions(povm, extra)))
+        devs.append(np.abs(povm.assembled(extra) - oracle).max(axis=(1, 2), initial=0.0))
     # np.max keeps a NaN deviation, which Python's max may drop
-    dev = float(np.max(devs, initial=0.0))
+    dev = float(np.max(np.concatenate(devs), initial=0.0))
     return VerificationReport(
         (CheckResult("oracle_agreement", dev <= tolerance, dev),)
     )
@@ -168,10 +166,11 @@ def cmd_verify(args) -> int:
                 f"the quotient has {povm.ctx.n_cosets} cosets"
             )
         extra.append(omega)
+    sweep = dilation_sweep(povm)
     report = (
-        verify_axioms(povm, atol=tolerance)
-        .merged(verify_covariance(povm, atol=tolerance))
-        .merged(_oracle_report(povm, tolerance, extra))
+        verify_axioms(povm, atol=tolerance, sweep=sweep)
+        .merged(verify_covariance(povm, atol=tolerance, sweep=sweep))
+        .merged(_oracle_report(povm, tolerance, extra, sweep))
     )
     if args.dump_matrices:
         dump_dir = Path(args.dump_matrices)

@@ -177,9 +177,8 @@ class FiniteAbelianGroup:
         """2^k e_i for every factor i and every k < (n_i - 1).bit_length().
 
         The binary digits of an element's coordinates name distinct
-        generators summing to it (:meth:`doubling_digits`), so every element
-        is a word of length at most the number of generators. Built once per
-        group.
+        generators summing to it, so every element is a word of length at
+        most the number of generators. Built once per group.
         """
         return self._doubling_generators
 
@@ -189,13 +188,6 @@ class FiniteAbelianGroup:
             self.element([1 << k if j == i else 0 for j in range(self.rank)])
             for i, k in self._doubling.tolist()
         )
-
-    def doubling_digits(self, indices) -> np.ndarray:
-        """D[a, l] = 1 when generator l of :meth:`doubling_generators` is one
-        of the distinct generators summing to the point at ``indices[a]``,
-        else 0: bit k of its coordinate i, for the generator 2^k e_i."""
-        axes, shifts = self._doubling.T
-        return (self.coords[indices][:, axes] >> shifts) & 1
 
     def elements(self) -> list[GroupElement]:
         """All group elements in lexicographic order."""
@@ -343,8 +335,9 @@ class Subgroup:
 
     @cached_property
     def _positions(self) -> np.ndarray:
-        """Position in ``self.indices`` of every parent index, or -1 (int32)."""
-        table = np.full(self.parent.order, -1, dtype=np.int32)
+        """Position in ``self.indices`` of every parent index, or -1; intp, so
+        that a table of positions gathers with no index conversion."""
+        table = np.full(self.parent.order, -1, dtype=np.intp)
         table[self.indices] = np.arange(len(self.indices))
         return table
 

@@ -255,10 +255,12 @@ def transported_multiplication_act(
     """Multiplication by a quotient function, conjugated into the diagonal
     model: convolution of phi with the cotransform of omega along each
     fiber, carrying the annihilator Haar weight. A (k, q) stack of quotient
-    functions gives the (k, n_points, e_dim) stack of their products."""
+    functions gives the (k, n_points, e_dim) stack of their products, by one
+    matrix product of the stack with the gathered shifts."""
     fo = dspace.ctx.cotransform(omega)
-    shifted = phi[dspace._shift_table]  # (points, hperp, e)
-    return dspace.ctx.hperp_weight * (fo[..., None, None, :] @ shifted)[..., 0, :]
+    shifted = phi[dspace._shift_table.T]  # (hperp, points, e)
+    product = fo @ shifted.reshape(len(shifted), -1)
+    return dspace.ctx.hperp_weight * product.reshape(*fo.shape[:-1], *phi.shape)
 
 
 def character_multiplication_act(
@@ -300,7 +302,7 @@ def diagonalizer_adjoint_matrix(space: InducedSpace) -> np.ndarray:
 
 
 def transported_multiplication_matrix(
-    dspace: DiagonalSpace, omega, points=None
+    dspace: DiagonalSpace, omega, points=None, *, values=None, index=None
 ) -> np.ndarray:
     """Matrix of :func:`transported_multiplication_act` in orthonormal
     coordinates, read off its response to one impulse; for a (k, q) stack
@@ -320,13 +322,23 @@ def transported_multiplication_matrix(
     entry (points[p] * E, points[j] * E) of the dense matrix, shape
     (len(points), len(points)) per omega. Its shift index is computed for
     those points alone, and no dense matrix is formed.
+
+    A caller reading many blocks of one stack at the same points builds the
+    omega-independent parts once: it passes the block's rows of
+    :func:`_shift_values` of the whole stack as ``values`` (one act call
+    per stack) and ``dspace._shift_index_at(points, points)`` as ``index``;
+    omega is then not evaluated again.
     """
     lead = np.shape(omega)[:-1]  # () for one omega, (k,) for a stack
     n_points, e = dspace.shape
     if points is not None:
         if not n_points:
             return np.zeros((*lead, len(points), len(points)), dtype=complex)
-        return _shift_values(dspace, omega)[..., dspace._shift_index_at(points, points)]
+        if values is None:
+            values = _shift_values(dspace, omega)
+        if index is None:
+            index = dspace._shift_index_at(points, points)
+        return values[..., index]
     out = np.zeros((*lead, n_points, e, n_points, e), dtype=complex)
     if n_points:
         block = _shift_values(dspace, omega)[..., dspace._shift_index]
@@ -339,17 +351,20 @@ def _shift_values(dspace: DiagonalSpace, omega) -> np.ndarray:
     """The point-matrix entry of every annihilator shift a, hw * fo[a] in
     orthonormal coordinates, and a last slot, 0, that a shift index of -1
     (across fibers) reads: shape (..., |H-perp| + 1). The entries are the
-    act's response to the impulse at points[0], placed by the shift index
-    of column 0 alone."""
+    act's response to the impulse at points[0], read at the fiber mates p
+    of points[0] and placed at the shift a with points[p] - hperp[a] =
+    points[0] (``_shift_table``); with no points, all entries are 0 and no
+    act runs."""
+    values = np.zeros((*np.shape(omega)[:-1], dspace.ctx.annihilator.order + 1), dtype=complex)
+    if not dspace.dim:
+        return values
     impulse = np.zeros(dspace.dim, dtype=complex)
     impulse[0] = 1.0
     responses = transported_multiplication_act(dspace, omega, dspace.from_coords(impulse))
     # orthonormal coordinates of each point's first C^E coordinate
     firsts = responses[..., 0] * dspace._sqrt_weights[:, 0]
-    shifts = dspace._shift_index_at(slice(None), [0])[:, 0]
-    in_fiber = shifts >= 0
-    values = np.zeros((*firsts.shape[:-1], dspace.ctx.annihilator.order + 1), dtype=complex)
-    values[..., shifts[in_fiber]] = firsts[..., in_fiber]
+    mates, shifts = np.nonzero(dspace._shift_table == 0)
+    values[..., shifts] = firsts[..., mates]
     return values
 
 

@@ -51,7 +51,7 @@ from .harmonic import (
     image_measure,
     lift_measure,
 )
-from .induction import DiagonalSpace, transported_multiplication_matrix
+from .induction import DiagonalSpace, _shift_values, transported_multiplication_matrix
 
 DEFAULT_ATOL = 1e-9
 # entries per block of the verifiers' and the oracle's stacked arrays (4 MB complex)
@@ -455,7 +455,8 @@ class CovariantPOVM:
     @cached_property
     def _kernel(self) -> tuple[np.ndarray, np.ndarray]:
         """(D, K) over the rep basis. D[r, c] is the annihilator index of the
-        difference of the characters of basis rows r and c, or -1 (int32);
+        difference of the characters of basis rows r and c, or -1 (intp, so
+        that ``apply`` gathers with it as it is, with no converted copy);
         K = hw conj(A) B^T from ``_row_factors`` where D >= 0, and 0
         elsewhere."""
         table, group = self.rep.support_table, self.rep.group
@@ -687,6 +688,35 @@ def _one_point_columns(w: np.ndarray, e_dim: int) -> tuple[np.ndarray, np.ndarra
     return rows, w[rows, np.arange(dim)]
 
 
+def _home_and_gram(povm_like) -> tuple[np.ndarray, np.ndarray]:
+    """The point position p(c) that holds column c of the intertwiner W,
+    for every column, and the Gram matrix G of the one-point column values,
+    G[r, c] = sum over e of conj(W[(p(r), e), r]) W[(p(c), e), c]
+    (:func:`_one_point_columns`)."""
+    rows, values = _one_point_columns(povm_like.intertwiner, povm_like.e_dim)
+    return rows[0] // povm_like.e_dim, values.conj().T @ values
+
+
+def _compressions(povm_like, omegas, home, gram, values):
+    """Yield W^H T(omega) W over the stack ``omegas`` in blocks, from the
+    home points and Gram matrix of :func:`_home_and_gram` and the per-shift
+    values of the whole stack (``induction._shift_values``): the home
+    points' shift index is built once, and each block is one
+    :func:`transported_multiplication_matrix` call times G. A block holds
+    as many omegas as keep its dim^2 entries per omega within
+    ``_BLOCK_ENTRIES``, and at least one."""
+    dspace = povm_like.diagonal_space
+    index = dspace._shift_index_at(home, home)
+    block = max(1, _BLOCK_ENTRIES // max(povm_like.dimension**2, 1))
+    for start in range(0, len(omegas), block):
+        stop = start + block
+        compressed = transported_multiplication_matrix(
+            dspace, omegas[start:stop], points=home, values=values[start:stop], index=index
+        )
+        compressed *= gram
+        yield compressed
+
+
 def intertwiner_compressions(povm: CovariantPOVM, omegas):
     """Yield W^H T(omega) W for a (k, q) stack of quotient functions, in
     order, as (n, dim, dim) stacks of n omegas at a time; W is the
@@ -699,25 +729,17 @@ def intertwiner_compressions(povm: CovariantPOVM, omegas):
     W[(p(c), e), c], the Gram matrix of the one-point column values, formed
     once. P is read at the home points only (``points=`` of
     :func:`transported_multiplication_matrix`), so no array has more than
-    dim^2 entries per omega besides the act's response. W is checked once
-    for entries off those rows, so the result is W^H T W to rounding
-    whatever W holds. A block holds as many omegas as keep P and the act's
-    response, dim^2 + dim_T entries per omega, within ``_BLOCK_ENTRIES``
-    entries, and at least one.
+    dim^2 entries per omega besides the act's response. The act runs once
+    on the whole stack, and the home points' shift index is built once. W
+    is checked once for entries off those rows, so the result is W^H T W to
+    rounding whatever W holds. A block holds as many omegas as keep P,
+    dim^2 entries per omega, within ``_BLOCK_ENTRIES`` entries, and at
+    least one.
     """
-    rows, values = _one_point_columns(povm.intertwiner, povm.e_dim)
-    gram = values.conj().T @ values
-    home = rows[0] // povm.e_dim
-    dspace = povm.diagonal_space
+    home, gram = _home_and_gram(povm)
     omegas = np.asarray(omegas)
-    per_omega = povm.dimension**2 + dspace.dim
-    block = max(1, _BLOCK_ENTRIES // max(per_omega, 1))
-    for start in range(0, len(omegas), block):
-        compressed = transported_multiplication_matrix(
-            dspace, omegas[start : start + block], points=home
-        )
-        compressed *= gram
-        yield compressed
+    values = _shift_values(povm.diagonal_space, omegas)
+    yield from _compressions(povm, omegas, home, gram, values)
 
 
 def apply_via_intertwiner(povm: CovariantPOVM, omega) -> BlockOperator:
@@ -768,7 +790,7 @@ class VerificationReport:
 
 def _worst(deviations) -> float:
     """Largest deviation; NaN if any is NaN, which Python's ``max`` may drop."""
-    return float(np.max(np.asarray(deviations, dtype=float), initial=0.0))
+    return float(np.asarray(deviations, dtype=float).max(initial=0.0))
 
 
 def _positivity_deviation(matrix: np.ndarray) -> float:
@@ -785,89 +807,129 @@ def _positivity_deviation(matrix: np.ndarray) -> float:
 
 
 def _diagonal_phases(povm_like, g: GroupElement) -> np.ndarray:
-    """The diagonal of U(g); a U(g) with a nonzero off-diagonal entry raises
-    ``ValueError``."""
+    """The diagonal of U(g), as a copy that does not keep U(g) alive; a U(g)
+    with a nonzero off-diagonal entry raises ``ValueError``."""
     u = povm_like.u_matrix(g)
-    phases = np.diagonal(u)
+    phases = np.diagonal(u).copy()
     if np.count_nonzero(u) != np.count_nonzero(phases):
         raise ValueError(f"U(g) is not diagonal at g = {list(g.coords)}")
     return phases
 
 
-def _generator_phases(povm_like) -> np.ndarray:
-    """The diagonals of U(s) at the doubling generators s of G, one row each."""
-    generators = povm_like.ctx.group.doubling_generators()
-    rows = [_diagonal_phases(povm_like, s) for s in generators]
-    return np.array(rows, dtype=complex).reshape(len(generators), povm_like.dimension)
+@dataclass(frozen=True, eq=False)
+class DilationSweep:
+    """Both evaluation routes over the verifiers' stack, reduced to what the
+    checks read (:func:`dilation_sweep`).
+
+    The stack is the q singletons e_0 ... e_{q-1}, the constant function 1,
+    the indicator of {0, 1} when q > 1, and ten seeded random functions.
+    ``gaps`` holds, per row i, delta_i = max |M(omega_i) - W^H T(omega_i) W|,
+    M the kernel route (``assembled``) and W^H T W the dilation
+    (:func:`intertwiner_compressions`). ``first``, ``second``, ``whole`` and
+    ``pair`` are the kernel effects M(e_0), M(e_1), M(1) and M({0, 1})
+    (``second`` and ``pair`` are None when q = 1). ``shift_values`` holds
+    the dilation's per-shift values v_j(a) of each singleton, shape
+    (q, |H-perp| + 1) with the across-fiber 0 last (``induction._shift_values``):
+    entry (r, c) of W^H T(e_j) W is v_j(a) G[r, c], where the home
+    characters of columns r and c differ by hperp[a] and G is the Gram
+    matrix of W's one-point values, of largest modulus ``gram_max``.
+    ``home_characters`` is the group index of the home character of each
+    column of W.
+    """
+
+    gaps: np.ndarray
+    first: np.ndarray
+    second: np.ndarray | None
+    whole: np.ndarray
+    pair: np.ndarray | None
+    shift_values: np.ndarray
+    home_characters: np.ndarray
+    gram_max: float
 
 
-def _composed_phases(ctx: QuotientContext, generators: np.ndarray, cosets) -> np.ndarray:
-    """The diagonal of U(r_j) for the representative r_j of each coset j of
-    ``cosets``, one row each: the product of the generator diagonals
-    (:func:`_generator_phases`) that the binary digits of r_j name."""
-    digits = ctx.group.doubling_digits(ctx.quotient.rep_indices[cosets])
-    return np.where(digits[:, :, None] == 1, generators, 1.0).prod(axis=1)
+def dilation_sweep(povm_like) -> DilationSweep:
+    """Evaluate both routes once over the verifiers' stack, in blocks of
+    ``_BLOCK_ENTRIES`` entries per route, keeping only the per-row gaps, four
+    kernel effects and the singletons' per-shift values
+    (:class:`DilationSweep`); no q * dim^2 array is formed. The act of the
+    dilation runs once on the whole stack.
+
+    Accepts any object exposing both routes: ``ctx``, ``dimension`` and
+    ``assembled(omegas)``, which maps a (k, q) stack of quotient functions
+    to the (k, dim, dim) stack of their kernel-route effects, and the
+    dilation's ``intertwiner``, ``e_dim`` and ``diagonal_space``. The two
+    routes are only compared, never mixed.
+    """
+    ctx = povm_like.ctx
+    q = ctx.n_cosets
+    rng = np.random.default_rng(2024)
+    parts = rng.standard_normal((10, 2, q))  # real then imaginary part of each, in draw order
+    eye = np.eye(q)
+    unions = [eye[:2].sum(axis=0, keepdims=True)] if q > 1 else []
+    omegas = np.concatenate((eye, np.ones((1, q)), *unions, parts[:, 0] + 1j * parts[:, 1]))
+    named = {"first": 0, "whole": q, **({"second": 1, "pair": q + 1} if q > 1 else {})}
+    home, gram = _home_and_gram(povm_like)
+    values = _shift_values(povm_like.diagonal_space, omegas)
+    kept, gaps, start = dict.fromkeys(("second", "pair")), [], 0
+    for oracle in _compressions(povm_like, omegas, home, gram, values):
+        stop = start + len(oracle)
+        kernel = povm_like.assembled(omegas[start:stop])
+        kept.update((k, kernel[j - start].copy()) for k, j in named.items() if start <= j < stop)
+        np.subtract(oracle, kernel, out=oracle)
+        gaps.append(np.abs(oracle).max(axis=(1, 2), initial=0.0))
+        start = stop
+    return DilationSweep(
+        gaps=np.concatenate(gaps),
+        shift_values=values[:q],
+        home_characters=povm_like.diagonal_space.point_indices[home],
+        gram_max=_worst(np.abs(gram)),
+        **kept,
+    )
 
 
-def verify_axioms(povm_like, atol: float = DEFAULT_ATOL) -> VerificationReport:
+def verify_axioms(povm_like, atol: float = DEFAULT_ATOL, sweep=None) -> VerificationReport:
     """Positivity of the singleton effects and normalization of the whole
-    outcome space.
+    outcome space, read off the :class:`DilationSweep` (``sweep``, computed
+    by :func:`dilation_sweep` when not given). No U is read.
 
-    Positivity by transitivity: G acts transitively on G/H, so M(e_j)
-    should be V_j M(e_0) V_j*, V_j = U(r_j) for the representative r_j of
-    coset j, which has the spectrum of M(e_0). V_j is composed from the
-    diagonals of U(s) at the doubling generators s alone
-    (:meth:`FiniteAbelianGroup.doubling_digits`): r_j is the sum of the
-    generators its coordinates' binary digits name, and U is a
-    homomorphism. One ``eigvalsh`` reads the positivity deviation p_0 of
-    M(e_0) (the larger of its hermiticity defect and its most negative
-    eigenvalue); delta is the worst entrywise gap between M(e_j) and
-    V_j M(e_0) V_j* over all j. The bound below needs only that V_j is a
-    diagonal unitary, which a product of checked diagonal unitaries is. By
-    Weyl's inequality, with the spectral norm of the gap at most
-    dim * delta and its hermiticity defect at most 2 * delta, the reported
+    Normalization is exhaustive: M(1) against the identity, entrywise.
 
-        max(p_0, a) + max(dim, 2) * delta
+    Positivity through the dilation. Entry (r, c) of W^H T(e_j) W is
+    v_j(a) G[r, c], where y(r) - y(c) = hperp[a] for the home characters
+    y of the columns. If v_j(a) = <hperp[a], r_j> v_0(a) for every a (r_j
+    the representative of coset j, the cotransform's shift theorem), then
+    W^H T(e_j) W = Phi_j W^H T(e_0) W Phi_j* with the diagonal unitary
+    Phi_j = diag <y(c), r_j>, which has the spectrum of W^H T(e_0) W. The
+    transport gap tau_j = max over a of |v_j(a) - <hperp[a], r_j> v_0(a)|
+    (the pairing is ``ctx._fourier_matrix``) bounds the entrywise gap of
+    that identity by g * tau_j, g = max |G|. With delta_j the sweep's gap
+    of row j, M(e_j) differs from Phi_j M(e_0) Phi_j* by at most
+    eps_j = delta_0 + delta_j + g * tau_j in every entry. One ``eigvalsh``
+    reads the positivity deviation p_0 of M(e_0) (the larger of its
+    hermiticity defect and its most negative eigenvalue). By Weyl's
+    inequality, with the spectral norm of a gap at most dim * eps_j and its
+    hermiticity defect at most 2 * eps_j, the reported
+
+        max(p_0, a) + max(dim, 2) * max_j eps_j
 
     bounds the positivity deviation of every singleton effect. a is the
     entrywise gap between M(e_0) + M(e_1) and M({0, 1}), one probe of
     additivity that fails a family which is not linear in omega; for a
     linear family, positive singletons make every union positive.
-    Normalization is exhaustive: the effect of the whole quotient against
-    the identity, entrywise. The q singletons, the whole quotient and
-    {0, 1} are one stack, evaluated in blocks of ``_BLOCK_ENTRIES`` entries.
 
-    Accepts any object with ``ctx``, ``dimension``, ``u_matrix(g)`` and
-    ``assembled(omegas)``, which maps a (k, q) stack of quotient functions
-    to the (k, dim, dim) stack of their effects; ``u_matrix`` is called at
-    the doubling generators only, once each. U(g) must be diagonal, as it
-    is for a :class:`DiagonalRep`, and a U(s) with a nonzero off-diagonal
-    entry raises ``ValueError``. Never raises on numerical failure
-    otherwise: the report carries the deviations, NaN included.
+    Accepts any object :func:`dilation_sweep` accepts. Never raises on
+    numerical failure: the report carries the deviations, NaN included.
     """
-    ctx = povm_like.ctx
+    sweep = dilation_sweep(povm_like) if sweep is None else sweep
+    ctx, dim = povm_like.ctx, povm_like.dimension
     q = ctx.n_cosets
-    # row j < q is the singleton j, row q the whole quotient, row q + 1 {0, 1}
-    unions = [ctx.indicator([0, 1])] if q > 1 else []
-    omegas = np.vstack((np.eye(q), np.ones(q), *unions))
-    block = max(1, _BLOCK_ENTRIES // max(povm_like.dimension**2, 1))
-    generators = _generator_phases(povm_like)
-    kept, gaps = {}, []
-    for start in range(0, len(omegas), block):
-        effects = povm_like.assembled(omegas[start : start + block])
-        kept.update((j, effects[j - start]) for j in (0, 1, q, q + 1) if 0 <= j - start < len(effects))
-        singles = range(max(start, 1), min(start + len(effects), q))
-        if len(singles):
-            phases = _composed_phases(ctx, generators, singles)
-            moved = phases[:, :, None] * kept[0]
-            moved *= phases.conj()[:, None, :]
-            moved -= effects[singles.start - start : singles.stop - start]
-            gaps.append(_worst(np.abs(moved)))
-    first = kept[0]
-    additivity = _worst(np.abs(first + kept[1] - kept[q + 1])) if q > 1 else 0.0
-    delta = _worst(gaps)
-    pos_dev = max(_positivity_deviation(first), additivity) + max(first.shape[0], 2) * delta
-    norm_dev = _worst(np.abs(kept[q] - np.eye(povm_like.dimension)))
+    v = sweep.shift_values[:, :-1]
+    tau = np.abs(v - ctx._fourier_matrix.T * v[0]).max(axis=1, initial=0.0)
+    gaps = sweep.gaps[:q]
+    transport = _worst(gaps[0] + gaps + sweep.gram_max * tau)
+    additivity = _worst(np.abs(sweep.first + sweep.second - sweep.pair)) if q > 1 else 0.0
+    pos_dev = _worst([_positivity_deviation(sweep.first), additivity]) + max(dim, 2) * transport
+    norm_dev = _worst(np.abs(sweep.whole - np.eye(dim)))
     return VerificationReport(
         (
             CheckResult("positivity", pos_dev <= atol, pos_dev),
@@ -876,43 +938,56 @@ def verify_axioms(povm_like, atol: float = DEFAULT_ATOL) -> VerificationReport:
     )
 
 
-def verify_covariance(povm_like, atol: float = DEFAULT_ATOL) -> VerificationReport:
-    """Check U(s) M(e_j) U(s)* = M(s . e_j) for every doubling generator s
-    of G (:meth:`FiniteAbelianGroup.doubling_generators`) and every
-    singleton coset effect e_j, which covers every quotient function when
-    the effects are linear in omega.
+def verify_covariance(povm_like, atol: float = DEFAULT_ATOL, sweep=None) -> VerificationReport:
+    """Check U(g) M(e_j) U(g)* = M(g . e_j) for every g in G and every
+    singleton coset j through the dilation, reading U(s) only at the L
+    doubling generators s of G (:meth:`FiniteAbelianGroup.doubling_generators`),
+    once each, and the :class:`DilationSweep` (``sweep``, computed by
+    :func:`dilation_sweep` when not given).
 
-    Reports L * eps, L the number of generators and eps the worst entrywise
-    deviation over them. That bounds the deviation at every g in G: g is a
-    word of at most L generators, U is a homomorphism, and conjugation by
-    a diagonal unitary keeps the modulus of every entry, so the per-step
-    deviations add along the word. The q singleton effects are one stack,
-    evaluated once: ``assembled(omegas)`` maps a (k, q) stack of quotient
-    functions to the (k, dim, dim) stack of their effects, each depending
-    only on its omega. ``ctx.translated`` applied to the coset indices
-    gives, for each coset i, the coset j that s carries onto i. U(s) must
-    be diagonal, as it is for a :class:`DiagonalRep`: conjugation is then
-    the entrywise product of M with phases[:, None] * conj(phases), phases
-    the diagonal of U(s), taken a block of cosets at a time, and a U(s)
-    with a nonzero off-diagonal entry raises ``ValueError``.
+    U(s) must be diagonal, as it is for a :class:`DiagonalRep`; a U(s) with
+    a nonzero off-diagonal entry raises ``ValueError``. Per generator, two
+    gaps are read in O(dim + q * |H-perp|):
+
+    - rho_s = max over columns c of |U(s)[c, c] - <y(c), s>|, y(c) the
+      home character of column c of W (the intertwining W U(s) = C(s) W);
+    - sigma_s = max over j and a of |v_{s.j}(a) - <hperp[a], s> v_j(a)|,
+      the cotransform's shift theorem on the singletons' per-shift values
+      (``ctx.translated`` names the coset s.j).
+
+    With g = max |G| and V = max |v_j(a)|, the per-generator dilation defect
+    d_s = g * (sigma_s + 2 * rho_s * V) bounds every entry of
+    U(s) W^H T(e_j) W U(s)* - W^H T(e_{s.j}) W. Every g is a sum of at
+    most L distinct generators, and U is a unitary homomorphism, so along
+    the word the phase gaps and the shift-theorem gaps add, and the
+    reported
+
+        2 * max_j delta_j + L * max_s d_s
+
+    bounds the deviation at every g in G, delta_j the sweep's gap of the
+    singleton e_j: the kernel route is within delta_j of the dilation on
+    both sides, and conjugation by a diagonal unitary keeps the modulus of
+    every entry. Linearity carries the singletons to every quotient
+    function. Never raises on numerical failure otherwise: the report
+    carries the deviation, NaN included.
     """
-    ctx = povm_like.ctx
-    q = ctx.n_cosets
-    effects = povm_like.assembled(np.eye(q))
+    sweep = dilation_sweep(povm_like) if sweep is None else sweep
+    ctx, dim = povm_like.ctx, povm_like.dimension
+    group, q = ctx.group, ctx.n_cosets
+    generators = group.doubling_generators()
+    at = [group.index_of(s) for s in generators]
+    phases = np.array([_diagonal_phases(povm_like, s) for s in generators]).reshape(len(at), dim)
     cosets = np.arange(q)
-    block = max(1, _BLOCK_ENTRIES // max(effects[0].size, 1))
-    generators = ctx.group.doubling_generators()
-    devs = []
-    for s in generators:
-        phases = _diagonal_phases(povm_like, s)
-        source = ctx.translated(s, cosets).real.astype(int)
-        outer = phases[:, None] * phases.conj()
-        for start in range(0, q, block):
-            conjugated = effects[source[start : start + block]]
-            conjugated *= outer
-            conjugated -= effects[start : start + block]
-            devs.append(_worst(np.abs(conjugated)))
-    dev = len(generators) * _worst(devs)
+    # row l: the coset that generator l carries onto each coset
+    sources = np.array([ctx.translated(s, cosets).real for s in generators], dtype=np.intp)
+    homes = group.pairing_matrix(sweep.home_characters, at).T  # <y(c), s>, one row per s
+    rho = np.abs(phases - homes).max(axis=1, initial=0.0)
+    v = sweep.shift_values[:, :-1]
+    shifts = group.pairing_matrix(ctx.annihilator.indices, at).T  # <hperp[a], s>, one row per s
+    # one generator at a time, so that no array holds L * q * |H-perp| entries
+    sigma = np.array([_worst(np.abs(v - c * v[j])) for c, j in zip(shifts, sources)])
+    defects = sweep.gram_max * (sigma + 2.0 * rho * _worst(np.abs(v)))
+    dev = 2.0 * _worst(sweep.gaps[:q]) + len(at) * _worst(defects)
     return VerificationReport(
         (CheckResult("covariance", dev <= atol, dev),)
     )

@@ -346,6 +346,13 @@ def row_by_row(assembled):
     return stacked
 
 
+def dilation(povm):
+    """The dilation route's attributes that a verifier test double forwards
+    unchanged: the intertwiner W, the embedding dimension and the diagonal
+    space, in that order."""
+    return povm.intertwiner, povm.e_dim, povm.diagonal_space
+
+
 def brute_covariance_deviation(povm_like):
     """max |U(g) M(e_j) U(g)* - M(g . e_j)| over every g in G and every
     singleton coset j, with dense U(g) products and the coset of

@@ -37,7 +37,7 @@ from covpovm import (
     verify_covariance,
 )
 from covpovm.cli import main as cli_main
-from helpers import random_isometry, row_by_row, scalar_z12_povm, standard_instances
+from helpers import dilation, random_isometry, row_by_row, scalar_z12_povm, standard_instances
 
 TOL = 1e-9
 
@@ -154,6 +154,7 @@ def test_criterion_4_axioms_covariance_and_perturbation_detection():
     class Perturbed:
         ctx = povm.ctx
         dimension = povm.dimension
+        intertwiner, e_dim, diagonal_space = dilation(povm)
 
         @row_by_row
         def assembled(self, omega):

@@ -94,9 +94,8 @@ def test_blocks_of_any_size_give_the_same_stack(monkeypatch, per_block):
     povm = fibered_instance()
     omegas = random_omegas(povm, np.random.default_rng(3), 5)
     whole = stacked(povm, omegas)
-    # P at the home points and the act's response: dim^2 + dim_T entries per omega
-    per_omega = povm.dimension**2 + povm.diagonal_space.dim
-    monkeypatch.setattr(povm_module, "_BLOCK_ENTRIES", per_block * per_omega)
+    # P at the home points: dim^2 entries per omega (the act runs once per stack)
+    monkeypatch.setattr(povm_module, "_BLOCK_ENTRIES", per_block * povm.dimension**2)
     blocks = list(intertwiner_compressions(povm, omegas))
     assert [len(b) for b in blocks] == [min(per_block, 5 - s) for s in range(0, 5, per_block)]
     np.testing.assert_allclose(np.concatenate(blocks), whole, rtol=0, atol=1e-14)
@@ -165,3 +164,41 @@ class TestOracleReadsTheIntertwiner:
         monkeypatch.setattr(type(povm), "_kernel", property(no_kernel))
         monkeypatch.setattr(type(povm), "_row_factors", property(no_kernel))
         assert np.array_equal(stacked(povm, omegas), expected)
+
+
+@pytest.mark.parametrize("per_block", [None, 1, 2])
+def test_sweep_builds_the_omega_independent_parts_once(monkeypatch, per_block):
+    # the act's gather of the impulse and the home points' shift index are
+    # built once per sweep, whatever the block size; the transported matrix
+    # is still read once per block
+    import covpovm.induction as induction_module
+    from covpovm import DiagonalSpace, dilation_sweep
+
+    povm = fibered_instance()
+    if per_block is not None:
+        monkeypatch.setattr(povm_module, "_BLOCK_ENTRIES", per_block * povm.dimension**2)
+    acts, indices, blocks = [], [], []
+    act = induction_module.transported_multiplication_act
+    shift_index_at = DiagonalSpace._shift_index_at
+    matrix = povm_module.transported_multiplication_matrix
+
+    def counted_act(dspace, omegas, phi):
+        acts.append(len(omegas))
+        return act(dspace, omegas, phi)
+
+    def counted_index(self, rows, cols):
+        indices.append(np.size(np.arange(self.shape[0])[rows]))
+        return shift_index_at(self, rows, cols)
+
+    def counted_matrix(dspace, omegas, *args, **kwargs):
+        blocks.append(len(omegas))
+        return matrix(dspace, omegas, *args, **kwargs)
+
+    monkeypatch.setattr(induction_module, "transported_multiplication_act", counted_act)
+    monkeypatch.setattr(DiagonalSpace, "_shift_index_at", counted_index)
+    monkeypatch.setattr(povm_module, "transported_multiplication_matrix", counted_matrix)
+    k = len(dilation_sweep(povm).gaps)
+    assert acts == [k]
+    assert indices == [povm.dimension]
+    per = k if per_block is None else per_block
+    assert blocks == [min(per, k - s) for s in range(0, k, per)]

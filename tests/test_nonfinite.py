@@ -24,7 +24,7 @@ from covpovm import (
 )
 from covpovm.cli import _oracle_report, main
 from covpovm.iojson import quotient_function_from_json, scenario_from_json
-from helpers import row_by_row, scalar_z12_povm, standard_instances
+from helpers import dilation, row_by_row, scalar_z12_povm, standard_instances
 
 
 def nan_field_povm():
@@ -126,6 +126,7 @@ class TestNanFailsItsCheck:
         class OneNan:
             ctx = povm.ctx
             dimension = povm.dimension
+            intertwiner, e_dim, diagonal_space = dilation(povm)
 
             @row_by_row
             def assembled(self, omega):

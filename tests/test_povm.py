@@ -25,6 +25,7 @@ from covpovm import (
 )
 from helpers import (
     build_rep,
+    dilation,
     random_isometry,
     row_by_row,
     scalar_z12_povm,
@@ -302,6 +303,7 @@ class TestVerification:
         class Perturbed:
             ctx = povm.ctx
             dimension = povm.dimension
+            intertwiner, e_dim, diagonal_space = dilation(povm)
 
             @row_by_row
             def assembled(self, omega):
@@ -319,8 +321,10 @@ class TestVerification:
         assert report.max_deviation >= 1e-4
 
     def test_covariance_evaluates_each_effect_once(self):
-        # the q singleton effects settle every covariance relation, and a
-        # perturbation on the last coset is still found
+        # the q singleton effects settle every covariance relation, each is
+        # evaluated once in the sweep's stack (q singletons, 1, {0, 1} and
+        # ten random functions), and a perturbation on the last coset is
+        # still found
         povm = standard_instances()[2][1]
         q = povm.ctx.n_cosets
         last = povm.ctx.indicator([q - 1])
@@ -329,10 +333,11 @@ class TestVerification:
         class Counting:
             ctx = povm.ctx
             dimension = povm.dimension
+            intertwiner, e_dim, diagonal_space = dilation(povm)
 
             @row_by_row
             def assembled(self, omega):
-                calls.append(1)
+                calls.append(np.asarray(omega))
                 m = povm.assembled(omega)
                 if np.array_equal(np.asarray(omega), last):
                     m = m.copy()
@@ -343,7 +348,9 @@ class TestVerification:
                 return povm.u_matrix(g)
 
         report = verify_covariance(Counting())
-        assert len(calls) <= q
+        assert len(calls) == q + 12
+        for j in range(q):
+            assert sum(np.array_equal(w, povm.ctx.indicator([j])) for w in calls) == 1
         assert not report.passed
         assert report.max_deviation >= 1e-4
 
@@ -354,6 +361,7 @@ class TestVerification:
         class Rotated:
             ctx = povm.ctx
             dimension = povm.dimension
+            intertwiner, e_dim, diagonal_space = dilation(povm)
 
             @row_by_row
             def assembled(self, omega):
@@ -398,6 +406,7 @@ class TestVerification:
         class Zero:
             ctx = povm.ctx
             dimension = povm.dimension
+            intertwiner, e_dim, diagonal_space = dilation(povm)
 
             @row_by_row
             def assembled(self, omega):
@@ -609,11 +618,13 @@ class TestNoRepeatedWork:
         assert report.passed
         assert len(calls) == 1
 
-    def test_oracle_report_calls_the_act_once_per_block(self, monkeypatch):
+    def test_oracle_report_calls_the_act_once_per_sweep(self, monkeypatch):
         import covpovm.induction as induction_module
+        import covpovm.povm as povm_module
         from covpovm.cli import _oracle_report
 
         povm = standard_instances()[2][1]
+        q = povm.ctx.n_cosets
         calls = []
         original = induction_module.transported_multiplication_act
 
@@ -622,9 +633,13 @@ class TestNoRepeatedWork:
             return original(dspace, omegas, phi)
 
         monkeypatch.setattr(induction_module, "transported_multiplication_act", counted)
-        q = povm.ctx.n_cosets
-        report = _oracle_report(povm, 1e-9, [np.arange(q, dtype=complex)])
-        assert report.passed
-        # q indicators, the constant function, one extra and 10 random
-        # functions, as the rows of one stack: the whole stack fits one block
-        assert calls == [q + 12]
+        # one block for the whole stack, then one and two omegas per block
+        for entries in (povm_module._BLOCK_ENTRIES, povm.dimension**2, 2 * povm.dimension**2):
+            monkeypatch.setattr(povm_module, "_BLOCK_ENTRIES", entries)
+            calls.clear()
+            report = _oracle_report(povm, 1e-9, [np.arange(q, dtype=complex)])
+            assert report.passed
+            # the sweep's q indicators, the constant function, {0, 1} and 10
+            # random functions as one act call, whatever the block size; the
+            # extra function as a second
+            assert calls == [q + 12, 1]

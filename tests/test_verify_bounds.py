@@ -1,6 +1,7 @@
-"""The reduced verifiers against their exhaustive oracles: covariance on
-doubling generators bounds the deviation at every group element, and
-positivity by transitivity bounds the defect of every singleton effect."""
+"""The verifiers against their exhaustive oracles: covariance through the
+dilation on the doubling generators bounds the deviation at every group
+element, and positivity through the dilation bounds the defect of every
+singleton effect."""
 
 import numpy as np
 import pytest
@@ -8,18 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covpovm import (
+    DualCharacter,
     FiniteAbelianGroup,
     build_covariant_povm,
+    dilation_sweep,
+    intertwiner_compressions,
+    pairing,
     position_povm_zn,
     subgroup_from_generators,
     verify_axioms,
     verify_covariance,
 )
-from covpovm.povm import _composed_phases, _generator_phases
 from helpers import (
     brute_covariance_deviation,
     brute_positivity_deviation,
     build_rep,
+    dilation,
+    fibered_instance,
     random_isometry,
     row_by_row,
     scalar_z12_povm,
@@ -34,6 +40,7 @@ class Wrapped:
     def __init__(self, povm, extra):
         self.povm, self.extra = povm, extra
         self.ctx, self.dimension = povm.ctx, povm.dimension
+        self.intertwiner, self.e_dim, self.diagonal_space = dilation(povm)
 
     @row_by_row
     def assembled(self, omega):
@@ -137,6 +144,7 @@ class TestDetectionAndCounts:
         class Impostor:
             ctx = povm.ctx
             dimension = povm.dimension
+            intertwiner, e_dim, diagonal_space = dilation(povm)
 
             @row_by_row
             def assembled(self, omega):
@@ -175,6 +183,7 @@ class TestDetectionAndCounts:
             class Counting:
                 ctx = povm.ctx
                 dimension = povm.dimension
+                intertwiner, e_dim, diagonal_space = dilation(povm)
 
                 @row_by_row
                 def assembled(self, omega):
@@ -187,13 +196,15 @@ class TestDetectionAndCounts:
             assert verify_covariance(Counting()).passed
             assert calls == list(povm.ctx.group.doubling_generators())
 
-    def test_axioms_call_u_matrix_once_per_generator(self):
+    def test_axioms_read_no_u_matrix(self):
+        # positivity comes through the dilation, normalization from M(1)
         for _, povm in standard_instances():
             calls = []
 
             class Counting:
                 ctx = povm.ctx
                 dimension = povm.dimension
+                intertwiner, e_dim, diagonal_space = dilation(povm)
 
                 @row_by_row
                 def assembled(self, omega):
@@ -204,19 +215,28 @@ class TestDetectionAndCounts:
                     return povm.u_matrix(g)
 
             assert verify_axioms(Counting()).passed
-            assert calls == list(povm.ctx.group.doubling_generators())
+            assert calls == []
 
-    def test_composed_transport_is_u_at_each_representative(self):
-        for name, povm in standard_instances():
-            ctx = povm.ctx
-            cosets = np.arange(ctx.n_cosets)
-            composed = _composed_phases(ctx, _generator_phases(povm), cosets)
+    def test_dilation_transport_is_phi_at_each_representative(self):
+        # W^H T(e_j) W = Phi_j W^H T(e_0) W Phi_j*, Phi_j = diag <y(c), r_j>
+        # over the home characters y(c) of W's columns, and the transport
+        # gap tau_j that the positivity bound charges is at rounding level
+        for name, povm in standard_instances() + [("fibered", fibered_instance())]:
+            ctx, q = povm.ctx, povm.ctx.n_cosets
+            sweep = dilation_sweep(povm)
+            effects = np.concatenate(list(intertwiner_compressions(povm, np.eye(q))))
+            homes = povm.rep.group.points(DualCharacter, sweep.home_characters)
+            v = sweep.shift_values[:, :-1]
             for j, r in enumerate(ctx.quotient.representatives):
-                want = np.diagonal(povm.u_matrix(r))
-                assert np.abs(composed[j] - want).max() <= 1e-14, (name, j)
+                phi = np.array([pairing(y, r) for y in homes])
+                moved = phi[:, None] * effects[0] * phi.conj()
+                assert np.abs(moved - effects[j]).max(initial=0.0) <= 1e-15, (name, j)
+                tau = np.abs(v[j] - ctx._fourier_matrix[:, j] * v[0]).max(initial=0.0)
+                assert tau <= 1e-15, (name, j)
 
     def test_perturbed_last_coset_fails_positivity(self):
-        # the transport to the last coset is composed from generator diagonals
+        # a gap between the routes on the last coset's effect alone is charged
+        # to positivity through delta_{q-1}
         for _, povm in standard_instances():
             q, dim = povm.ctx.n_cosets, povm.dimension
             bump = np.zeros((dim, dim), dtype=complex)
@@ -225,13 +245,15 @@ class TestDetectionAndCounts:
             assert not positivity.passed
             assert positivity.max_deviation >= 1e-4
 
-    def test_axioms_reject_a_non_diagonal_u(self):
+    def test_non_diagonal_u_fails_covariance_not_axioms(self):
+        # the axioms read no U; covariance reads U(s) and rejects it
         povm = standard_instances()[1][1]
         rotation = random_isometry(np.random.default_rng(3), povm.dimension, povm.dimension)
 
         class Rotated:
             ctx = povm.ctx
             dimension = povm.dimension
+            intertwiner, e_dim, diagonal_space = dilation(povm)
 
             @row_by_row
             def assembled(self, omega):
@@ -240,8 +262,35 @@ class TestDetectionAndCounts:
             def u_matrix(self, g):
                 return rotation @ povm.u_matrix(g) @ rotation.conj().T
 
+        assert verify_axioms(Rotated()).passed
         with pytest.raises(ValueError, match="not diagonal"):
-            verify_axioms(Rotated())
+            verify_covariance(Rotated())
+
+    def test_wrong_phase_in_u_fails_covariance(self):
+        # U(s) diagonal, but one entry off the home character <y(c), s>
+        povm = standard_instances()[2][1]
+        s0 = povm.ctx.group.doubling_generators()[0]
+
+        class Dephased:
+            ctx = povm.ctx
+            dimension = povm.dimension
+            intertwiner, e_dim, diagonal_space = dilation(povm)
+
+            @row_by_row
+            def assembled(self, omega):
+                return povm.assembled(omega)
+
+            def u_matrix(self, g):
+                u = povm.u_matrix(g)
+                if g == s0:
+                    u[0, 0] *= np.exp(0.01j)
+                return u
+
+        brute = brute_covariance_deviation(Dephased())
+        assert brute > 1e-4
+        covariance = verify_covariance(Dephased()).checks[0]
+        assert not covariance.passed
+        assert covariance.max_deviation >= brute
 
     def test_single_coset_has_no_additivity_probe(self):
         g4 = FiniteAbelianGroup((4,))

@@ -1,0 +1,48 @@
+"""CLI ``verify`` holds no q * dim^2 stack of effects: on the Z_256 position
+surrogate, seeded like the CI step, a fresh interpreter's peak resident
+set stays below 150 MB (a stack of the 256 singleton effects alone is
+268 MB)."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from covpovm import iojson, position_povm_zn
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PROBE = (
+    "import contextlib, io, json, resource, sys\n"
+    "from covpovm.cli import main\n"
+    "out = io.StringIO()\n"
+    "with contextlib.redirect_stdout(out):\n"
+    "    code = main(['verify', sys.argv[1]])\n"
+    "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "passed = json.loads(out.getvalue())['pass']\n"
+    "print(json.dumps({'code': code, 'pass': passed, 'peak_kb': peak}))\n"
+)
+LIMIT_MB = 150
+
+
+def test_z256_position_verify_peak(tmp_path):
+    rng = np.random.default_rng(256)
+    raw = rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2))
+    povm = position_povm_zn(256, [v / np.linalg.norm(v) for v in raw])
+    scenario = iojson.Scenario(povm.rep.group, povm.ctx.subgroup, povm.rep, povm.e_dim, povm.fields)
+    path = tmp_path / "z256-position.json"
+    path.write_text(json.dumps(iojson.scenario_to_json(scenario)), encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["code"] == 0 and result["pass"] is True
+    # ru_maxrss is in kilobytes on Linux
+    assert result["peak_kb"] / 1024 < LIMIT_MB, result
