@@ -80,7 +80,6 @@ from .povm import (
     equivalence_check,
     intertwiner_compressions,
     intertwiner_matrix,
-    recommended_e_dim,
     sector_pointwise_operator,
     validate_rep,
     verify_axioms,

@@ -32,6 +32,7 @@ from .povm import (
     CheckResult,
     PovmBuildError,
     VerificationReport,
+    _worst,
     dilation_sweep,
     intertwiner_compressions,
     verify_axioms,
@@ -145,8 +146,7 @@ def _oracle_report(povm, tolerance: float, extra_omegas, sweep=None) -> Verifica
         extra = np.asarray(extra_omegas)
         oracle = np.concatenate(list(intertwiner_compressions(povm, extra)))
         devs.append(np.abs(povm.assembled(extra) - oracle).max(axis=(1, 2), initial=0.0))
-    # np.max keeps a NaN deviation, which Python's max may drop
-    dev = float(np.max(np.concatenate(devs), initial=0.0))
+    dev = _worst(np.concatenate(devs))
     return VerificationReport(
         (CheckResult("oracle_agreement", dev <= tolerance, dev),)
     )

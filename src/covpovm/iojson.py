@@ -4,13 +4,15 @@ Complex numbers serialize as [re, im] pairs and matrices row-major, so
 emitted files are bit-stable golden data. Every reader validates shapes
 and reports offending keys; every writer emits deterministic orderings.
 See BASIS.md for the basis conventions behind matrix dumps. :func:`dumps`
-writes every JSON text the CLI emits.
+writes every JSON text the CLI emits: the stock ``json.dumps(obj,
+indent=2)`` text, with the numeric arrays' blocks spliced in from their
+shapes.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import secrets
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -111,20 +113,6 @@ def measure_to_json(measure: WeightedMeasure) -> dict:
     return {"domain": measure.domain, "weights": weights}
 
 
-def measure_from_json(group: FiniteAbelianGroup, obj) -> WeightedMeasure:
-    domain = obj.get("domain")
-    weights = {}
-    for point, w in obj.get("weights", []):
-        if domain == DOMAIN_DUAL:
-            key = group.character(point)
-        elif domain in (DOMAIN_DUAL_QUOTIENT, DOMAIN_QUOTIENT):
-            key = _as_int(point, "coset index")
-        else:
-            raise ValueError(f"unknown measure domain {domain!r}")
-        weights[key] = _as_real(w, "measure weight")
-    return WeightedMeasure(domain, weights)
-
-
 def quotient_function_from_json(obj) -> np.ndarray:
     if "values" not in obj:
         raise ValueError("quotient function file must carry a 'values' list")
@@ -132,20 +120,6 @@ def quotient_function_from_json(obj) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValueError("quotient function has non-finite values")
     return values
-
-
-def trig_polynomial_to_json(poly) -> dict:
-    return {
-        "coeffs": [[n, complex_to_pair(c)] for n, c in sorted(poly.coeffs.items())]
-    }
-
-
-def trig_polynomial_from_json(obj):
-    from .observables import TrigPolynomial
-
-    return TrigPolynomial(
-        {_as_int(n, "frequency"): pair_to_complex(c) for n, c in obj.get("coeffs", [])}
-    )
 
 
 def state_from_json(obj) -> np.ndarray:
@@ -341,128 +315,45 @@ def report_to_json(report: VerificationReport, tolerance: float) -> dict:
 # --- writer ------------------------------------------------------------------
 #
 # dumps(obj) == json.dumps(obj, indent=2, default=f), where f turns a numpy
-# array into its tolist() and rejects anything else. With an indent set,
-# Python's json module encodes in pure Python, one generator step per value.
-# The bulk of the CLI's output is numeric blocks (coordinate tables, [re, im]
-# entries), and they reach the writer as arrays: a non-empty int or float
-# array is written from its shape, by one "%" template that holds the
-# indented text with a %d or %r per leaf, filled by one "%" call. Lists and
-# everything else follow the pure-Python encoder's rules, which _encode
-# copies; there is no compact encoder.
+# array into its tolist() and rejects anything else. The stock encoder writes
+# everything but the numeric blocks (coordinate tables, [re, im] entries),
+# which reach it as arrays: the hook hands it a placeholder string for each
+# non-empty, finite int or float array, and one pass splices in the array's
+# text, written from its shape by one "%" template that holds the indented
+# text with a %d or %r per leaf. The placeholder is a string the stock
+# encoder writes as "\u0000<nonce>\u0000" (NULs and a fresh random nonce
+# per call); a value or key of obj whose text holds it shows up as one
+# placeholder too many, and the call is redone with a new nonce.
 
-_quote = json.encoder.encode_basestring_ascii
+_nonce = partial(secrets.token_hex, 8)
 _default = json.JSONEncoder().default
 
 
 def dumps(obj) -> str:
     """JSON text equal to ``json.dumps(obj, indent=2)``, errors included;
     a numpy array is written as its ``tolist()``."""
-    out: list[str] = []
-    _encode(obj, 0, out, {})
+    marker, arrays = "\0%s\0" % _nonce(), []
+
+    def hook(o):
+        if not isinstance(o, np.ndarray):
+            return _default(o)  # raises the stock TypeError
+        kind = o.dtype.kind
+        if (
+            type(o) is np.ndarray and o.ndim and o.size and kind in "iuf"
+            and o.dtype.itemsize <= 8 and (kind != "f" or np.isfinite(o).all())
+        ):
+            arrays.append(o)
+            return marker
+        return o.tolist()
+
+    parts = json.dumps(obj, indent=2, default=hook).split(json.dumps(marker))
+    if len(parts) != len(arrays) + 1:  # obj itself writes the placeholder's text
+        return dumps(obj)
+    out = [parts[0]]
+    for a, part in zip(arrays, parts[1:]):
+        line = out[-1][out[-1].rfind("\n") + 1 :]
+        out += [_shaped_text(a, (len(line) - len(line.lstrip(" "))) // 2), part]
     return "".join(out)
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _encode(o, level: int, out: list, markers: dict) -> None:
-    if isinstance(o, str):
-        out.append(_quote(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_float_text(o))
-    elif isinstance(o, (list, tuple)):
-        _encode_list(o, level, out, markers)
-    elif isinstance(o, dict):
-        _encode_dict(o, level, out, markers)
-    elif isinstance(o, np.ndarray):
-        _encode_array(o, level, out, markers)
-    else:
-        _default(o)  # raises the stock TypeError
-
-
-def _enter(o, markers: dict) -> int:
-    key = id(o)
-    if key in markers:
-        raise ValueError("Circular reference detected")
-    markers[key] = o
-    return key
-
-
-def _encode_array(a: np.ndarray, level: int, out: list, markers: dict) -> None:
-    """A non-empty int or float array of one or more dims from its shape;
-    any other array (0-d, empty, bool, complex, object, long double, a
-    subclass, or holding NaN or inf) as its ``tolist()``."""
-    kind = a.dtype.kind
-    if type(a) is np.ndarray and a.ndim and a.size and kind in "iuf" and a.dtype.itemsize <= 8:
-        leaves = tuple(a.ravel().tolist())
-        text = _shaped_text(a.shape, leaves, "%r" if kind == "f" else "%d", level)
-        if text is not None:
-            out.append(text)
-            return
-    key = _enter(a, markers)
-    _encode(a.tolist(), level, out, markers)
-    del markers[key]
-
-
-def _encode_list(lst, level: int, out: list, markers: dict) -> None:
-    if not lst:
-        out.append("[]")
-        return
-    key = _enter(lst, markers)
-    inner = "\n" + "  " * (level + 1)
-    sep = "[" + inner
-    for value in lst:
-        out.append(sep)
-        _encode(value, level + 1, out, markers)
-        sep = "," + inner
-    out.append("\n" + "  " * level + "]")
-    del markers[key]
-
-
-def _encode_dict(dct, level: int, out: list, markers: dict) -> None:
-    if not dct:
-        out.append("{}")
-        return
-    marker = _enter(dct, markers)
-    inner = "\n" + "  " * (level + 1)
-    sep = "{" + inner
-    for key, value in dct.items():
-        if isinstance(key, str):
-            pass
-        elif isinstance(key, float):
-            key = _float_text(key)
-        elif key is True:
-            key = "true"
-        elif key is False:
-            key = "false"
-        elif key is None:
-            key = "null"
-        elif isinstance(key, int):
-            key = int.__repr__(key)
-        else:
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-            )
-        out.append(sep + _quote(key) + ": ")
-        _encode(value, level + 1, out, markers)
-        sep = "," + inner
-    out.append("\n" + "  " * level + "}")
-    del markers[marker]
 
 
 def _layout(level: int, depth: int) -> tuple[str, str, list[str]]:
@@ -482,13 +373,11 @@ def _layout(level: int, depth: int) -> tuple[str, str, list[str]]:
     return head, tail, seps
 
 
-def _shaped_text(shape: Sequence[int], leaves: tuple, fmt: str, level: int) -> str | None:
-    """Indented text of a rectangular block of the given shape, its leaves
-    row-major, from one template with ``fmt`` per leaf; None when a float
-    leaf is not finite, which %r writes as nan or inf."""
-    head, tail, seps = _layout(level, len(shape))
-    block = fmt
-    for n, sep in zip(reversed(shape), seps):
+def _shaped_text(a: np.ndarray, level: int) -> str:
+    """Indented text of a non-empty, finite int or float array at indent
+    ``level``, from one template with a %d or %r per leaf, filled row-major."""
+    head, tail, seps = _layout(level, a.ndim)
+    block = "%r" if a.dtype.kind == "f" else "%d"
+    for n, sep in zip(reversed(a.shape), seps):
         block = sep.join([block] * n)
-    text = (head + block + tail) % leaves
-    return None if fmt == "%r" and "n" in text else text
+    return (head + block + tail) % tuple(a.ravel().tolist())

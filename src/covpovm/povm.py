@@ -232,13 +232,6 @@ def _sector_dicts(rep: DiagonalRep, values: np.ndarray) -> tuple[dict, ...]:
     )
 
 
-def recommended_e_dim(rep: DiagonalRep) -> int:
-    """Smallest embedding dimension leaving room for isometry fields with
-    mutually orthogonal ranges across sectors; anything down to the largest
-    single multiplicity is still accepted by the builder."""
-    return int(rep.support_table.sector_f_dims.sum()) or 1
-
-
 def validate_rep(rep: DiagonalRep) -> None:
     """Reject support points that are not characters of the group, and
     sector families whose supports overlap.
@@ -825,9 +818,9 @@ class DilationSweep:
     the indicator of {0, 1} when q > 1, and ten seeded random functions.
     ``gaps`` holds, per row i, delta_i = max |M(omega_i) - W^H T(omega_i) W|,
     M the kernel route (``assembled``) and W^H T W the dilation
-    (:func:`intertwiner_compressions`). ``first``, ``second``, ``whole`` and
-    ``pair`` are the kernel effects M(e_0), M(e_1), M(1) and M({0, 1})
-    (``second`` and ``pair`` are None when q = 1). ``shift_values`` holds
+    (:func:`intertwiner_compressions`). ``first`` is the kernel effect
+    M(e_0); ``additivity`` is max |M(e_0) + M(e_1) - M({0, 1})| (0.0 when
+    q = 1) and ``normalization`` is max |M(1) - I|. ``shift_values`` holds
     the dilation's per-shift values v_j(a) of each singleton, shape
     (q, |H-perp| + 1) with the across-fiber 0 last (``induction._shift_values``):
     entry (r, c) of W^H T(e_j) W is v_j(a) G[r, c], where the home
@@ -839,9 +832,8 @@ class DilationSweep:
 
     gaps: np.ndarray
     first: np.ndarray
-    second: np.ndarray | None
-    whole: np.ndarray
-    pair: np.ndarray | None
+    additivity: float
+    normalization: float
     shift_values: np.ndarray
     home_characters: np.ndarray
     gram_max: float
@@ -849,9 +841,10 @@ class DilationSweep:
 
 def dilation_sweep(povm_like) -> DilationSweep:
     """Evaluate both routes once over the verifiers' stack, in blocks of
-    ``_BLOCK_ENTRIES`` entries per route, keeping only the per-row gaps, four
-    kernel effects and the singletons' per-shift values
-    (:class:`DilationSweep`); no q * dim^2 array is formed. The act of the
+    ``_BLOCK_ENTRIES`` entries per route, keeping only the per-row gaps,
+    M(e_0), the additivity and normalization gaps and the singletons'
+    per-shift values (:class:`DilationSweep`); no q * dim^2 array is formed,
+    and at most two kernel effects are held between blocks. The act of the
     dilation runs once on the whole stack.
 
     Accepts any object exposing both routes: ``ctx``, ``dimension`` and
@@ -867,14 +860,22 @@ def dilation_sweep(povm_like) -> DilationSweep:
     eye = np.eye(q)
     unions = [eye[:2].sum(axis=0, keepdims=True)] if q > 1 else []
     omegas = np.concatenate((eye, np.ones((1, q)), *unions, parts[:, 0] + 1j * parts[:, 1]))
-    named = {"first": 0, "whole": q, **({"second": 1, "pair": q + 1} if q > 1 else {})}
     home, gram = _home_and_gram(povm_like)
     values = _shift_values(povm_like.diagonal_space, omegas)
-    kept, gaps, start = dict.fromkeys(("second", "pair")), [], 0
+    gaps, start, additivity = [], 0, 0.0
     for oracle in _compressions(povm_like, omegas, home, gram, values):
         stop = start + len(oracle)
         kernel = povm_like.assembled(omegas[start:stop])
-        kept.update((k, kernel[j - start].copy()) for k, j in named.items() if start <= j < stop)
+        row = dict(zip(range(start, stop), kernel))
+        if 0 in row:
+            first = row[0].copy()
+        if q > 1 and 1 in row:
+            second = row[1].copy()
+        if q in row:
+            normalization = _worst(np.abs(row[q] - np.eye(povm_like.dimension)))
+        if q > 1 and q + 1 in row:
+            additivity = _worst(np.abs(first + second - row[q + 1]))
+            second = None
         np.subtract(oracle, kernel, out=oracle)
         gaps.append(np.abs(oracle).max(axis=(1, 2), initial=0.0))
         start = stop
@@ -883,7 +884,9 @@ def dilation_sweep(povm_like) -> DilationSweep:
         shift_values=values[:q],
         home_characters=povm_like.diagonal_space.point_indices[home],
         gram_max=_worst(np.abs(gram)),
-        **kept,
+        first=first,
+        additivity=additivity,
+        normalization=normalization,
     )
 
 
@@ -927,9 +930,9 @@ def verify_axioms(povm_like, atol: float = DEFAULT_ATOL, sweep=None) -> Verifica
     tau = np.abs(v - ctx._fourier_matrix.T * v[0]).max(axis=1, initial=0.0)
     gaps = sweep.gaps[:q]
     transport = _worst(gaps[0] + gaps + sweep.gram_max * tau)
-    additivity = _worst(np.abs(sweep.first + sweep.second - sweep.pair)) if q > 1 else 0.0
-    pos_dev = _worst([_positivity_deviation(sweep.first), additivity]) + max(dim, 2) * transport
-    norm_dev = _worst(np.abs(sweep.whole - np.eye(dim)))
+    pos_dev = _worst([_positivity_deviation(sweep.first), sweep.additivity])
+    pos_dev += max(dim, 2) * transport
+    norm_dev = sweep.normalization
     return VerificationReport(
         (
             CheckResult("positivity", pos_dev <= atol, pos_dev),

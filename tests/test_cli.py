@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from covpovm import FiniteAbelianGroup, TrigPolynomial, WeightedMeasure
+from covpovm import FiniteAbelianGroup, WeightedMeasure
 from covpovm import iojson
 from covpovm.cli import main
 
@@ -291,14 +291,26 @@ class TestJsonRoundTrips:
             s.rho.weights for s in scenario.rep.sectors
         ]
 
-    def test_measure(self):
-        group = FiniteAbelianGroup((12,))
-        m = WeightedMeasure("dual", {group.character([3]): 1.5})
-        again = iojson.measure_from_json(group, iojson.measure_to_json(m))
-        assert again.weights == m.weights
-        q = WeightedMeasure("dual_quotient", {0: 1.0, 2: 0.25})
-        again = iojson.measure_from_json(group, iojson.measure_to_json(q))
-        assert again.weights == q.weights
+    @pytest.mark.parametrize(
+        "domain, weights, expected",
+        [
+            ("dual", {(3, 1): 1.5, (0, 2): 0.5}, [[[0, 2], 0.5], [[3, 1], 1.5]]),
+            ("dual_quotient", {2: 0.25, 0: 1.0, 1: 0.0}, [[0, 1.0], [2, 0.25]]),
+            ("quotient", {5: 2, 1: 0.5}, [[1, 0.5], [5, 2.0]]),
+        ],
+    )
+    def test_class_measure_to_json(self, domain, weights, expected):
+        # points sorted, zero weights dropped, weights as floats
+        group = FiniteAbelianGroup((4, 4))
+        if domain == "dual":
+            weights = {group.character(x): w for x, w in weights.items()}
+        got = iojson.measure_to_json(WeightedMeasure(domain, weights))
+        assert got == {"domain": domain, "weights": expected}
+        assert json.loads(iojson.dumps(got)) == got
+
+    def test_class_measure_to_json_rejects_other_domains(self):
+        with pytest.raises(ValueError, match="has no JSON form"):
+            iojson.measure_to_json(WeightedMeasure("group", {0: 1.0}))
 
     def test_matrix(self):
         rng = np.random.default_rng(0)
@@ -314,11 +326,6 @@ class TestJsonRoundTrips:
         again = iojson.matrix_from_json(iojson.matrix_to_json(m))
         assert again.shape == (2, 2)
         np.testing.assert_array_equal(again.view(np.uint64), m.view(np.uint64))
-
-    def test_trig_polynomial(self):
-        p = TrigPolynomial({-2: 1j, 0: 2.0, 3: 1.0 - 0.5j})
-        again = iojson.trig_polynomial_from_json(iojson.trig_polynomial_to_json(p))
-        assert again.coeffs == p.coeffs
 
     def test_matrix_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -366,16 +373,11 @@ class TestNonIntegralScenarioInput:
     @pytest.mark.parametrize(
         "read",
         [
-            lambda: iojson.measure_from_json(
-                FiniteAbelianGroup((12,)),
-                {"domain": "dual_quotient", "weights": [[1.5, 1.0]]},
-            ),
             lambda: iojson.matrix_from_json(
                 {"rows": 1.0, "cols": 1, "entries": [[1.0, 0.0]]}
             ),
-            lambda: iojson.trig_polynomial_from_json({"coeffs": [[2.5, [1.0, 0.0]]]}),
         ],
-        ids=["quotient-point", "matrix-rows", "frequency"],
+        ids=["matrix-rows"],
     )
     def test_readers_reject_non_integral_indices(self, read):
         with pytest.raises(ValueError, match="must be an integer"):

@@ -14,7 +14,7 @@ from covpovm import (
     transported_multiplication_matrix,
 )
 from covpovm.cli import _oracle_report
-from helpers import dense_compression, fibered_instance, random_povms, standard_instances
+from helpers import build_rep, dense_compression, fibered_instance, random_povms, standard_instances
 
 FIXED = standard_instances() + [("fibered", fibered_instance())]
 
@@ -202,3 +202,28 @@ def test_sweep_builds_the_omega_independent_parts_once(monkeypatch, per_block):
     assert indices == [povm.dimension]
     per = k if per_block is None else per_block
     assert blocks == [min(per, k - s) for s in range(0, k, per)]
+
+
+@pytest.mark.parametrize("per_block", [None, 1, 2, 3])
+def test_sweep_keeps_m_e0_and_two_gaps_for_any_block_size(monkeypatch, per_block):
+    # M(e_0), max |M(e_0) + M(e_1) - M({0, 1})| and max |M(1) - I|, however
+    # the rows e_0, e_1, 1 and {0, 1} fall across blocks; the additivity gap
+    # is 0.0 on a single coset
+    from covpovm import FiniteAbelianGroup, build_covariant_povm, dilation_sweep
+    from covpovm import subgroup_from_generators
+
+    g4 = FiniteAbelianGroup((4,))
+    rep, fields = build_rep(g4, [({(0,): 1.0, (1,): 2.0}, 1)], np.random.default_rng(1), 2)
+    whole = subgroup_from_generators(g4, [g4.element([1])])
+    single = ("Z4_modZ4", build_covariant_povm(rep, whole, fields, e_dim=2))
+    for name, povm in FIXED + [single]:
+        if per_block is not None:
+            monkeypatch.setattr(povm_module, "_BLOCK_ENTRIES", per_block * povm.dimension**2)
+        q, eye = povm.ctx.n_cosets, np.eye(povm.ctx.n_cosets)
+        rows = [eye[0], np.ones(q)] + ([eye[1], eye[0] + eye[1]] if q > 1 else [])
+        effects = [povm.assembled(omega[None])[0] for omega in rows]
+        sweep = dilation_sweep(povm)
+        assert np.array_equal(sweep.first, effects[0]), name
+        assert sweep.normalization == np.abs(effects[1] - np.eye(povm.dimension)).max(), name
+        additivity = np.abs(effects[0] + effects[2] - effects[3]).max() if q > 1 else 0.0
+        assert sweep.additivity == additivity, name

@@ -98,21 +98,14 @@ class TestReadersReject:
         with pytest.raises(ValueError, match="must be a real number"):
             iojson.scenario_from_json(with_entry([1.0, value]))
 
-    @pytest.mark.parametrize("value", NOT_NUMBERS)
-    def test_measure_weight(self, value):
-        obj = {"domain": "dual_quotient", "weights": [[0, value]]}
-        with pytest.raises(ValueError, match="measure weight must be a real number"):
-            iojson.measure_from_json(FiniteAbelianGroup((12,)), obj)
-
     @pytest.mark.parametrize(
         "read",
         [
             lambda v: iojson.state_from_json({"state": [[v, 0.0]]}),
             lambda v: iojson.quotient_function_from_json({"values": [[0.0, v]]}),
             lambda v: iojson.matrix_from_json({"rows": 1, "cols": 1, "entries": [[v, 0.0]]}),
-            lambda v: iojson.trig_polynomial_from_json({"coeffs": [[1, [v, 0.0]]]}),
         ],
-        ids=["state", "omega", "matrix", "trig-coefficient"],
+        ids=["state", "omega", "matrix"],
     )
     @pytest.mark.parametrize("value", NOT_NUMBERS)
     def test_vector_and_matrix_files(self, read, value):

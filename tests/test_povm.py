@@ -56,15 +56,6 @@ class TestValidateRep:
     def test_single_sector_ok(self):
         validate_rep(DiagonalRep(Z12, (delta_sector(Z12, [7], f_dim=3),)))
 
-    def test_recommended_e_dim(self):
-        from covpovm import recommended_e_dim
-
-        rep = DiagonalRep(
-            Z12, (delta_sector(Z12, [0], f_dim=2), delta_sector(Z12, [1], f_dim=3))
-        )
-        assert recommended_e_dim(rep) == 5
-        assert recommended_e_dim(DiagonalRep(Z12, ())) == 1
-
     def test_wrong_group_point_rejected(self):
         other = FiniteAbelianGroup((2, 2))
         rep = DiagonalRep(Z12, (delta_sector(other, [0, 1]),))

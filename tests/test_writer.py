@@ -301,34 +301,45 @@ def numpy_arrays(draw):
 
 
 array_trees = st.recursive(
-    numpy_arrays() | scalars,
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(texts, children, max_size=4),
-    max_leaves=8,
+    numpy_arrays() | scalars | texts,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(texts, children, max_size=4),
+    max_leaves=12,
 )
 
 
-def substituted(obj):
-    """The object with every array replaced by its tolist()."""
-    if isinstance(obj, np.ndarray):
-        return substituted(obj.tolist())
-    if isinstance(obj, list):
-        return [substituted(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: substituted(v) for k, v in obj.items()}
-    return obj
+def tolist(o):
+    """The ``default`` of the reference text: an array as its tolist(),
+    anything else rejected with the stock message."""
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-def assert_stock_outcome(obj, expected):
-    """dumps(obj) equals the stock text of ``expected``, or raises the same
-    TypeError message."""
+def assert_stock_outcome(obj):
+    """dumps(obj) equals json.dumps(obj, indent=2, default=tolist), or raises
+    the same error with the same message."""
     try:
-        text = stock(expected)
-    except TypeError as exc:
-        with pytest.raises(TypeError) as got:
+        text = json.dumps(obj, indent=2, default=tolist)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
             iojson.dumps(obj)
         assert str(got.value) == str(exc)
     else:
         assert iojson.dumps(obj) == text
+
+
+def lists_in(obj) -> list:
+    """Every list and tuple in obj, in the order the encoder meets them."""
+    found, children = [], ()
+    if isinstance(obj, (list, tuple)):
+        found, children = [obj], obj
+    elif isinstance(obj, dict):
+        children = obj.values()
+    for child in children:
+        found += lists_in(child)
+    return found
 
 
 @st.composite
@@ -347,7 +358,7 @@ class TestShapedText:
     @given(array_trees)
     @settings(max_examples=400, deadline=None)
     def test_arrays_match_stock_encoder_on_tolist(self, obj):
-        assert_stock_outcome(obj, substituted(obj))
+        assert_stock_outcome(obj)
 
     @pytest.mark.parametrize(
         "array",
@@ -362,6 +373,12 @@ class TestShapedText:
             np.array([[1 + 2j]]),
             np.array([1, "a", None], dtype=object),
             np.array([[0.5, math.nan], [math.inf, -0.0]]),
+            np.array([1.0, -math.inf]),
+            np.full((2, 2), math.nan, dtype=np.float32),
+            np.array([1, object()], dtype=object),
+            np.array([np.int64(3)], dtype=object),
+            np.arange(5),
+            np.arange(6.0).reshape(2, 3) - 2.5,
             np.array([2**64 - 1, 2**63], dtype=np.uint64),
             np.array([1.0, 2.0], dtype=np.longdouble),
             np.arange(24, dtype=np.int8).reshape(2, 3, 4),
@@ -370,8 +387,28 @@ class TestShapedText:
         ],
     )
     def test_array_edge_cases(self, array):
-        for obj in (array, [array], {"k": [1, array]}):
-            assert_stock_outcome(obj, substituted(obj))
+        # at the top, in a tuple, and three deep in lists and dicts
+        for obj in (
+            array,
+            [array],
+            {"k": [1, array]},
+            (array, "x", (array,)),
+            [[[array, 1], {"k": {"j": array}}]],
+            {"a": {"b": {"c": [array, array]}}},
+        ):
+            assert_stock_outcome(obj)
+
+    @pytest.mark.parametrize(
+        "text", ["\0cafe\0", "cafe", '"\0cafe\0', '\0cafe\0"', "\\u0000cafe\\u0000"]
+    )
+    def test_placeholder_text_in_obj_is_written_as_itself(self, text):
+        # with the nonce fixed, a value or key that the stock encoder writes
+        # with the placeholder's text in it makes dumps draw a new nonce
+        forged = json.dumps("\0cafe\0") in json.dumps(text)
+        for obj in ([text, np.arange(3.0)], {text: np.eye(2)}, {"k": [np.arange(2), {text: text}]}):
+            with patch.object(iojson, "_nonce", side_effect=["cafe", "beef"]) as nonce:
+                assert_stock_outcome(obj)
+            assert nonce.call_count == 1 + forged
 
     @given(
         rectangular(exact_floats),
@@ -405,18 +442,29 @@ class TestShapedText:
 
     def test_numeric_tables_reach_the_writer_as_arrays(self, tmp_path, capsys):
         # on a fibered Z_8 x Z_8 scenario, no coordinate table, pairing
-        # table or matrix-entry list may reach the writer as a list
+        # table or matrix-entry list may reach the stock encoder as a list,
+        # neither in the object it is given nor from the array hook
         scenario, spec = z8sq_fibered_files()
         scen, spec_path = write(tmp_path, "s.json", scenario), write(tmp_path, "g.json", spec)
         omega = write(tmp_path, "o.json", {"values": [[1.0, -0.5]] * 16})
         lists = []
-        encode_list = iojson._encode_list
+        stock_dumps = json.dumps
 
-        def recording(lst, *args):
-            lists.append(lst)
-            encode_list(lst, *args)
+        def recording(obj, **kwargs):
+            hook = kwargs.get("default")
+            if hook is None:  # the placeholder's text
+                return stock_dumps(obj, **kwargs)
 
-        with patch.object(iojson, "_encode_list", recording):
+            def default(o):
+                out = hook(o)
+                if not isinstance(out, str):
+                    lists.append(out)
+                return out
+
+            lists.extend(lists_in(obj))
+            return stock_dumps(obj, **{**kwargs, "default": default})
+
+        with patch.object(iojson.json, "dumps", recording):
             assert main(["matrix", scen]) == 0
             assert main(["matrix", scen, "--omega", omega]) == 0
             assert lists == []
