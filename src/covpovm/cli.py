@@ -9,7 +9,10 @@ verification).
 
 The default verification tolerance is 1e-9; the COVPOVM_TOLERANCE
 environment variable overrides it and the --tolerance flag overrides both.
-A tolerance that is not finite, or is negative, exits 3.
+A tolerance that is not finite, or is negative, exits 3. `build`, `matrix`
+and `sample` check the isometries at that tolerance; `verify` checks them
+at no less than the default, so a tighter tolerance still reaches the
+checks and tightens only them.
 """
 
 from __future__ import annotations
@@ -53,8 +56,13 @@ def _load_json(path: str):
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(iojson.dumps(obj))
+    iojson.dump(obj, sys.stdout)
     sys.stdout.write("\n")
+
+
+def _dump_file(path: Path, matrix) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        iojson.dump(iojson.matrix_to_json(matrix), handle)
 
 
 def _tolerance(args) -> float:
@@ -155,7 +163,7 @@ def _oracle_report(povm, tolerance: float, extra_omegas, sweep=None) -> Verifica
 def cmd_verify(args) -> int:
     scenario = iojson.scenario_from_json(_load_json(args.scenario))
     tolerance = _tolerance(args)
-    povm = scenario.build(atol=tolerance)
+    povm = scenario.build(atol=max(tolerance, DEFAULT_ATOL))
     omega = None
     extra = []
     if args.omega:
@@ -178,13 +186,9 @@ def cmd_verify(args) -> int:
         shown = omega if omega is not None else povm.ctx.indicator(
             range(povm.ctx.n_cosets)
         )
-        (dump_dir / "m_omega.json").write_text(
-            iojson.dumps(iojson.matrix_to_json(povm.assembled(shown)))
-        )
+        _dump_file(dump_dir / "m_omega.json", povm.assembled(shown))
         for i in range(povm.ctx.n_cosets):
-            (dump_dir / f"effect_{i}.json").write_text(
-                iojson.dumps(iojson.matrix_to_json(povm.assembled_effect([i])))
-            )
+            _dump_file(dump_dir / f"effect_{i}.json", povm.assembled_effect([i]))
     _emit(iojson.report_to_json(report, tolerance))
     if not report.passed:
         print("verification FAILED", file=sys.stderr)

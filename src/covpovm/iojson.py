@@ -3,17 +3,17 @@
 Complex numbers serialize as [re, im] pairs and matrices row-major, so
 emitted files are bit-stable golden data. Every reader validates shapes
 and reports offending keys; every writer emits deterministic orderings.
-See BASIS.md for the basis conventions behind matrix dumps. :func:`dumps`
+See BASIS.md for the basis conventions behind matrix dumps. :func:`dump`
 writes every JSON text the CLI emits: the stock ``json.dumps(obj,
 indent=2)`` text, with the numeric arrays' blocks spliced in from their
-shapes.
+shapes, in pieces of bounded size.
 """
 
 from __future__ import annotations
 
 import json
 import secrets
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -55,8 +55,11 @@ def pair_to_complex(pair) -> complex:
 def pairs_to_json(array) -> np.ndarray:
     """The float array of the array's shape with a last axis [re, im]: the
     same floats as complex_to_pair. :func:`dumps` writes it as nested
-    [re, im] lists; ``tolist()`` gives those lists."""
+    [re, im] lists; ``tolist()`` gives those lists. For a C-contiguous
+    complex128 array of ndim >= 1 it is a view that shares its memory."""
     a = np.asarray(array, dtype=complex)
+    if a.ndim and a.flags.c_contiguous:
+        return a.view(np.float64).reshape(*a.shape, 2)
     return np.stack((a.real, a.imag), axis=-1)
 
 
@@ -314,24 +317,42 @@ def report_to_json(report: VerificationReport, tolerance: float) -> dict:
 
 # --- writer ------------------------------------------------------------------
 #
-# dumps(obj) == json.dumps(obj, indent=2, default=f), where f turns a numpy
-# array into its tolist() and rejects anything else. The stock encoder writes
-# everything but the numeric blocks (coordinate tables, [re, im] entries),
-# which reach it as arrays: the hook hands it a placeholder string for each
-# non-empty, finite int or float array, and one pass splices in the array's
-# text, written from its shape by one "%" template that holds the indented
+# dump(obj, fp) writes json.dumps(obj, indent=2, default=f), where f turns a
+# numpy array into its tolist() and rejects anything else. The stock encoder
+# writes everything but the numeric blocks (coordinate tables, [re, im]
+# entries), which reach it as arrays: the hook hands it a placeholder string
+# for each non-empty, finite int or float array, and the array's text goes
+# where the placeholder was, written from its shape in pieces of whole
+# axis-0 slices, each filled into a "%" template that holds the indented
 # text with a %d or %r per leaf. The placeholder is a string the stock
-# encoder writes as "\u0000<nonce>\u0000" (NULs and a fresh random nonce
-# per call); a value or key of obj whose text holds it shows up as one
-# placeholder too many, and the call is redone with a new nonce.
+# encoder writes as "\u0000<nonce>\u0000" (NULs and a fresh random nonce per
+# call); a value or key of obj whose text holds it shows up as one
+# placeholder too many, and the skeleton is redone with a new nonce. All of
+# this runs before the first piece is written, so a failing dump writes
+# nothing.
 
 _nonce = partial(secrets.token_hex, 8)
 _default = json.JSONEncoder().default
+_PIECE_LEAVES = 1 << 14  # leaves per piece of an array block, at least one slice
+
+
+def dump(obj, fp) -> None:
+    """Write the text of :func:`dumps` to the file object ``fp``, in pieces
+    of bounded size; an object the encoder rejects raises before anything
+    is written."""
+    for piece in _pieces(obj):
+        fp.write(piece)
 
 
 def dumps(obj) -> str:
     """JSON text equal to ``json.dumps(obj, indent=2)``, errors included;
     a numpy array is written as its ``tolist()``."""
+    return "".join(_pieces(obj))
+
+
+def _pieces(obj) -> Iterator[str]:
+    """The text of obj in pieces. The stock encoder's skeleton, with its
+    errors, is built when this is called, not when the pieces are drawn."""
     marker, arrays = "\0%s\0" % _nonce(), []
 
     def hook(o):
@@ -348,12 +369,18 @@ def dumps(obj) -> str:
 
     parts = json.dumps(obj, indent=2, default=hook).split(json.dumps(marker))
     if len(parts) != len(arrays) + 1:  # obj itself writes the placeholder's text
-        return dumps(obj)
-    out = [parts[0]]
-    for a, part in zip(arrays, parts[1:]):
-        line = out[-1][out[-1].rfind("\n") + 1 :]
-        out += [_shaped_text(a, (len(line) - len(line.lstrip(" "))) // 2), part]
-    return "".join(out)
+        return _pieces(obj)
+    return _spliced(parts, arrays)
+
+
+def _spliced(parts: list[str], arrays: list[np.ndarray]) -> Iterator[str]:
+    """The skeleton's parts with each array's block between two of them, at
+    the indent of the line its placeholder was on."""
+    yield parts[0]
+    for before, a, after in zip(parts, arrays, parts[1:]):
+        line = before[before.rfind("\n") + 1 :]
+        yield from _shaped_pieces(a, (len(line) - len(line.lstrip(" "))) // 2)
+        yield after
 
 
 def _layout(level: int, depth: int) -> tuple[str, str, list[str]]:
@@ -373,11 +400,21 @@ def _layout(level: int, depth: int) -> tuple[str, str, list[str]]:
     return head, tail, seps
 
 
-def _shaped_text(a: np.ndarray, level: int) -> str:
+def _shaped_pieces(a: np.ndarray, level: int) -> Iterator[str]:
     """Indented text of a non-empty, finite int or float array at indent
-    ``level``, from one template with a %d or %r per leaf, filled row-major."""
+    ``level``, in pieces of whole axis-0 slices, about ``_PIECE_LEAVES``
+    leaves each: one template with a %d or %r per leaf, filled row-major."""
     head, tail, seps = _layout(level, a.ndim)
-    block = "%r" if a.dtype.kind == "f" else "%d"
-    for n, sep in zip(reversed(a.shape), seps):
-        block = sep.join([block] * n)
-    return (head + block + tail) % tuple(a.ravel().tolist())
+    row = "%r" if a.dtype.kind == "f" else "%d"
+    for n, sep in zip(reversed(a.shape[1:]), seps):
+        row = sep.join([row] * n)
+    step = min(len(a), max(1, _PIECE_LEAVES * len(a) // a.size))  # slices per piece
+    full = seps[-1].join([row] * step)
+    yield head
+    for start in range(0, len(a), step):
+        piece = a[start : start + step]
+        template = full if len(piece) == step else seps[-1].join([row] * len(piece))
+        if start:
+            yield seps[-1]
+        yield template % tuple(piece.ravel().tolist())
+    yield tail

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from covpovm import FiniteAbelianGroup, WeightedMeasure
+from covpovm import FiniteAbelianGroup, WeightedMeasure, position_povm_zn
 from covpovm import iojson
 from covpovm.cli import main
 
@@ -171,6 +171,28 @@ class TestVerifyCommand:
         assert main(["verify", scen, "--tolerance", "1e-3"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["tolerance"] == 1e-3
+
+    def test_tolerance_zero_reaches_the_checks(self, tmp_path, capsys):
+        # the Z_64 position surrogate, seeded like the CI step: its isometries
+        # are unit to rounding only, so a build at tolerance 0 would exit 4;
+        # verify builds at the default and fails every check that is inexact
+        rng = np.random.default_rng(64)
+        raw = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
+        povm = position_povm_zn(64, [v / np.linalg.norm(v) for v in raw])
+        scenario = iojson.Scenario(
+            povm.rep.group, povm.ctx.subgroup, povm.rep, povm.e_dim, povm.fields
+        )
+        scen = write(tmp_path, "s.json", iojson.scenario_to_json(scenario))
+        assert main(["build", scen, "--tolerance", "0"]) == 4
+        capsys.readouterr()
+        assert main(["verify", scen, "--tolerance", "0"]) == 1
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["tolerance"] == 0.0 and out["pass"] is False
+        failed = {c["check"] for c in out["checks"] if not c["pass"]}
+        assert failed == {c["check"] for c in out["checks"] if c["max_deviation"] > 0.0}
+        assert "normalization" in failed
+        assert "verification FAILED" in captured.err
 
     def test_tolerance_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("COVPOVM_TOLERANCE", "1e-6")

@@ -1,8 +1,10 @@
 """iojson.dumps writes exactly the text of json.dumps(obj, indent=2), and
-every JSON output of the CLI is that text plus a newline."""
+every JSON output of the CLI is that text plus a newline. iojson.dump
+writes the same text in pieces of bounded size, and nothing when it fails."""
 
 import json
 import math
+import tracemalloc
 import warnings
 from unittest.mock import patch
 
@@ -169,6 +171,115 @@ class TestDumps:
         assert entries.tolist() == [iojson.complex_to_pair(z) for z in m.reshape(-1)]
         assert math.copysign(1.0, entries[0, 0]) == -1.0
         assert entries[8, 0] == 5e-324 and math.copysign(1.0, entries[8, 1]) == -1.0
+
+    def test_pairs_share_memory_with_contiguous_input(self):
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        for a in (m, m[1:], m.reshape(-1)):
+            pairs = iojson.pairs_to_json(a)
+            assert np.shares_memory(pairs, m) and pairs.shape == (*a.shape, 2)
+            assert pairs.tolist() == np.stack((a.real, a.imag), axis=-1).tolist()
+        assert np.shares_memory(iojson.matrix_to_json(m)["entries"], m)
+        for a in (m.T, m[:, ::2]):  # not C-contiguous: a copy with the same floats
+            pairs = iojson.pairs_to_json(a)
+            assert not np.shares_memory(pairs, m)
+            assert pairs.tolist() == [[iojson.complex_to_pair(z) for z in row] for row in a]
+        scalar = iojson.pairs_to_json(complex(-0.0, 2.5))
+        assert scalar.shape == (2,) and scalar.tolist() == [-0.0, 2.5]
+        assert math.copysign(1.0, scalar[0]) == -1.0
+
+
+# --- streamed writing ---------------------------------------------------------
+
+PIECE = iojson._PIECE_LEAVES
+STREAM_SPECIALS = [-0.0, 0.0, 5e-324, 2.5e-310, 1e16, -1e16, 1e-5, 0.1, 1e300]
+
+
+class Recorder:
+    """A file object that keeps every string written to it."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+
+
+@st.composite
+def streamed_arrays(draw):
+    """An int or float array of ndim 1-3 whose first axis holds 1, or one
+    less than, as many as, or one more than the axis-0 slices of one piece;
+    float leaves include signed zeros, subnormals and large and small
+    exponents."""
+    ndim = draw(st.integers(min_value=1, max_value=3))
+    inner = tuple(draw(st.lists(st.integers(1, 3), min_size=ndim - 1, max_size=ndim - 1)))
+    step = max(1, PIECE // math.prod(inner))
+    rows = draw(st.sampled_from([1, max(1, step - 1), step, step + 1]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    shape = (rows, *inner)
+    if draw(st.booleans()):
+        return rng.integers(-(2**63), 2**63 - 1, size=shape, dtype=np.int64, endpoint=True)
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    flat = a.reshape(-1)
+    for value in draw(st.lists(st.sampled_from(STREAM_SPECIALS), max_size=6)):
+        flat[draw(st.integers(min_value=0, max_value=flat.size - 1))] = value
+    return a
+
+
+def nest(obj, data):
+    """obj wrapped in up to three levels of dicts and lists beside other
+    items, so its block sits at several indents."""
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        obj = data.draw(
+            st.sampled_from([{"k": obj}, [obj], [1, obj, "x"], {"a": [], "b": {"c": obj}}])
+        )
+    return obj
+
+
+class TestDump:
+    @given(st.lists(streamed_arrays(), min_size=1, max_size=2), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pieces_join_to_the_stock_text(self, arrays, data):
+        obj = nest(arrays if len(arrays) > 1 else arrays[0], data)
+        sink = Recorder()
+        iojson.dump(obj, sink)
+        expected = json.dumps(obj, indent=2, default=lambda a: a.tolist())
+        assert "".join(sink.pieces) == expected == iojson.dumps(obj)
+
+    @pytest.mark.parametrize("bad", ["unknown", "circular"])
+    def test_failure_writes_nothing(self, bad):
+        if bad == "unknown":
+            tail, error = object(), TypeError
+        else:
+            tail, error = [2.0], ValueError
+            tail.append(tail)
+        block = np.arange(3 * PIECE, dtype=float).reshape(-1, 3)
+        for obj in ([block, tail], {"a": block, "b": {"c": tail}}):
+            sink = Recorder()
+            with pytest.raises(error):
+                iojson.dump(obj, sink)
+            assert sink.pieces == []
+
+    def test_peak_memory_does_not_grow_with_the_text(self):
+        rng = np.random.default_rng(512)
+        m = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
+        obj = iojson.matrix_to_json(m)
+
+        class Discard:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        sink = Discard()
+        tracemalloc.start()
+        try:
+            iojson.dump(obj, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 10_000_000
+        assert peak < 4_000_000
 
 
 # --- CLI byte identity -------------------------------------------------------
