@@ -167,12 +167,6 @@ class FiniteAbelianGroup:
     def trivial_character(self) -> DualCharacter:
         return DualCharacter((0,) * self.rank, self.factors)
 
-    @cached_property
-    def _doubling(self) -> np.ndarray:
-        """(i, k) for every factor i and every k < (n_i - 1).bit_length(), one row each."""
-        pairs = [(i, k) for i, n in enumerate(self.factors) for k in range((n - 1).bit_length())]
-        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
-
     def doubling_generators(self) -> tuple[GroupElement, ...]:
         """2^k e_i for every factor i and every k < (n_i - 1).bit_length().
 
@@ -186,7 +180,8 @@ class FiniteAbelianGroup:
     def _doubling_generators(self) -> tuple[GroupElement, ...]:
         return tuple(
             self.element([1 << k if j == i else 0 for j in range(self.rank)])
-            for i, k in self._doubling.tolist()
+            for i, n in enumerate(self.factors)
+            for k in range((n - 1).bit_length())
         )
 
     def elements(self) -> list[GroupElement]:

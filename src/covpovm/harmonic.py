@@ -115,9 +115,16 @@ class QuotientContext:
         """Values of the Fourier cotransform of a quotient function, indexed
         like ``hperp_points``; for a (k, q) stack of quotient functions, the
         (k, |H-perp|) stack of their cotransforms, each row the same
-        matrix-vector product as for that function alone."""
+        matrix-vector product as for that function alone. A cotransform that
+        overflows raises ``ValueError`` naming its row, with no warning."""
         omega = self._coset_values(omega, (1, 2))
-        return (self._fourier_matrix @ omega[..., None])[..., 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            fo = (self._fourier_matrix @ omega[..., None])[..., 0]
+        finite = np.isfinite(fo).all(axis=-1)
+        if not finite.all():
+            row = f" {int(np.argmin(finite))} of the stack" if fo.ndim == 2 else ""
+            raise ValueError(f"cotransform of quotient function{row} is not finite: it overflows")
+        return fo
 
     def _coset_values(self, omega, ndims) -> np.ndarray:
         """A quotient function (ndim 1), or a stack of them, as a complex
@@ -139,16 +146,19 @@ class QuotientContext:
         equals ``cotransform_transposed(phi) @ omega``. With phi placed on
         the dual group (zero off the annihilator), that sum at every group
         element is one unnormalized ``ifftn`` over the factors, read at the
-        coset representatives; no pairing matrix is formed."""
+        coset representatives; no pairing matrix is formed. A (k, |H-perp|)
+        stack gives the (k, q) stack, by one ``ifftn`` over trailing axes."""
         phi = np.asarray(phi, dtype=complex)
-        if phi.shape != (self.annihilator.order,):
-            raise ValueError(
-                f"expected {self.annihilator.order} annihilator values, got {phi.shape}"
-            )
-        placed = np.zeros(self.group.order, dtype=complex)
-        placed[self.annihilator.indices] = phi
-        summed = np.fft.ifftn(placed.reshape(self.group.factors), norm="forward")
-        return summed.ravel()[self.quotient.rep_indices]
+        lead, order = phi.shape[:-1], self.annihilator.order
+        if phi.ndim not in (1, 2) or phi.shape[-1] != order:
+            raise ValueError(f"expected {order} annihilator values, got {phi.shape}")
+        placed = np.zeros((*lead, self.group.order), dtype=complex)
+        # one flat scatter, several times faster than one along the last axis
+        starts = np.arange(0, placed.size, self.group.order)[:, None]
+        placed.reshape(-1)[(starts + self.annihilator.indices).ravel()] = phi.ravel()
+        axes = tuple(range(-self.group.rank, 0))
+        summed = np.fft.ifftn(placed.reshape(*lead, *self.group.factors), axes=axes, norm="forward")
+        return summed.reshape(placed.shape).take(self.quotient.rep_indices, axis=-1)
 
     def translated(self, a: GroupElement, omega) -> np.ndarray:
         """The shifted quotient function (a . omega)(coset) = omega(a^-1[coset]).

@@ -713,21 +713,15 @@ def _compressions(povm_like, omegas, home, gram, values):
 def intertwiner_compressions(povm: CovariantPOVM, omegas):
     """Yield W^H T(omega) W for a (k, q) stack of quotient functions, in
     order, as (n, dim, dim) stacks of n omegas at a time; W is the
-    intertwiner and T the transported multiplication matrix of
+    intertwiner and T = P (x) I_E the transported multiplication matrix of
     :mod:`covpovm.induction`.
 
-    Column c of W is nonzero only on the E rows (p(c), e) of one point, read
-    off W itself, and T = P (x) I_E, so entry (r, c) of the compression is
-    P[p(r), p(c)] G[r, c] with G[r, c] = sum over e of conj(W[(p(r), e), r])
-    W[(p(c), e), c], the Gram matrix of the one-point column values, formed
-    once. P is read at the home points only (``points=`` of
-    :func:`transported_multiplication_matrix`), so no array has more than
-    dim^2 entries per omega besides the act's response. The act runs once
-    on the whole stack, and the home points' shift index is built once. W
-    is checked once for entries off those rows, so the result is W^H T W to
-    rounding whatever W holds. A block holds as many omegas as keep P,
-    dim^2 entries per omega, within ``_BLOCK_ENTRIES`` entries, and at
-    least one.
+    Column c of W is nonzero only on the E rows of its home point p(c), read
+    off W itself (an entry off them raises), so entry (r, c) is
+    P[p(r), p(c)] G[r, c] (:func:`_home_and_gram`): the result is W^H T W to
+    rounding whatever W holds. P is read at the home points only, and the
+    act runs once on the whole stack (:func:`_compressions`), so no array
+    has more than dim^2 entries per omega besides the act's response.
     """
     home, gram = _home_and_gram(povm)
     omegas = np.asarray(omegas)
@@ -786,19 +780,6 @@ def _worst(deviations) -> float:
     return float(np.asarray(deviations, dtype=float).max(initial=0.0))
 
 
-def _positivity_deviation(matrix: np.ndarray) -> float:
-    """How far a matrix is from being positive semidefinite: the larger of
-    the hermiticity defect and the most negative eigenvalue; NaN for a
-    matrix with non-finite entries."""
-    if not matrix.size:
-        return 0.0
-    if not np.isfinite(matrix).all():
-        return math.nan
-    herm_defect = float(np.abs(matrix - matrix.conj().T).max())
-    eigenvalues = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0)
-    return max(herm_defect, float(max(0.0, -eigenvalues.min())))
-
-
 def _diagonal_phases(povm_like, g: GroupElement) -> np.ndarray:
     """The diagonal of U(g), as a copy that does not keep U(g) alive; a U(g)
     with a nonzero off-diagonal entry raises ``ValueError``."""
@@ -815,23 +796,20 @@ class DilationSweep:
     checks read (:func:`dilation_sweep`).
 
     The stack is the q singletons e_0 ... e_{q-1}, the constant function 1,
-    the indicator of {0, 1} when q > 1, and ten seeded random functions.
-    ``gaps`` holds, per row i, delta_i = max |M(omega_i) - W^H T(omega_i) W|,
-    M the kernel route (``assembled``) and W^H T W the dilation
-    (:func:`intertwiner_compressions`). ``first`` is the kernel effect
-    M(e_0); ``additivity`` is max |M(e_0) + M(e_1) - M({0, 1})| (0.0 when
-    q = 1) and ``normalization`` is max |M(1) - I|. ``shift_values`` holds
-    the dilation's per-shift values v_j(a) of each singleton, shape
-    (q, |H-perp| + 1) with the across-fiber 0 last (``induction._shift_values``):
-    entry (r, c) of W^H T(e_j) W is v_j(a) G[r, c], where the home
+    the indicator of {0, 1} when q > 1, ten seeded random functions and any
+    extra rows. ``gaps`` holds, per row i, delta_i = max |M(omega_i) -
+    W^H T(omega_i) W|, M the kernel route (``assembled``) and W^H T W the
+    dilation (:func:`intertwiner_compressions`). ``additivity`` is
+    max |M(e_0) + M(e_1) - M({0, 1})| (0.0 when q = 1) and ``normalization``
+    is max |M(1) - I|. ``shift_values`` holds the dilation's per-shift values
+    v_j(a) of each singleton, shape (q, |H-perp|): entry (r, c) of
+    W^H T(e_j) W is v_j(a) G[r, c] (0 across fibers), where the home
     characters of columns r and c differ by hperp[a] and G is the Gram
     matrix of W's one-point values, of largest modulus ``gram_max``.
-    ``home_characters`` is the group index of the home character of each
-    column of W.
+    ``home_characters`` holds each column's home character, as a group index.
     """
 
     gaps: np.ndarray
-    first: np.ndarray
     additivity: float
     normalization: float
     shift_values: np.ndarray
@@ -839,13 +817,14 @@ class DilationSweep:
     gram_max: float
 
 
-def dilation_sweep(povm_like) -> DilationSweep:
+def dilation_sweep(povm_like, extra=()) -> DilationSweep:
     """Evaluate both routes once over the verifiers' stack, in blocks of
-    ``_BLOCK_ENTRIES`` entries per route, keeping only the per-row gaps,
-    M(e_0), the additivity and normalization gaps and the singletons'
-    per-shift values (:class:`DilationSweep`); no q * dim^2 array is formed,
-    and at most two kernel effects are held between blocks. The act of the
-    dilation runs once on the whole stack.
+    ``_BLOCK_ENTRIES`` entries per route, keeping only the per-row gaps, the
+    additivity and normalization gaps and the singletons' per-shift values
+    (:class:`DilationSweep`): no q * dim^2 array is formed, and M(e_0) and
+    M(e_1) are held only until the {0, 1} row. The act of the dilation runs
+    once on the whole stack. ``extra``, a (k, q) stack of quotient
+    functions, is appended last, so ``gaps[:q]`` stays the singletons'.
 
     Accepts any object exposing both routes: ``ctx``, ``dimension`` and
     ``assembled(omegas)``, which maps a (k, q) stack of quotient functions
@@ -859,7 +838,8 @@ def dilation_sweep(povm_like) -> DilationSweep:
     parts = rng.standard_normal((10, 2, q))  # real then imaginary part of each, in draw order
     eye = np.eye(q)
     unions = [eye[:2].sum(axis=0, keepdims=True)] if q > 1 else []
-    omegas = np.concatenate((eye, np.ones((1, q)), *unions, parts[:, 0] + 1j * parts[:, 1]))
+    randoms = parts[:, 0] + 1j * parts[:, 1]
+    omegas = np.concatenate((eye, np.ones((1, q)), *unions, randoms, np.reshape(extra, (-1, q))))
     home, gram = _home_and_gram(povm_like)
     values = _shift_values(povm_like.diagonal_space, omegas)
     gaps, start, additivity = [], 0, 0.0
@@ -867,7 +847,7 @@ def dilation_sweep(povm_like) -> DilationSweep:
         stop = start + len(oracle)
         kernel = povm_like.assembled(omegas[start:stop])
         row = dict(zip(range(start, stop), kernel))
-        if 0 in row:
+        if q > 1 and 0 in row:
             first = row[0].copy()
         if q > 1 and 1 in row:
             second = row[1].copy()
@@ -875,64 +855,88 @@ def dilation_sweep(povm_like) -> DilationSweep:
             normalization = _worst(np.abs(row[q] - np.eye(povm_like.dimension)))
         if q > 1 and q + 1 in row:
             additivity = _worst(np.abs(first + second - row[q + 1]))
-            second = None
+            first = second = None
         np.subtract(oracle, kernel, out=oracle)
         gaps.append(np.abs(oracle).max(axis=(1, 2), initial=0.0))
         start = stop
     return DilationSweep(
         gaps=np.concatenate(gaps),
-        shift_values=values[:q],
+        shift_values=values[:q, :-1].copy(),
         home_characters=povm_like.diagonal_space.point_indices[home],
         gram_max=_worst(np.abs(gram)),
-        first=first,
         additivity=additivity,
         normalization=normalization,
     )
 
 
+def _prime_factor_sum(n: int) -> int:
+    """The sum of the prime factors of n >= 1, with multiplicity."""
+    p = next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
+    return 0 if n == 1 else p + _prime_factor_sum(n // p)
+
+
 def verify_axioms(povm_like, atol: float = DEFAULT_ATOL, sweep=None) -> VerificationReport:
     """Positivity of the singleton effects and normalization of the whole
     outcome space, read off the :class:`DilationSweep` (``sweep``, computed
-    by :func:`dilation_sweep` when not given). No U is read.
+    by :func:`dilation_sweep` when not given). No U is read and no
+    eigensolver runs. Normalization is exhaustive: M(1) against I, entrywise.
 
-    Normalization is exhaustive: M(1) against the identity, entrywise.
+    Positivity from the dilation's spectrum, with u = 2^-53:
 
-    Positivity through the dilation. Entry (r, c) of W^H T(e_j) W is
-    v_j(a) G[r, c], where y(r) - y(c) = hperp[a] for the home characters
-    y of the columns. If v_j(a) = <hperp[a], r_j> v_0(a) for every a (r_j
-    the representative of coset j, the cotransform's shift theorem), then
-    W^H T(e_j) W = Phi_j W^H T(e_0) W Phi_j* with the diagonal unitary
-    Phi_j = diag <y(c), r_j>, which has the spectrum of W^H T(e_0) W. The
-    transport gap tau_j = max over a of |v_j(a) - <hperp[a], r_j> v_0(a)|
-    (the pairing is ``ctx._fourier_matrix``) bounds the entrywise gap of
-    that identity by g * tau_j, g = max |G|. With delta_j the sweep's gap
-    of row j, M(e_j) differs from Phi_j M(e_0) Phi_j* by at most
-    eps_j = delta_0 + delta_j + g * tau_j in every entry. One ``eigvalsh``
-    reads the positivity deviation p_0 of M(e_0) (the larger of its
-    hermiticity defect and its most negative eigenvalue). By Weyl's
-    inequality, with the spectral norm of a gap at most dim * eps_j and its
-    hermiticity defect at most 2 * eps_j, the reported
+    - X: W's one-point values, G_X = X^H X (Hermitian, PSD), G its computed
+      form, g = max |G|. Entry (r, c) of W^H T(e_j) W is v_j(a) G_X[r, c],
+      y(r) - y(c) = hperp[a] for the home characters y.
+    - On each fiber, a coset of H-perp, T(e_j) is the convolution by v_j
+      (x) I_E, so its Hermitian part has the eigenvalues Re lambda_j,
+      lambda_j = ``ctx.cotransform_transposed(v_j)``, computed within
+      eps_j = 8 D u sum_a |v_j(a)|: D, the sum of the prime factors of |G|
+      with multiplicity, bounds the additions and twiddle products (each
+      within 4u) from an FFT input to an output. With mu_j = max(0,
+      -min Re lambda_j), the Hermitian part of W^H T(e_j) W is at least
+      -(mu_j + eps_j) W^H W, and W^H W, G_X on the columns sharing a home
+      point, is at most m max |G_X| by Gershgorin, m the most such columns.
+    - Its hermiticity defect is at most eta_j max |G_X|, with
+      eta_j = max_a |v_j(a) - conj v_j(-a)| (the annihilator's negation
+      index). max |G_X| <= g + eps_G, eps_G = 2 (e_dim + 2) u g: G's entries
+      are e_dim-term dot products, within gamma_{e_dim+2} of the product of
+      two column norms.
+    - M(e_j) is within Delta_j = delta_j + V_j (3u g + eps_G) of it in every
+      entry, V_j = max |v_j|: the sweep's gap, and v_j[I] * G rounds by at
+      most sqrt(2) gamma_2 |v| |G|. By Weyl's inequality the positivity
+      deviation of M(e_j) (hermiticity defect or most negative eigenvalue)
+      is at most b_j = max(eta_j, m (mu_j + eps_j)) (g + eps_G) +
+      max(dim, 2) Delta_j.
 
-        max(p_0, a) + max(dim, 2) * max_j eps_j
-
-    bounds the positivity deviation of every singleton effect. a is the
-    entrywise gap between M(e_0) + M(e_1) and M({0, 1}), one probe of
-    additivity that fails a family which is not linear in omega; for a
-    linear family, positive singletons make every union positive.
+    The report is max(a, (1 + 64u) max_j b_j): 1 + 64u covers delta_j's
+    modulus and the formula's own operations, and a is the additivity probe
+    max |M(e_0) + M(e_1) - M({0, 1})|, which fails a family that is not
+    linear in omega (for a linear one, positive singletons make every union
+    positive).
 
     Accepts any object :func:`dilation_sweep` accepts. Never raises on
     numerical failure: the report carries the deviations, NaN included.
     """
     sweep = dilation_sweep(povm_like) if sweep is None else sweep
     ctx, dim = povm_like.ctx, povm_like.dimension
-    q = ctx.n_cosets
-    v = sweep.shift_values[:, :-1]
-    tau = np.abs(v - ctx._fourier_matrix.T * v[0]).max(axis=1, initial=0.0)
-    gaps = sweep.gaps[:q]
-    transport = _worst(gaps[0] + gaps + sweep.gram_max * tau)
-    pos_dev = _worst([_positivity_deviation(sweep.first), sweep.additivity])
-    pos_dev += max(dim, 2) * transport
-    norm_dev = sweep.normalization
+    group, hperp, q = ctx.group, ctx.annihilator, ctx.n_cosets
+    v = sweep.shift_values
+    negated = hperp.position(group.ravel(-group.coords[hperp.indices]))
+    # min Re lambda_j, eta_j, sum and max |v_j|, in blocks of _BLOCK_ENTRIES placed entries
+    block, rows = max(1, _BLOCK_ENTRIES // group.order), []
+    for s in range(0, q, block):
+        values = v[s : s + block]
+        size, mirror = np.abs(values), values.take(negated, axis=1).conj()
+        lowest = ctx.cotransform_transposed(values).real.min(axis=1)
+        rows.append((lowest, np.abs(values - mirror).max(axis=1), size.sum(1), size.max(1)))
+    lowest, eta, total, largest = map(np.concatenate, zip(*rows))
+    u, g = np.finfo(float).eps / 2.0, sweep.gram_max
+    eps_gram = 2.0 * (povm_like.e_dim + 2) * u * g
+    eps_fft = 8.0 * _prime_factor_sum(group.order) * u * total
+    shared = np.bincount(sweep.home_characters).max(initial=0)
+    spectral = np.maximum(eta, shared * (np.maximum(0.0, -lowest) + eps_fft))
+    weyl = sweep.gaps[:q] + largest * (3.0 * u * g + eps_gram)
+    bound = (spectral * (g + eps_gram) + max(dim, 2) * weyl) * (1.0 + 64.0 * u)
+    pos_dev, norm_dev = _worst([sweep.additivity, *bound]), sweep.normalization
     return VerificationReport(
         (
             CheckResult("positivity", pos_dev <= atol, pos_dev),
@@ -985,7 +989,7 @@ def verify_covariance(povm_like, atol: float = DEFAULT_ATOL, sweep=None) -> Veri
     sources = np.array([ctx.translated(s, cosets).real for s in generators], dtype=np.intp)
     homes = group.pairing_matrix(sweep.home_characters, at).T  # <y(c), s>, one row per s
     rho = np.abs(phases - homes).max(axis=1, initial=0.0)
-    v = sweep.shift_values[:, :-1]
+    v = sweep.shift_values
     shifts = group.pairing_matrix(ctx.annihilator.indices, at).T  # <hperp[a], s>, one row per s
     # one generator at a time, so that no array holds L * q * |H-perp| entries
     sigma = np.array([_worst(np.abs(v - c * v[j])) for c, j in zip(shifts, sources)])

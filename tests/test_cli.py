@@ -150,6 +150,25 @@ class TestVerifyCommand:
         )
         np.testing.assert_allclose(effect0, 0.25 * np.eye(1), atol=1e-12)
 
+    @pytest.mark.parametrize("where", ["file", "under_file"])
+    def test_unwritable_dump_directory_exits_2_before_checking(
+        self, tmp_path, capsys, monkeypatch, where
+    ):
+        import covpovm.cli as cli_module
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the checks ran before the dump directory was made")
+
+        monkeypatch.setattr(cli_module, "dilation_sweep", no_sweep)
+        scen = write(tmp_path, "s.json", scalar_scenario())
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        dump = taken if where == "file" else taken / "dump"
+        assert main(["verify", scen, "--dump-matrices", str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot write {dump}: ")
+
     def test_out_of_memory_exits_5_not_1(self, tmp_path, capsys, monkeypatch):
         import covpovm.cli as cli_module
 

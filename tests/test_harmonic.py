@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covpovm import (
     DOMAIN_DUAL_QUOTIENT,
@@ -13,6 +15,7 @@ from covpovm import (
     subgroup_from_generators,
     trivial_subgroup,
 )
+from helpers import dense_cotransform_transposed
 
 Z12 = FiniteAbelianGroup((12,))
 
@@ -152,6 +155,35 @@ class TestCotransform:
             )
             with pytest.raises(ValueError, match="annihilator values"):
                 ctx.cotransform_transposed(np.ones(ctx.annihilator.order + 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_transposed_stack_equals_its_rows(self, data):
+        # a (k, |H-perp|) stack, k = 0 included, on a random group and
+        # subgroup: each row within 1e-15 of the row alone, and within 1e-12
+        # of the dense pairing-matrix product
+        factors = tuple(data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)))
+        group = FiniteAbelianGroup(factors)
+        coords = st.tuples(*(st.integers(0, n - 1) for n in factors))
+        gens = data.draw(st.lists(coords, max_size=2))
+        ctx = QuotientContext.build(
+            group, subgroup_from_generators(group, [group.element(c) for c in gens])
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = (data.draw(st.integers(0, 4)), ctx.annihilator.order)
+        phis = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stacked = ctx.cotransform_transposed(phis)
+        assert stacked.shape == (shape[0], ctx.n_cosets)
+        for phi, row in zip(phis, stacked):
+            np.testing.assert_allclose(row, ctx.cotransform_transposed(phi), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(
+                row, dense_cotransform_transposed(ctx, phi), rtol=0, atol=1e-12
+            )
+
+    def test_transposed_rejects_other_shapes(self, ctx):
+        for shape in [(), (2, 2, 4), (2, 5)]:
+            with pytest.raises(ValueError, match="annihilator values"):
+                ctx.cotransform_transposed(np.ones(shape))
 
     def test_adjoint_of_constant(self, ctx):
         out = ctx.cotransform_adjoint(np.ones(len(ctx.hperp_points)))

@@ -146,7 +146,7 @@ class TestNanFailsItsCheck:
         assert math.isnan(covariance.max_deviation)
 
     def test_oracle_report(self):
-        report = _oracle_report(nan_field_povm(), 1e-9, [])
+        report = _oracle_report(nan_field_povm(), 1e-9)
         assert not report.passed
         assert math.isnan(report.checks[0].max_deviation)
 
@@ -207,6 +207,26 @@ class TestNonFiniteStatesAndOmegas:
         p = self.cli_files(tmp_path)
         assert main(["verify", p["scenario"], "--omega", p["omega"]]) == 3
 
+    @pytest.mark.parametrize("command", ["matrix", "verify"])
+    def test_cli_overflowing_omega_exits_3(self, tmp_path, capsys, command):
+        # the Z_8 position surrogate with eight finite values of 1e308: the
+        # cotransform overflows, so no NaN reaches the output
+        from covpovm import iojson, position_povm_zn
+
+        rng = np.random.default_rng(8)
+        raw = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+        povm = position_povm_zn(8, [v / np.linalg.norm(v) for v in raw])
+        scenario = iojson.Scenario(
+            povm.rep.group, povm.ctx.subgroup, povm.rep, povm.e_dim, povm.fields
+        )
+        scen, omega = tmp_path / "s.json", tmp_path / "omega.json"
+        scen.write_text(json.dumps(iojson.scenario_to_json(scenario)))
+        omega.write_text(json.dumps({"values": [[1e308, 0.0]] * 8}))
+        assert main([command, str(scen), "--omega", str(omega)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not finite: it overflows" in captured.err
+
 
 class TestNanBlindComparisons:
     def test_equivalence_rejects_nan_sector_map(self):
@@ -239,6 +259,17 @@ class TestNonFiniteOmega:
         omega[1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             ctx.cotransform(omega)
+
+    def test_overflowing_cotransform_names_the_row(self):
+        # finite values whose cotransform overflows: a ValueError, and no
+        # numpy RuntimeWarning (which this suite turns into an error)
+        ctx = scalar_z12_povm().ctx
+        huge = np.full(ctx.n_cosets, 1e308, dtype=complex)
+        with pytest.raises(ValueError, match="cotransform of quotient function is not finite"):
+            ctx.cotransform(huge)
+        stack = np.stack([np.ones(ctx.n_cosets), huge, huge])
+        with pytest.raises(ValueError, match="quotient function 1 of the stack is not finite"):
+            ctx.cotransform(stack)
 
     @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf)])
     def test_apply_and_intertwiner_route_reject(self, bad):

@@ -373,7 +373,7 @@ class TestVerification:
         perturbed = kernel.copy()
         perturbed[r, c] += 1e-6
         povm.__dict__["_kernel"] = (index, perturbed)
-        report = _oracle_report(povm, 1e-9, [])
+        report = _oracle_report(povm, 1e-9)
         assert not report.passed
         assert report.max_deviation > 5e-7
 
@@ -386,7 +386,7 @@ class TestVerification:
         report = (
             verify_axioms(povm)
             .merged(verify_covariance(povm))
-            .merged(_oracle_report(povm, 1e-9, []))
+            .merged(_oracle_report(povm, 1e-9))
         )
         assert report.passed
         assert report.max_deviation == 0.0
@@ -605,13 +605,14 @@ class TestNoRepeatedWork:
 
         monkeypatch.setattr(povm_module, "intertwiner_matrix", counted)
         # q indicators, the constant function and 10 random functions
-        report = _oracle_report(povm, 1e-9, [])
+        report = _oracle_report(povm, 1e-9)
         assert report.passed
         assert len(calls) == 1
 
     def test_oracle_report_calls_the_act_once_per_sweep(self, monkeypatch):
         import covpovm.induction as induction_module
         import covpovm.povm as povm_module
+        from covpovm import dilation_sweep
         from covpovm.cli import _oracle_report
 
         povm = standard_instances()[2][1]
@@ -628,9 +629,9 @@ class TestNoRepeatedWork:
         for entries in (povm_module._BLOCK_ENTRIES, povm.dimension**2, 2 * povm.dimension**2):
             monkeypatch.setattr(povm_module, "_BLOCK_ENTRIES", entries)
             calls.clear()
-            report = _oracle_report(povm, 1e-9, [np.arange(q, dtype=complex)])
-            assert report.passed
-            # the sweep's q indicators, the constant function, {0, 1} and 10
-            # random functions as one act call, whatever the block size; the
-            # extra function as a second
-            assert calls == [q + 12, 1]
+            sweep = dilation_sweep(povm, np.arange(q, dtype=complex)[None])
+            assert _oracle_report(povm, 1e-9, sweep).passed
+            # the sweep's q indicators, the constant function, {0, 1}, 10
+            # random functions and the extra function as one act call,
+            # whatever the block size
+            assert calls == [q + 13]

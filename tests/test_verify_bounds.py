@@ -3,6 +3,8 @@ dilation on the doubling generators bounds the deviation at every group
 element, and positivity through the dilation bounds the defect of every
 singleton effect."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,14 @@ from hypothesis import strategies as st
 from covpovm import (
     DualCharacter,
     FiniteAbelianGroup,
+    QuotientContext,
     build_covariant_povm,
     dilation_sweep,
     intertwiner_compressions,
     pairing,
     position_povm_zn,
     subgroup_from_generators,
+    transported_multiplication_matrix,
     verify_axioms,
     verify_covariance,
 )
@@ -162,19 +166,18 @@ class TestDetectionAndCounts:
         assert not checks["positivity"].passed
         assert checks["positivity"].max_deviation >= 1e-3
 
-    def test_axioms_call_eigvalsh_once(self, monkeypatch):
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
+    def test_axioms_run_no_eigensolver_and_read_no_fourier_matrix(self, monkeypatch):
+        # given the sweep, positivity comes from the per-shift values' FFT
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify_axioms ran an eigensolver or read the Fourier matrix")
 
-        def counting(matrix):
-            calls.append(matrix.shape)
-            return eigvalsh(matrix)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        for _, povm in standard_instances():
-            calls.clear()
-            assert verify_axioms(povm).passed
-            assert len(calls) == 1
+        instances = standard_instances() + [("fibered", fibered_instance())]
+        sweeps = [dilation_sweep(povm) for _, povm in instances]
+        for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        monkeypatch.setattr(QuotientContext, "_fourier_matrix", property(forbidden))
+        for (name, povm), sweep in zip(instances, sweeps):
+            assert verify_axioms(povm, sweep=sweep).passed, name
 
     def test_covariance_calls_u_matrix_once_per_generator(self):
         for _, povm in standard_instances():
@@ -219,20 +222,45 @@ class TestDetectionAndCounts:
 
     def test_dilation_transport_is_phi_at_each_representative(self):
         # W^H T(e_j) W = Phi_j W^H T(e_0) W Phi_j*, Phi_j = diag <y(c), r_j>
-        # over the home characters y(c) of W's columns, and the transport
-        # gap tau_j that the positivity bound charges is at rounding level
+        # over the home characters y(c) of W's columns
         for name, povm in standard_instances() + [("fibered", fibered_instance())]:
             ctx, q = povm.ctx, povm.ctx.n_cosets
             sweep = dilation_sweep(povm)
             effects = np.concatenate(list(intertwiner_compressions(povm, np.eye(q))))
             homes = povm.rep.group.points(DualCharacter, sweep.home_characters)
-            v = sweep.shift_values[:, :-1]
             for j, r in enumerate(ctx.quotient.representatives):
                 phi = np.array([pairing(y, r) for y in homes])
                 moved = phi[:, None] * effects[0] * phi.conj()
                 assert np.abs(moved - effects[j]).max(initial=0.0) <= 1e-15, (name, j)
-                tau = np.abs(v[j] - ctx._fourier_matrix[:, j] * v[0]).max(initial=0.0)
-                assert tau <= 1e-15, (name, j)
+
+    def test_fiber_spectrum_is_the_transposed_cotransform(self):
+        # on every dual fiber, the Hermitian part of T(e_j)'s point matrix
+        # has the eigenvalues Re cotransform_transposed(v_j): 0 and 1 here
+        for name, povm in standard_instances() + [("fibered", fibered_instance())]:
+            ctx, dspace = povm.ctx, povm.diagonal_space
+            v = dilation_sweep(povm).shift_values
+            spectra = np.sort(ctx.cotransform_transposed(v).real, axis=1)
+            fibers = ctx.dual_quotient.projection[dspace.point_indices]
+            for fiber in np.unique(fibers):
+                points = np.flatnonzero(fibers == fiber)
+                assert len(points) == ctx.annihilator.order, name
+                p = transported_multiplication_matrix(dspace, np.eye(ctx.n_cosets), points=points)
+                brute = np.linalg.eigvalsh((p + p.conj().transpose(0, 2, 1)) / 2.0)
+                np.testing.assert_allclose(spectra, brute, rtol=0, atol=1e-14, err_msg=name)
+                np.testing.assert_allclose(spectra, np.round(spectra), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("scale", [-1.0, 1j])
+    def test_dilation_spectrum_alone_fails_positivity(self, scale):
+        # the routes agree exactly, but T(e_j) is negative (-v_j) or not
+        # Hermitian (i v_j): the spectral or the hermiticity term fails it
+        povm = fibered_instance()
+        sweep = dilation_sweep(povm)
+        bad = dataclasses.replace(
+            sweep, gaps=0.0 * sweep.gaps, shift_values=scale * sweep.shift_values
+        )
+        positivity = verify_axioms(povm, sweep=bad).checks[0]
+        assert not positivity.passed
+        assert positivity.max_deviation >= 0.1 * sweep.gram_max
 
     def test_perturbed_last_coset_fails_positivity(self):
         # a gap between the routes on the last coset's effect alone is charged
