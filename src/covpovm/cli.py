@@ -3,10 +3,11 @@
 Subcommands: group | build | verify | matrix | sample. Machine-readable
 output (JSON, CSV) goes to stdout, human messages to stderr. Exit codes:
 0 success, 1 verification failed, 2 unreadable or malformed input file, or
-a `verify --dump-matrices` directory that cannot be created (checked
-before the checks run, so nothing is written to stdout), 3 semantic error
-in the input, 4 build rejection, 5 out of memory (the problem is too large
-for the machine; it is never read as a failed verification).
+a `verify --dump-matrices` directory or file that cannot be written (the
+dump is written before the checks run, so nothing goes to stdout), 3
+semantic error in the input, 4 build rejection, 5 out of memory (the
+problem is too large for the machine; it is never read as a failed
+verification).
 
 The default verification tolerance is 1e-9; the COVPOVM_TOLERANCE
 environment variable overrides it and the --tolerance flag overrides both.
@@ -61,6 +62,26 @@ def _emit(obj) -> None:
 def _dump_file(path: Path, matrix) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         iojson.dump(iojson.matrix_to_json(matrix), handle)
+
+
+def _dump_matrices(povm, dump_dir: Path, omega) -> bool:
+    """Write M(omega) (of the constant function when omega is None) and
+    every singleton effect as matrix JSON under ``dump_dir``, made if
+    missing. On the first write that fails, name its path on stderr and
+    return False."""
+    shown = povm.ctx.indicator(range(povm.ctx.n_cosets)) if omega is None else omega
+    path = dump_dir
+    try:
+        dump_dir.mkdir(parents=True, exist_ok=True)
+        path = dump_dir / "m_omega.json"
+        _dump_file(path, povm.assembled(shown))
+        for i in range(povm.ctx.n_cosets):
+            path = dump_dir / f"effect_{i}.json"
+            _dump_file(path, povm.assembled_effect([i]))
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _tolerance(args) -> float:
@@ -161,24 +182,14 @@ def cmd_verify(args) -> int:
                 f"omega carries {omega.shape[0]} values, "
                 f"the quotient has {povm.ctx.n_cosets} cosets"
             )
-    if args.dump_matrices:
-        dump_dir = Path(args.dump_matrices)
-        try:
-            dump_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            print(f"cannot write {dump_dir}: {exc.strerror or exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+    if args.dump_matrices and not _dump_matrices(povm, Path(args.dump_matrices), omega):
+        return EXIT_BAD_INPUT
     sweep = dilation_sweep(povm, () if omega is None else omega[None])
     report = (
         verify_axioms(povm, atol=tolerance, sweep=sweep)
         .merged(verify_covariance(povm, atol=tolerance, sweep=sweep))
         .merged(_oracle_report(povm, tolerance, sweep))
     )
-    if args.dump_matrices:
-        shown = povm.ctx.indicator(range(povm.ctx.n_cosets)) if omega is None else omega
-        _dump_file(dump_dir / "m_omega.json", povm.assembled(shown))
-        for i in range(povm.ctx.n_cosets):
-            _dump_file(dump_dir / f"effect_{i}.json", povm.assembled_effect([i]))
     _emit(iojson.report_to_json(report, tolerance))
     if not report.passed:
         print("verification FAILED", file=sys.stderr)

@@ -5,6 +5,8 @@ Its dual is presented on the same coordinate tuples through the
 root-of-unity pairing, so characters and elements share one arithmetic and
 one row-major index map, whose order is the lexicographic one. Subgroups and
 coset tables are index arrays; cosets are indexed by smallest representative.
+Every subgroup builder computes both descriptions of the subgroup, its
+element indices and its annihilator's mask, when it is called.
 """
 
 from __future__ import annotations
@@ -227,9 +229,24 @@ class FiniteAbelianGroup:
         return scaled @ self.coords[g_indices].T % self.exponent
 
     @cached_property
+    def _strides(self) -> np.ndarray:
+        """n_{j+1} ... n_r for every coordinate j: the index step of a unit
+        move along axis j."""
+        return np.array([math.prod(self.factors[j + 1 :]) for j in range(self.rank)])
+
+    @cached_property
     def _pairing_scales(self) -> np.ndarray:
         """L / n_j for every factor n_j, L the exponent."""
         return self.exponent // np.array(self.factors)
+
+    @cached_property
+    def _pairing_axes(self) -> tuple[np.ndarray, ...]:
+        """x L / n_j for every coordinate x < n_j, shaped to lie along axis j
+        of the group's grid."""
+        return tuple(
+            (np.arange(n) * (self.exponent // n)).reshape((-1,) + (1,) * (self.rank - 1 - j))
+            for j, n in enumerate(self.factors)
+        )
 
     def pairing_matrix(self, x_indices, g_indices) -> np.ndarray:
         """P[a, b] = <x_a, g_b>, equal entry for entry to :func:`pairing`. An
@@ -268,18 +285,21 @@ def pairing_is_one(x: GroupElement, g: GroupElement) -> bool:
 
 def _trivial_pairing(group: FiniteAbelianGroup, indices) -> np.ndarray:
     """Mask of the points x that pair trivially with every point g at the indices:
-    sum_k x_k (L / n_k) g_k = 0 mod L, as one broadcast sum of per-axis terms."""
-    lcm, axes = group.exponent, np.ix_(*map(np.arange, group.factors))
-    mask = np.ones(group.factors, dtype=bool)
+    sum_k x_k (L / n_k) g_k = 0 mod L. The sum over all axes but the last,
+    mod L, is compared with the negated last term mod L, so per point g only
+    that comparison and the mask update span the whole group; the terms are
+    per-axis ranges of the cached ``_pairing_axes``."""
+    lcm, mask = group.exponent, np.ones(group.factors, dtype=bool)
     for g in zip(*np.unravel_index(np.asarray(indices, dtype=np.int64), group.factors)):
-        mask &= sum(x * (lcm // n * c) for x, n, c in zip(axes, group.factors, g)) % lcm == 0
+        *rest, last = (x * c for x, c in zip(group._pairing_axes, g))
+        mask &= sum(rest) % lcm == -last % lcm
     return mask.ravel()
 
 
 def _triangular_generators(group: FiniteAbelianGroup, indices) -> np.ndarray:
     """Generators of the subgroup with these sorted element indices: for each
     j, its first element with coordinates before j zero and coordinate j not."""
-    low = np.array([math.prod(group.factors[j + 1 :]) for j in range(group.rank)])
+    low = group._strides
     first = np.append(indices, group.order)[np.searchsorted(indices, low)]
     return first[first < low * group.factors]
 

@@ -78,7 +78,9 @@ def counting_measure(domain: str, points) -> WeightedMeasure:
 @dataclass(frozen=True, eq=False)
 class QuotientContext:
     """Bundled data for one subgroup choice: G, H, G/H, the annihilator,
-    and the quotient of the dual by the annihilator."""
+    and the quotient of the dual by the annihilator. :meth:`build` computes
+    all of them at once; H arrives with its element indices and its
+    annihilator's mask both built."""
 
     group: FiniteAbelianGroup
     subgroup: Subgroup

@@ -169,6 +169,22 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"cannot write {dump}: ")
 
+    def test_unwritable_dump_file_exits_2_before_checking(self, tmp_path, capsys, monkeypatch):
+        import covpovm.cli as cli_module
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the checks ran before the dump files were written")
+
+        monkeypatch.setattr(cli_module, "dilation_sweep", no_sweep)
+        scen = write(tmp_path, "s.json", scalar_scenario())
+        dump = tmp_path / "dump"
+        (dump / "m_omega.json").mkdir(parents=True)
+        assert main(["verify", scen, "--dump-matrices", str(dump)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot write {dump / 'm_omega.json'}: ")
+        assert not (dump / "effect_0.json").exists()
+
     def test_out_of_memory_exits_5_not_1(self, tmp_path, capsys, monkeypatch):
         import covpovm.cli as cli_module
 

@@ -365,6 +365,40 @@ class TestIndexLayerProperties:
                 Subgroup(group, dual.generators, points[:-1] + [shift])
 
 
+def checked_copy(group, built):
+    """The checked constructor on the brute-force closure of the built
+    subgroup's generators (taken on the element side, whose coordinates the
+    dual shares)."""
+    closure = brute_closure(group, [group.element(g.coords) for g in built.generators])
+    points = [built.point_type(h.coords, group.factors) for h in sorted(closure)]
+    return Subgroup(group, built.generators, points)
+
+
+class TestBuildersMatchTheCheckedConstructor:
+    """The unchecked builders (closure, annihilator, double annihilator), on
+    either side of the duality, give the same element indices, annihilator
+    mask, order, elements and positions as the checked constructor on the
+    brute-force closure of their generators."""
+
+    @given(groups_with_generators(), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_both_descriptions_on_both_sides(self, case, dual_side):
+        group, gens = case
+        if dual_side:
+            gens = [group.character(g.coords) for g in gens]
+        h = subgroup_from_generators(group, gens)
+        for built in (h, annihilator(group, h), annihilator(group, annihilator(group, h))):
+            checked = checked_copy(group, built)
+            assert built.point_type is checked.point_type and len(built) == len(checked)
+            assert built.order == checked.order and built.elements == checked.elements
+            for got, want in (
+                (built.indices, checked.indices),
+                (built._annihilator_mask, checked._annihilator_mask),
+                (built.position(np.arange(group.order)), checked.position(np.arange(group.order))),
+            ):
+                assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
 class TestSubgroupValidation:
     def test_each_check_rejects_on_its_own(self):
         four = Z12.element([4])
