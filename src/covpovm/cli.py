@@ -2,8 +2,9 @@
 
 Subcommands: group | build | verify | matrix | sample. Machine-readable
 output (JSON, CSV) goes to stdout, human messages to stderr. Exit codes:
-0 success, 1 verification failed, 2 unreadable or malformed input file, or
-a `verify --dump-matrices` directory or file that cannot be written (the
+0 success, 1 verification failed, 2 unreadable or malformed input file,
+output that cannot be written to stdout (a closed pipe, a full disk), or a
+`verify --dump-matrices` directory or file that cannot be written (the
 dump is written before the checks run, so nothing goes to stdout), 3
 semantic error in the input, 4 build rejection, 5 out of memory (the
 problem is too large for the machine; it is never read as a failed
@@ -20,6 +21,7 @@ checks and tightens only them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -54,9 +56,26 @@ def _load_json(path: str):
         return json.load(handle)
 
 
+class OutputError(Exception):
+    """A write to stdout failed; the message is the ``OSError``'s text."""
+
+
+@contextlib.contextmanager
+def _writing_stdout():
+    """Raise :class:`OutputError` for an ``OSError`` of the writes inside,
+    flushed before the block ends, so that it is not read as an unreadable
+    input or lost at exit."""
+    try:
+        yield
+        sys.stdout.flush()
+    except OSError as exc:
+        raise OutputError(str(exc) or type(exc).__name__) from exc
+
+
 def _emit(obj) -> None:
-    iojson.dump(obj, sys.stdout)
-    sys.stdout.write("\n")
+    with _writing_stdout():
+        iojson.dump(obj, sys.stdout)
+        sys.stdout.write("\n")
 
 
 def _dump_file(path: Path, matrix) -> None:
@@ -219,7 +238,8 @@ def cmd_sample(args) -> int:
         partition = [[i] for i in range(povm.ctx.n_cosets)]
     counts = sample_outcomes(state, povm, partition, args.count, args.seed)
     rows = "".join(f"{i},{c}\n" for i, c in enumerate(counts.tolist()))
-    sys.stdout.write("outcome,count\n" + rows)
+    with _writing_stdout():
+        sys.stdout.write("outcome,count\n" + rows)
     return EXIT_OK
 
 
@@ -269,6 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except OutputError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+
+
+def _run(args) -> int:
+    """The command's exit code, with each input or build error reported on
+    stderr; a rejected build also writes its details to stdout."""
     try:
         return args.func(args)
     except PovmBuildError as exc:

@@ -6,7 +6,9 @@ root-of-unity pairing, so characters and elements share one arithmetic and
 one row-major index map, whose order is the lexicographic one. Subgroups and
 coset tables are index arrays; cosets are indexed by smallest representative.
 Every subgroup builder computes both descriptions of the subgroup, its
-element indices and its annihilator's mask, when it is called.
+element indices and its annihilator's mask, when it is called;
+:func:`subgroup_from_generators` builds the annihilator itself along the
+way, so the triangular generators of each index set are found once.
 """
 
 from __future__ import annotations
@@ -341,6 +343,21 @@ class Subgroup:
         return subgroup
 
     @cached_property
+    def _triangular(self) -> np.ndarray:
+        """Indices of the triangular generators of the element set, which
+        :func:`quotient` reads."""
+        return _triangular_generators(self.parent, self.indices)
+
+    @cached_property
+    def _annihilator(self) -> "Subgroup":
+        """ann(self), on the other side; :func:`subgroup_from_generators`
+        sets it when it builds the subgroup."""
+        kept = np.flatnonzero(self._annihilator_mask)
+        member = np.zeros(self.parent.order, dtype=bool)
+        member[self.indices] = True
+        return _annihilator_of(self, kept, _triangular_generators(self.parent, kept), member)
+
+    @cached_property
     def elements(self) -> tuple:
         return self.parent.points(self.point_type, self.indices)
 
@@ -382,8 +399,24 @@ def subgroup_from_generators(group: FiniteAbelianGroup, generators) -> Subgroup:
     if len(kinds) != 1:
         raise ValueError("generators must all be of one kind")
     dual = _trivial_pairing(group, [group.index_of(g) for g in gens])
-    member = _trivial_pairing(group, _triangular_generators(group, np.flatnonzero(dual)))
-    return Subgroup._of_indices(group, gens, kinds.pop(), np.flatnonzero(member), dual)
+    kept = np.flatnonzero(dual)
+    triangular = _triangular_generators(group, kept)
+    member = _trivial_pairing(group, triangular)
+    subgroup = Subgroup._of_indices(group, gens, kinds.pop(), np.flatnonzero(member), dual)
+    subgroup._annihilator = _annihilator_of(subgroup, kept, triangular, member)
+    return subgroup
+
+
+def _annihilator_of(subgroup: Subgroup, indices, triangular, member) -> Subgroup:
+    """ann(subgroup) from its sorted indices, the indices of its triangular
+    generators (kept for :func:`quotient`) and its annihilator mask, which is
+    the subgroup's membership mask."""
+    group = subgroup.parent
+    point_type = GroupElement if subgroup.point_type is DualCharacter else DualCharacter
+    generators = group.points(point_type, triangular)
+    ann = Subgroup._of_indices(group, generators, point_type, indices, member)
+    ann._triangular = triangular
+    return ann
 
 
 def trivial_subgroup(group: FiniteAbelianGroup) -> Subgroup:
@@ -400,12 +433,7 @@ def annihilator(group: FiniteAbelianGroup, subgroup: Subgroup) -> Subgroup:
     """
     if subgroup.parent != group:
         raise ValueError("subgroup does not belong to the given group")
-    kept = np.flatnonzero(subgroup._annihilator_mask)
-    point_type = GroupElement if subgroup.point_type is DualCharacter else DualCharacter
-    generators = group.points(point_type, _triangular_generators(group, kept))
-    member = np.zeros(group.order, dtype=bool)
-    member[subgroup.indices] = True
-    return Subgroup._of_indices(group, generators, point_type, kept, member)
+    return subgroup._annihilator
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,7 +481,7 @@ def quotient(group: FiniteAbelianGroup, subgroup: Subgroup) -> QuotientGroup:
     """
     if subgroup.parent != group:
         raise ValueError("subgroup does not belong to the given group")
-    t = np.array(np.unravel_index(_triangular_generators(group, subgroup.indices), group.factors))
+    t = np.array(np.unravel_index(subgroup._triangular, group.factors))
     box, pivots = np.array(group.factors), (t != 0).argmax(axis=0)
     box[pivots] = t[pivots, np.arange(len(pivots))]
     axes, h = np.ix_(*map(np.arange, box)), np.unravel_index(subgroup.indices, group.factors)

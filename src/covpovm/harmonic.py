@@ -80,7 +80,8 @@ class QuotientContext:
     """Bundled data for one subgroup choice: G, H, G/H, the annihilator,
     and the quotient of the dual by the annihilator. :meth:`build` computes
     all of them at once; H arrives with its element indices and its
-    annihilator's mask both built."""
+    annihilator's mask both built, and from :func:`subgroup_from_generators`
+    with its annihilator too."""
 
     group: FiniteAbelianGroup
     subgroup: Subgroup

@@ -324,9 +324,13 @@ def report_to_json(report: VerificationReport, tolerance: float) -> dict:
 # for each non-empty, finite int or float array, and the array's text goes
 # where the placeholder was, written from its shape in pieces of whole
 # axis-0 slices, each filled into a "%" template that holds the indented
-# text with a %d or %r per leaf. The placeholder is a string the stock
-# encoder writes as "\u0000<nonce>\u0000" (NULs and a fresh random nonce per
-# call); a value or key of obj whose text holds it shows up as one
+# text with a %d or %0r per leaf. A float leaf that is +0.0 (the one float
+# whose repr is 0.0) is not formatted: the template is kept as bytes, and
+# while a piece is filled the slot of each of its +0.0 leaves, three
+# characters like the text, holds 0.0, so the structural zeros of a block
+# kernel cost three byte writes, not a repr. The placeholder is a string
+# the stock encoder writes as "\u0000<nonce>\u0000" (NULs and a fresh random
+# nonce per call); a value or key of obj whose text holds it shows up as one
 # placeholder too many, and the skeleton is redone with a new nonce. All of
 # this runs before the first piece is written, so a failing dump writes
 # nothing.
@@ -359,9 +363,11 @@ def _pieces(obj) -> Iterator[str]:
         if not isinstance(o, np.ndarray):
             return _default(o)  # raises the stock TypeError
         kind = o.dtype.kind
+        # A NaN makes the min NaN and an infinity is the min or the max, so
+        # two reductions check finiteness with no temporary of the array's size.
         if (
             type(o) is np.ndarray and o.ndim and o.size and kind in "iuf"
-            and o.dtype.itemsize <= 8 and (kind != "f" or np.isfinite(o).all())
+            and o.dtype.itemsize <= 8 and (kind != "f" or np.isfinite([o.min(), o.max()]).all())
         ):
             arrays.append(o)
             return marker
@@ -403,18 +409,41 @@ def _layout(level: int, depth: int) -> tuple[str, str, list[str]]:
 def _shaped_pieces(a: np.ndarray, level: int) -> Iterator[str]:
     """Indented text of a non-empty, finite int or float array at indent
     ``level``, in pieces of whole axis-0 slices, about ``_PIECE_LEAVES``
-    leaves each: one template with a %d or %r per leaf, filled row-major."""
+    leaves each: a bytes template with a %d or %0r (which formats as %r)
+    per leaf, filled row-major. A float leaf that is +0.0 is not formatted:
+    for its piece, its slot, three characters wide, holds the text 0.0."""
     head, tail, seps = _layout(level, a.ndim)
-    row = "%r" if a.dtype.kind == "f" else "%d"
+    floats = a.dtype.kind == "f"
+    row = "%0r" if floats else "%d"
     for n, sep in zip(reversed(a.shape[1:]), seps):
         row = sep.join([row] * n)
+    row, sep = row.encode(), seps[-1].encode()
     step = min(len(a), max(1, _PIECE_LEAVES * len(a) // a.size))  # slices per piece
-    full = seps[-1].join([row] * step)
+    period = len(row) + len(sep)
+    template = bytearray(row + sep) * step
+    del template[len(template) - len(sep) :]
+    # The offset of every slot in the template: those of one slice, repeated;
+    # a shorter last piece's template and slots are prefixes of them.
+    dtype = np.int32 if len(template) < 2**31 else np.int64
+    in_row = np.flatnonzero(np.frombuffer(row, dtype=np.uint8) == ord("%")).astype(dtype)
+    slots = np.add.outer(np.arange(step, dtype=dtype) * period, in_row).ravel()
+    view = np.frombuffer(template, dtype=np.uint8)
     yield head
     for start in range(0, len(a), step):
-        piece = a[start : start + step]
-        template = full if len(piece) == step else seps[-1].join([row] * len(piece))
+        leaves = a[start : start + step].ravel()
+        zero = (leaves == 0) & ~np.signbit(leaves) if floats else np.zeros(len(leaves), bool)
         if start:
             yield seps[-1]
-        yield template % tuple(piece.ravel().tolist())
+        size = min(step, len(a) - start) * period - len(sep)
+        yield _filled(template, view, size, slots[: len(zero)][zero], leaves[~zero])
     yield tail
+
+
+def _filled(template: bytearray, view: np.ndarray, size: int, at: np.ndarray, leaves) -> str:
+    """The first ``size`` bytes of the template, ``view`` its byte view,
+    filled with the leaves, with the text 0.0 in place of the %0r slot at
+    each offset in ``at``; the template is left as it was."""
+    view[at], view[at + 1], view[at + 2] = b"0.0"
+    filled = (template if size == len(template) else template[:size]) % tuple(leaves.tolist())
+    view[at], view[at + 1], view[at + 2] = b"%0r"
+    return filled.decode("ascii")

@@ -1,3 +1,4 @@
+import errno
 import json
 
 import numpy as np
@@ -336,6 +337,57 @@ class TestSampleCommand:
         ) == 0
         rows = capsys.readouterr().out.splitlines()
         assert len(rows) == 3  # header + two cells
+
+
+class FailingStdout:
+    """A stdout whose writes raise ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        pass
+
+
+class TestOutputCannotBeWritten:
+    """A failed write to stdout (a closed pipe, a full disk) exits 2 with
+    "cannot write output", not "cannot read input"."""
+
+    @pytest.mark.parametrize(
+        "error",
+        [BrokenPipeError(errno.EPIPE, "Broken pipe"), OSError(errno.ENOSPC, "No space left")],
+        ids=["broken-pipe", "disk-full"],
+    )
+    @pytest.mark.parametrize("command", ["matrix", "sample"])
+    def test_exits_2_naming_the_write(self, tmp_path, capsys, monkeypatch, command, error):
+        scen = write(tmp_path, "s.json", scalar_scenario())
+        argv = [command, scen]
+        if command == "sample":
+            state = write(tmp_path, "st.json", {"state": [[1.0, 0.0]]})
+            argv += ["--state", state, "-n", "10", "--seed", "1"]
+        monkeypatch.setattr("sys.stdout", FailingStdout(error))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"cannot write output: {error}\n"
+
+    def test_failed_flush_is_a_write_error(self, tmp_path, capsys, monkeypatch):
+        class FailingFlush(FailingStdout):
+            def write(self, text):
+                pass
+
+            def flush(self):
+                raise self.error
+
+        scen = write(tmp_path, "s.json", scalar_scenario())
+        monkeypatch.setattr("sys.stdout", FailingFlush(OSError(errno.ENOSPC, "No space left")))
+        assert main(["build", scen]) == 2
+        assert capsys.readouterr().err.startswith("cannot write output: [Errno 28]")
+
+    def test_missing_input_is_still_a_read_error(self, capsys):
+        assert main(["matrix", "/nonexistent/file.json"]) == 2
+        assert capsys.readouterr().err.startswith("cannot read input: ")
 
 
 class TestJsonRoundTrips:

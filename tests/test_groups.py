@@ -19,7 +19,9 @@ from covpovm import (
     subgroup_from_generators,
     trivial_subgroup,
 )
-from covpovm.groups import _isin, _unique
+from covpovm import groups as groups_module
+from covpovm.groups import _isin, _triangular_generators as triangular, _unique
+from covpovm.harmonic import QuotientContext
 from helpers import brute_closure, brute_cosets
 
 Z12 = FiniteAbelianGroup((12,))
@@ -397,6 +399,32 @@ class TestBuildersMatchTheCheckedConstructor:
                 (built.position(np.arange(group.order)), checked.position(np.arange(group.order))),
             ):
                 assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+class TestTriangularGeneratorsOncePerIndexSet:
+    """Set-up (closure, then QuotientContext.build) finds the triangular
+    generators of H-perp's index set once, in the closure, and those of H's
+    once, for the G/H coset table; the annihilator and the dual coset table
+    reuse the first."""
+
+    @given(groups_with_generators())
+    @settings(max_examples=60, deadline=None)
+    def test_one_call_per_index_set(self, case):
+        group, gens = case
+        calls = []
+
+        def counted(group, indices):
+            calls.append(np.asarray(indices).tolist())
+            return triangular(group, indices)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(groups_module, "_triangular_generators", counted)
+            h = subgroup_from_generators(group, gens)
+            in_closure = len(calls)
+            ctx = QuotientContext.build(group, h)
+        assert in_closure == 1 and len(calls) == 2
+        assert calls == [ctx.annihilator.indices.tolist(), h.indices.tolist()]
+        assert ctx.annihilator is annihilator(group, h)
 
 
 class TestSubgroupValidation:

@@ -4,6 +4,7 @@ writes the same text in pieces of bounded size, and nothing when it fails."""
 
 import json
 import math
+import os
 import tracemalloc
 import warnings
 from unittest.mock import patch
@@ -226,6 +227,34 @@ def streamed_arrays(draw):
     return a
 
 
+ZERO_HEAVY = [0.0] * 6 + [-0.0] * 3 + [5e-324, 1e16, 1e-5]
+
+
+@st.composite
+def zero_heavy_arrays(draw):
+    """A float16, float32 or float64 array of ndim 1-3 whose first axis
+    holds 1, or one less than, as many as, or one more than the axis-0
+    slices of one piece; its leaves are all +0.0, free of +0.0, or drawn
+    mostly from +0.0 and -0.0, with 5e-324, 1e16, 1e-5 and random values."""
+    dtype = draw(st.sampled_from([np.float16, np.float32, np.float64]))
+    ndim = draw(st.integers(min_value=1, max_value=3))
+    inner = tuple(draw(st.lists(st.integers(1, 3), min_size=ndim - 1, max_size=ndim - 1)))
+    step = max(1, PIECE // math.prod(inner))
+    shape = (draw(st.sampled_from([1, max(1, step - 1), step, step + 1])), *inner)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    mix = draw(st.sampled_from(["mixed", "all +0.0", "no +0.0"]))
+    if mix == "all +0.0":
+        return np.zeros(shape, dtype=dtype)
+    leaves = rng.choice(np.array(ZERO_HEAVY), size=shape)
+    random = rng.random(shape) < 0.2
+    leaves[random] = rng.standard_normal(np.count_nonzero(random))
+    top = float(np.finfo(dtype).max)  # 1e16 is 65504 in float16
+    a = np.clip(leaves, -top, top).astype(dtype)
+    if mix == "no +0.0":
+        a[(a == 0) & ~np.signbit(a)] = -0.0
+    return a
+
+
 def nest(obj, data):
     """obj wrapped in up to three levels of dicts and lists beside other
     items, so its block sits at several indents."""
@@ -234,6 +263,26 @@ def nest(obj, data):
             st.sampled_from([{"k": obj}, [obj], [1, obj, "x"], {"a": [], "b": {"c": obj}}])
         )
     return obj
+
+
+def dumped_size_and_peak(obj) -> tuple[int, int]:
+    """Length of the text ``iojson.dump`` writes, and the tracemalloc peak
+    while it writes to a sink that keeps nothing."""
+
+    class Discard:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    sink = Discard()
+    tracemalloc.start()
+    try:
+        iojson.dump(obj, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return sink.size, peak
 
 
 class TestDump:
@@ -245,6 +294,20 @@ class TestDump:
         iojson.dump(obj, sink)
         expected = json.dumps(obj, indent=2, default=lambda a: a.tolist())
         assert "".join(sink.pieces) == expected == iojson.dumps(obj)
+
+    @given(zero_heavy_arrays(), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=80, deadline=None)
+    def test_zero_leaves_written_as_text(self, a, depth):
+        """+0.0 leaves, written as text in the template, give the bytes of
+        the stock encoder on the array's tolist(), at several indents."""
+        obj = a
+        for _ in range(depth):
+            obj = {"k": [obj]}
+        sink = Recorder()
+        iojson.dump(obj, sink)
+        got, want = "".join(sink.pieces), json.dumps(obj, indent=2, default=lambda a: a.tolist())
+        i = len(os.path.commonprefix([got, want]))  # pytest's diff of long texts takes minutes
+        assert (i, got[max(0, i - 60) : i + 60]) == (len(want), want[max(0, i - 60) : i + 60])
 
     @pytest.mark.parametrize("bad", ["unknown", "circular"])
     def test_failure_writes_nothing(self, bad):
@@ -263,22 +326,18 @@ class TestDump:
     def test_peak_memory_does_not_grow_with_the_text(self):
         rng = np.random.default_rng(512)
         m = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
-        obj = iojson.matrix_to_json(m)
+        size, peak = dumped_size_and_peak(iojson.matrix_to_json(m))
+        assert size > 10_000_000
+        assert peak < 4_000_000
 
-        class Discard:
-            size = 0
-
-            def write(self, text):
-                self.size += len(text)
-
-        sink = Discard()
-        tracemalloc.start()
-        try:
-            iojson.dump(obj, sink)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sink.size > 10_000_000
+    def test_peak_memory_with_structural_zeros(self):
+        """The same bound when 15/16 of the entries are +0.0, which the
+        writer puts in its templates as text."""
+        rng = np.random.default_rng(512)
+        m = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
+        m.reshape(-1)[rng.permutation(m.size)[: m.size // 16 * 15]] = 0.0
+        size, peak = dumped_size_and_peak(iojson.matrix_to_json(m))
+        assert size > 9_000_000
         assert peak < 4_000_000
 
 
