@@ -298,12 +298,12 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     """The command's exit code, with each input or build error reported on
-    stderr; a rejected build also writes its details to stdout."""
+    stderr first; a rejected build then writes its details to stdout."""
     try:
         return args.func(args)
     except PovmBuildError as exc:
-        _emit({"spec_version": iojson.SPEC_VERSION, "rejected": exc.details})
         print(f"build rejected: {exc}", file=sys.stderr)
+        _emit({"spec_version": iojson.SPEC_VERSION, "rejected": exc.details})
         return EXIT_BUILD_REJECTED
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)

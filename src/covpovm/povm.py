@@ -3,8 +3,9 @@
 A representation acting diagonally on weighted character spaces admits,
 for every subgroup, a family of covariant POVMs on the quotient: each one
 is cut out by a field of isometries over the spectral support, scaled by
-the density of the sector measure against the lifted class measure. This
-module builds those POVMs, evaluates them as one dense matrix in the rep
+the density of the sector measure against the lifted class measure, a
+scaling that cancels in orthonormal coordinates (``CovariantPOVM._kernel``).
+This module builds those POVMs, evaluates them as one dense matrix in the rep
 basis (a :class:`BlockOperator`), and verifies the defining axioms,
 covariance, and the equivalence criterion. A rep's support is one
 :class:`SupportTable` of index arrays in basis order and its isometry
@@ -18,12 +19,11 @@ Two independent evaluation routes are provided on purpose:
 over a cached kernel table, while :func:`apply_via_intertwiner` compresses
 the transported multiplication operator of :mod:`covpovm.induction`
 through the explicit intertwiner. They must agree to working precision.
-The kernel's omega-independent factor is one Gram product of per-row
-vectors, the isometry column of each basis row scaled by sqrt(w / d) on one
-side and sqrt(d / w) on the other (``CovariantPOVM._row_factors``), and
+The kernel's omega-independent factor is one Gram product of the
+isometry column of each basis row (``CovariantPOVM._rows``), and
 :meth:`CovariantPOVM.singleton_expectations` reads the Born expectations of
-all singleton cosets off the same factors without the table: one FFT
-cross-correlation on the dual group and one transposed cotransform.
+all singleton cosets off the same rows without the table: one FFT
+autocorrelation on the dual group and one transposed cotransform.
 """
 
 from __future__ import annotations
@@ -430,33 +430,31 @@ class CovariantPOVM:
         return _stacked(self.rep, self.fields, self.e_dim)
 
     @cached_property
-    def _row_factors(self) -> np.ndarray:
-        """[A, B], shape (2, dim, e_dim): row r is the isometry column of
-        basis row r (column k of W_x for the k-th row of point x), divided by
-        beta = sqrt(d / w) at x in A and times beta in B, so that the kernel
-        factor of rows r, c is hw * <A[r], B[c]> where D >= 0."""
+    def _rows(self) -> np.ndarray:
+        """X, shape (dim, e_dim): row r is the isometry column of basis row
+        r, column k of W_x for the k-th row of point x."""
         table = self.rep.support_table
-        factors = np.empty((2, self.dimension, self.e_dim), dtype=complex)
+        rows = np.empty((self.dimension, self.e_dim), dtype=complex)
         for points, w in zip(table.by_f_dim, self._isometry_stacks):
-            rows = table.block_rows(points, w.shape[2]).ravel()
-            factors[1, rows] = w.transpose(0, 2, 1).reshape(-1, self.e_dim)
-        beta = np.sqrt(self.point_densities / table.weights)[table.rows, None]
-        np.divide(factors[1], beta, out=factors[0])
-        factors[1] *= beta
-        return factors
+            cells = table.block_rows(points, w.shape[2]).ravel()
+            rows[cells] = w.transpose(0, 2, 1).reshape(-1, self.e_dim)
+        return rows
 
     @cached_property
     def _kernel(self) -> tuple[np.ndarray, np.ndarray]:
         """(D, K) over the rep basis. D[r, c] is the annihilator index of the
         difference of the characters of basis rows r and c, or -1 (intp, so
         that ``apply`` gathers with it as it is, with no converted copy);
-        K = hw conj(A) B^T from ``_row_factors`` where D >= 0, and 0
-        elsewhere."""
+        K = hw conj(X) X^T from ``_rows`` where D >= 0, and 0 elsewhere.
+
+        The paper's factor hw sqrt(d' / d) sqrt(w / w') of rows at points x,
+        x' is hw sqrt(nu(x) / nu(x')) = hw where D >= 0, since d = w / nu and
+        the lifted class measure nu is constant on each fiber."""
         table, group = self.rep.support_table, self.rep.group
         coords = group.coords[table.indices[table.rows]]
         index = self.ctx.annihilator.position(group.ravel(coords[:, None] - coords[None]))
-        a, b = self._row_factors
-        kernel = a.conj() @ b.T
+        rows = self._rows
+        kernel = rows.conj() @ rows.T
         kernel *= self.ctx.hperp_weight
         kernel[index < 0] = 0.0
         return index, kernel
@@ -480,13 +478,13 @@ class CovariantPOVM:
         The expectation is linear in the outcome function, so it is the
         transposed cotransform at j of s[a] = sum of conj(psi_r) K[r, c] psi_c
         over the pairs whose characters differ by the annihilator point a.
-        With a_x and b_x the sums of A[r] psi_r and B[r] psi_r over the rows
-        of support point x (``_row_factors``), s[a] is hw * sum over
-        x - x' = a of <a_x, b_x'>: one cross-correlation of the two factor
-        fields placed on the dual group, by ``fftn``, read at the
-        annihilator. No effect and no dim x dim table is formed. Returns the
-        real parts, indexed by coset. A state of the wrong shape or with
-        non-finite entries raises ``ValueError``.
+        With u_x the sum of X[r] psi_r over the rows of support point x
+        (``_rows``), s[a] is hw * sum over x - x' = a of <u_x, u_x'>: one
+        autocorrelation of the field u placed on the dual group, read at the
+        annihilator, whose spectrum is the power spectrum sum over e of
+        |F u_e|^2 (one ``fftn``). No effect and no dim x dim table is formed.
+        Returns the real parts, indexed by coset. A state of the wrong shape
+        or with non-finite entries raises ``ValueError``.
         """
         state = np.asarray(state, dtype=complex)
         if state.shape != (self.dimension,):
@@ -494,17 +492,17 @@ class CovariantPOVM:
         if not np.isfinite(state).all():
             raise ValueError("state has non-finite entries")
         table, group = self.rep.support_table, self.rep.group
-        sums = np.add.reduceat(self._row_factors * state[:, None], table.row_starts, axis=1)
-        # a and b on the dual group, zero off the support, one plane per
-        # embedding coordinate so that the transformed axes are the
-        # contiguous ones (about 4x faster than strided ones in pocketfft)
-        placed = np.zeros((2, self.e_dim, group.order), dtype=complex)
-        placed[:, :, table.indices] = sums.transpose(0, 2, 1)
-        axes = tuple(range(2, 2 + group.rank))
-        spectra = np.fft.fftn(placed.reshape(2, self.e_dim, *group.factors), axes=axes)
-        # s[y] / hw = sum_x conj(a[x]) b[x - y] is the conjugate of the
-        # correlation sum_x a[x] conj(b[x - y]), whose spectrum is Fa conj(Fb)
-        correlation = np.fft.ifftn((spectra[0] * spectra[1].conj()).sum(axis=0)).ravel()
+        sums = np.add.reduceat(self._rows * state[:, None], table.row_starts, axis=0)
+        # u on the dual group, zero off the support, one plane per embedding
+        # coordinate so that the transformed axes are the contiguous ones
+        # (about 4x faster than strided ones in pocketfft)
+        placed = np.zeros((self.e_dim, group.order), dtype=complex)
+        placed[:, table.indices] = sums.T
+        axes = tuple(range(1, 1 + group.rank))
+        spectra = np.fft.fftn(placed.reshape(self.e_dim, *group.factors), axes=axes)
+        # s[y] / hw = sum_x conj(u[x]) u[x - y] is the conjugate of the
+        # correlation sum_x u[x] conj(u[x - y]), whose spectrum is |Fu|^2
+        correlation = np.fft.ifftn((spectra * spectra.conj()).sum(axis=0)).ravel()
         s = self.ctx.hperp_weight * correlation[self.ctx.annihilator.indices].conj()
         return self.ctx.cotransform_transposed(s).real
 
@@ -642,22 +640,20 @@ def _stacked(rep: DiagonalRep, fields, e_dim: int | None) -> tuple[np.ndarray, .
 
 def intertwiner_matrix(povm: CovariantPOVM) -> np.ndarray:
     """Isometry from the rep space into the diagonal model over the class
-    measure, multiplying each sector component by the square root of its
-    density and embedding through the isometry field.
+    measure, embedding each sector component through the isometry field.
 
     Columns follow the rep basis, rows the diagonal-space basis, both in
-    orthonormal coordinates. Each multiplicity's isometries are scaled and
-    scattered into place at once.
+    orthonormal coordinates, where the paper's factor sqrt(d) at x is
+    sqrt(nu(x) d / w) = 1, nu the lifted class measure: each
+    multiplicity's isometries are scattered into place at once, unscaled.
     """
     dspace = povm.diagonal_space
     table, e = povm.rep.support_table, povm.e_dim
-    lifted = povm.class_data.lifted_weights[table.indices]
-    scale = np.sqrt(lifted * povm.point_densities / table.weights)
     target = np.searchsorted(dspace.point_indices, table.indices)[:, None] * e + np.arange(e)
     out = np.zeros((dspace.dim, povm.dimension), dtype=complex)
     for points, w in zip(table.by_f_dim, povm._isometry_stacks):
         cols = table.block_rows(points, w.shape[2])
-        out[target[points, :, None], cols[:, None, :]] = scale[points, None, None] * w
+        out[target[points, :, None], cols[:, None, :]] = w
     return out
 
 

@@ -36,6 +36,8 @@ from covpovm import (
     transported_multiplication_matrix,
 )
 
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
 
 def random_isometry(rng, rows, cols):
     m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
@@ -431,7 +433,7 @@ def dense_kernel(povm):
     annihilator index of every support-point difference, K from one batched
     overlap W_x^H W_x' per pair of multiplicities, scattered into place and
     scaled by hw sqrt(d' / d) sqrt(w / w'), 0 across fibers. The reference
-    for ``CovariantPOVM._kernel``, which is one product of row factors."""
+    for ``CovariantPOVM._kernel``, which is one product of isometry rows."""
     ctx, table, stacks = povm.ctx, povm.rep.support_table, povm._isometry_stacks
     group, rows, by_f_dim = ctx.group, table.rows, table.by_f_dim
     support = group.coords[table.indices]
@@ -458,7 +460,10 @@ def reference_build(rep, subgroup, fields, e_dim, quotient_measure=None, atol=1e
     """The dict-based build: per-point field checks, the class measure as
     measures (its lift returned as one weight per character index),
     densities as dicts, the isometries stacked point by point and the
-    intertwiner by the per-point loop."""
+    intertwiner by the per-point loop. The paper's per-point scale
+    sqrt(nu(x) d / w) of the intertwiner is 1 in exact arithmetic (d = w /
+    nu); it is computed and checked to be within 4u of 1, and the
+    isometry is placed unscaled."""
     sector_points = [sorted(spec.rho.support) for spec in rep.sectors]
     for k, (field, spec) in enumerate(zip(fields, rep.sectors)):
         for x in sector_points[k]:
@@ -505,8 +510,9 @@ def reference_build(rep, subgroup, fields, e_dim, quotient_measure=None, atol=1e
         for a, x in enumerate(sector_points[k]):
             p = int(np.searchsorted(dspace.point_indices, rep.group.index_of(x)))
             scale = math.sqrt(lifted(x) * densities[k][x] / spec.rho(x))
+            assert abs(scale - 1.0) <= 4 * UNIT_ROUNDOFF, (k, x, scale)
             intertwiner[p * e_dim : (p + 1) * e_dim, offset + a * f : offset + (a + 1) * f] = (
-                scale * np.asarray(fields[k].matrices[x], dtype=complex)
+                np.asarray(fields[k].matrices[x], dtype=complex)
             )
         offset += len(sector_points[k]) * f
     lifted_weights = np.zeros(rep.group.order)

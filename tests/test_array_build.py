@@ -1,7 +1,10 @@
 """The array build and the array scenario reader against the dict-based
 build they replaced (``helpers.reference_build``), bit for bit, and the
 kernel against the per-pair formula (``helpers.dense_kernel``): D bit for
-bit, K to 1e-12, since one product of row factors sums in another order."""
+bit, K to 1e-12, since one product of isometry rows sums in another order.
+The class measure's densities cancel in orthonormal coordinates: the
+kernel, Born and the intertwiner are the same bits under any equivalent
+class measure."""
 
 import json
 
@@ -10,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covpovm import (
+    DOMAIN_DUAL_QUOTIENT,
     FiniteAbelianGroup,
+    WeightedMeasure,
     build_covariant_povm,
     intertwiner_matrix,
     iojson,
@@ -92,6 +97,42 @@ def test_array_build_equals_dict_build(instance):
     read = iojson.scenario_from_json(obj)
     assert_equals_reference(read.build(), ref)
     assert iojson.scenario_to_json(read) == obj
+
+
+def assert_class_measure_cancels(povm, rng):
+    """Rebuilt over a class measure with per-coset weights drawn from
+    [1e-3, 1e3], the POVM's effects over a (k, q) stack, Born expectations
+    and intertwiner are the canonical build's bit for bit, and its kernel is
+    the paper's formula with the new densities and weights to 1e-12."""
+    support = sorted(povm.quotient_measure.weights)
+    weights = 10.0 ** rng.uniform(-3.0, 3.0, len(support))
+    measure = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, dict(zip(support, weights.tolist())))
+    other = build_covariant_povm(
+        povm.rep, povm.ctx.subgroup, povm.fields, povm.e_dim, quotient_measure=measure
+    )
+    q, dim = povm.ctx.n_cosets, povm.dimension
+    omegas = rng.standard_normal((3, q)) + 1j * rng.standard_normal((3, q))
+    state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    assert same(other.assembled(omegas), povm.assembled(omegas))
+    assert same(other.singleton_expectations(state), povm.singleton_expectations(state))
+    assert same(intertwiner_matrix(other), intertwiner_matrix(povm))
+    index, kernel = dense_kernel(other)
+    assert same(other._kernel[0], index)
+    np.testing.assert_allclose(other._kernel[1], kernel, rtol=0, atol=1e-12)
+
+
+def test_class_measure_cancels_on_fixed_instances():
+    rng = np.random.default_rng(29)
+    for _, povm in standard_instances() + [("fibered", fibered_instance())]:
+        assert_class_measure_cancels(povm, rng)
+
+
+@given(instances(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_class_measure_cancels(instance, seed):
+    rep, fields, subgroup, e_dim = instance
+    povm = build_covariant_povm(rep, subgroup, fields, e_dim)
+    assert_class_measure_cancels(povm, np.random.default_rng(seed))
 
 
 def test_scenario_round_trip_keeps_every_float():

@@ -385,6 +385,19 @@ class TestOutputCannotBeWritten:
         assert main(["build", scen]) == 2
         assert capsys.readouterr().err.startswith("cannot write output: [Errno 28]")
 
+    def test_rejected_build_says_so_before_the_write_fails(self, tmp_path, capsys, monkeypatch):
+        bad = scalar_scenario()
+        bad["sectors"][0]["support"][0][1] = 1e308  # overflows its density
+        scen = write(tmp_path, "bad.json", bad)
+        assert main(["build", scen]) == 4
+        rejected = capsys.readouterr()
+        assert json.loads(rejected.out)["rejected"]["weight"] == 1e308
+        assert rejected.err.startswith("build rejected: density ")
+        monkeypatch.setattr("sys.stdout", FailingStdout(OSError(errno.ENOSPC, "No space left")))
+        assert main(["build", scen]) == 2
+        err = capsys.readouterr().err
+        assert err == rejected.err + "cannot write output: [Errno 28] No space left\n"
+
     def test_missing_input_is_still_a_read_error(self, capsys):
         assert main(["matrix", "/nonexistent/file.json"]) == 2
         assert capsys.readouterr().err.startswith("cannot read input: ")

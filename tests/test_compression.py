@@ -1,6 +1,6 @@
 """The intertwiner route's compression W^H T(omega) W, read off W's one-point
 columns over a stack of omegas, against the dense products; and checks that
-it reads W itself, not the kernel or its row factors."""
+it reads W itself, not the kernel or its isometry rows."""
 
 import numpy as np
 import pytest
@@ -159,10 +159,10 @@ class TestOracleReadsTheIntertwiner:
         expected = stacked(povm, omegas)
 
         def no_kernel(self):
-            raise AssertionError("the intertwiner route read the kernel or its row factors")
+            raise AssertionError("the intertwiner route read the kernel or its isometry rows")
 
         monkeypatch.setattr(type(povm), "_kernel", property(no_kernel))
-        monkeypatch.setattr(type(povm), "_row_factors", property(no_kernel))
+        monkeypatch.setattr(type(povm), "_rows", property(no_kernel))
         assert np.array_equal(stacked(povm, omegas), expected)
 
 

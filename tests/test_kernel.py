@@ -96,7 +96,7 @@ def test_row_factor_kernel_equals_per_pair_kernel(povm, seed):
 def test_kernel_equals_per_pair_formula_exactly():
     """D and K against the kernel formula evaluated one support-point pair
     at a time: D exactly, K and the assembled matrix to 1e-12, since K is
-    one product of row factors and sums in another order."""
+    one product of isometry rows and sums in another order."""
     group = FiniteAbelianGroup((12,))
     subgroup = subgroup_from_generators(group, [group.element([4])])
     rng = np.random.default_rng(5)

@@ -87,11 +87,24 @@ def stock(obj) -> str:
     return json.dumps(obj, indent=2)
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """got == want; on failure, report the first differing offset with 60
+    characters of context from each text. A plain ``assert got == want``
+    would make pytest diff texts of up to about 400 KB, which takes minutes."""
+    if got != want:
+        i = len(os.path.commonprefix([got, want]))
+        at = slice(max(0, i - 60), i + 60)
+        raise AssertionError(
+            f"texts differ at offset {i} (lengths {len(got)} and {len(want)}):\n"
+            f"  got:  {got[at]!r}\n  want: {want[at]!r}"
+        )
+
+
 class TestDumps:
     @given(trees)
     @settings(max_examples=400, deadline=None)
     def test_matches_stock_encoder(self, obj):
-        assert iojson.dumps(obj) == stock(obj)
+        assert_same_text(iojson.dumps(obj), stock(obj))
 
     @given(numeric_lists_with_an_odd_item(), st.integers(min_value=0, max_value=3))
     @settings(max_examples=300, deadline=None)
@@ -99,7 +112,7 @@ class TestDumps:
         obj = items
         for _ in range(depth):
             obj = {"k": [obj]}
-        assert iojson.dumps(obj) == stock(obj)
+        assert_same_text(iojson.dumps(obj), stock(obj))
 
     @pytest.mark.parametrize(
         "obj",
@@ -130,7 +143,7 @@ class TestDumps:
         ],
     )
     def test_edge_cases(self, obj):
-        assert iojson.dumps(obj) == stock(obj)
+        assert_same_text(iojson.dumps(obj), stock(obj))
 
     @pytest.mark.parametrize(
         "obj",
@@ -293,7 +306,8 @@ class TestDump:
         sink = Recorder()
         iojson.dump(obj, sink)
         expected = json.dumps(obj, indent=2, default=lambda a: a.tolist())
-        assert "".join(sink.pieces) == expected == iojson.dumps(obj)
+        assert_same_text("".join(sink.pieces), expected)
+        assert_same_text(iojson.dumps(obj), expected)
 
     @given(zero_heavy_arrays(), st.integers(min_value=0, max_value=3))
     @settings(max_examples=80, deadline=None)
@@ -305,9 +319,8 @@ class TestDump:
             obj = {"k": [obj]}
         sink = Recorder()
         iojson.dump(obj, sink)
-        got, want = "".join(sink.pieces), json.dumps(obj, indent=2, default=lambda a: a.tolist())
-        i = len(os.path.commonprefix([got, want]))  # pytest's diff of long texts takes minutes
-        assert (i, got[max(0, i - 60) : i + 60]) == (len(want), want[max(0, i - 60) : i + 60])
+        want = json.dumps(obj, indent=2, default=lambda a: a.tolist())
+        assert_same_text("".join(sink.pieces), want)
 
     @pytest.mark.parametrize("bad", ["unknown", "circular"])
     def test_failure_writes_nothing(self, bad):
@@ -396,7 +409,7 @@ def rejected(scenario):
 
 
 def assert_stock_text(out: str):
-    assert out == stock(json.loads(out)) + "\n"
+    assert_same_text(out, stock(json.loads(out)) + "\n")
 
 
 @pytest.mark.parametrize("files", [z12_files, fibered_files], ids=["z12", "fibered"])
@@ -431,7 +444,7 @@ class TestCliByteIdentity:
         assert len(dumped) == 1 + iojson.scenario_from_json(scenario).build().ctx.n_cosets
         for path in dumped:
             text = path.read_text()
-            assert text == stock(json.loads(text))
+            assert_same_text(text, stock(json.loads(text)))
 
     def test_rejection_exits_4(self, tmp_path, capsys, files):
         scenario, _ = files()
@@ -497,7 +510,7 @@ def assert_stock_outcome(obj):
             iojson.dumps(obj)
         assert str(got.value) == str(exc)
     else:
-        assert iojson.dumps(obj) == text
+        assert_same_text(iojson.dumps(obj), text)
 
 
 def lists_in(obj) -> list:
@@ -599,7 +612,7 @@ class TestShapedText:
             row[i] = odd
         elif isinstance(rows[i], list):
             rows[i] = rows[i][1:] or rows[i] * 2
-        assert iojson.dumps(obj) == stock(obj)
+        assert_same_text(iojson.dumps(obj), stock(obj))
 
     def test_self_containing_list_and_array(self):
         loop = []
