@@ -293,6 +293,10 @@ def main(argv=None) -> int:
         return _run(args)
     except OutputError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            stdout = sys.stdout.fileno()  # a stub or capture has none
+            # drop what stdout still buffers: flushed at exit it fails again, exit 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
         return EXIT_BAD_INPUT
 
 

@@ -324,8 +324,8 @@ def born_distribution(state: np.ndarray, povm: CovariantPOVM, partition) -> np.n
 
     Each cell's probability is the sum of the singleton expectations of
     :meth:`CovariantPOVM.singleton_expectations` (the kernel route without
-    the kernel table: one FFT cross-correlation of the per-point factors on
-    the dual group and one transposed cotransform, no effect formed) over
+    the kernel table: one FFT autocorrelation of the per-point isometry rows
+    on the dual group and one transposed cotransform, no effect formed) over
     the cell's cosets. Cells are sized collections (lists, tuples, ranges,
     arrays) whose entries must be integers (not bools) naming each coset
     exactly once, checked by one type pass over all of them; an empty cell

@@ -453,8 +453,7 @@ class CovariantPOVM:
         table, group = self.rep.support_table, self.rep.group
         coords = group.coords[table.indices[table.rows]]
         index = self.ctx.annihilator.position(group.ravel(coords[:, None] - coords[None]))
-        rows = self._rows
-        kernel = rows.conj() @ rows.T
+        kernel = self._rows.conj() @ self._rows.T
         kernel *= self.ctx.hperp_weight
         kernel[index < 0] = 0.0
         return index, kernel

@@ -1,5 +1,9 @@
 import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,6 +401,31 @@ class TestOutputCannotBeWritten:
         assert main(["build", scen]) == 2
         err = capsys.readouterr().err
         assert err == rejected.err + "cannot write output: [Errno 28] No space left\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+    @pytest.mark.parametrize("command", ["matrix", "sample", "build-rejected"])
+    def test_full_device_exits_2_in_a_fresh_interpreter(self, tmp_path, command):
+        """With stdout buffered and on /dev/full, the output left in the
+        buffer must not fail again at interpreter exit (which exits 120)."""
+        scenario = scalar_scenario()
+        if command == "build-rejected":
+            scenario["sectors"][0]["support"][0][1] = 1e308  # overflows its density
+        argv = [command.split("-")[0], write(tmp_path, "s.json", scenario)]
+        if command == "sample":
+            state = write(tmp_path, "st.json", {"state": [[1.0, 0.0]]})
+            argv += ["--state", state, "-n", "10", "--seed", "1"]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "covpovm.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+            )
+        lines = done.stderr.splitlines()
+        if command == "build-rejected":
+            assert lines.pop(0).startswith("build rejected: density ")
+        assert lines == ["cannot write output: [Errno 28] No space left on device"]
+        assert done.returncode == 2
 
     def test_missing_input_is_still_a_read_error(self, capsys):
         assert main(["matrix", "/nonexistent/file.json"]) == 2
