@@ -23,10 +23,8 @@ from .groups import (
 from .harmonic import (
     DOMAIN_DUAL,
     DOMAIN_DUAL_QUOTIENT,
-    DOMAIN_QUOTIENT,
     QuotientContext,
     WeightedMeasure,
-    counting_measure,
     image_measure,
     lift_measure,
 )

@@ -174,7 +174,7 @@ def cmd_build(args) -> int:
             "n_cosets": povm.ctx.n_cosets,
             "admits": True,
             "sectors": sectors,
-            "class_measure": iojson.measure_to_json(povm.quotient_measure),
+            "class_measure": iojson.measure_to_json(povm.class_data.coset_weights),
         }
     )
     return EXIT_OK

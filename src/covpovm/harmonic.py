@@ -30,7 +30,6 @@ from .groups import (
     quotient,
 )
 
-DOMAIN_QUOTIENT = "quotient"
 DOMAIN_DUAL = "dual"
 DOMAIN_DUAL_QUOTIENT = "dual_quotient"
 
@@ -69,10 +68,6 @@ class WeightedMeasure:
     def items(self):
         """Deterministic (point, weight) pairs, sorted by point."""
         return sorted(self.weights.items())
-
-
-def counting_measure(domain: str, points) -> WeightedMeasure:
-    return WeightedMeasure(domain, {p: 1.0 for p in points})
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,11 +186,18 @@ def lift_measure(ctx: QuotientContext, nu) -> np.ndarray:
     lift equals integrating its fiber averages against nu. A wrong shape,
     or a weight that is not real, finite and >= 0, raises ``ValueError``.
     """
+    return (dual_coset_weights(ctx, nu) * ctx.hperp_weight)[ctx.dual_quotient.projection]
+
+
+def dual_coset_weights(ctx: QuotientContext, nu) -> np.ndarray:
+    """A measure on the dual quotient, given as its weight at each coset, as
+    a float array. A wrong shape, or a weight that is not real, finite and
+    >= 0, raises ``ValueError``."""
     nu = _real(nu, "dual coset weight")
     if nu.shape != (len(ctx.dual_quotient),):
         raise ValueError(f"expected {len(ctx.dual_quotient)} dual coset weights, got {nu.shape}")
     _reject_first("dual coset weight is not finite and >= 0", nu, ~(nu >= 0.0) | (nu == np.inf))
-    return (nu * ctx.hperp_weight)[ctx.dual_quotient.projection]
+    return nu
 
 
 def image_measure(ctx: QuotientContext, indices, weights) -> np.ndarray:

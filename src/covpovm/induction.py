@@ -25,25 +25,24 @@ from functools import cached_property
 import numpy as np
 
 from .groups import DualCharacter, GroupElement, _isin, pairing
-from .harmonic import DOMAIN_DUAL_QUOTIENT, QuotientContext, WeightedMeasure
+from .harmonic import QuotientContext, dual_coset_weights
 
 
 @dataclass(frozen=True, eq=False)
 class _WeightedSpace:
     """Weighted C^E-valued function space over a measure on the dual
-    quotient. Subclasses give the value-array ``shape`` and the
-    inner-product weight of each entry, ``weight_array``; orthonormal
-    coordinates scale values by the square roots of those weights."""
+    quotient, ``nu``, given as its weight at each coset (a float array,
+    :func:`~covpovm.harmonic.dual_coset_weights`). Subclasses give the
+    value-array ``shape`` and the inner-product weight of each entry,
+    ``weight_array``; orthonormal coordinates scale values by the square
+    roots of those weights."""
 
     ctx: QuotientContext
-    nu: WeightedMeasure
+    nu: np.ndarray
     e_dim: int
 
     def __post_init__(self):
-        if self.nu.domain != DOMAIN_DUAL_QUOTIENT:
-            raise ValueError(
-                f"expected a measure on the dual quotient, got {self.nu.domain!r}"
-            )
+        object.__setattr__(self, "nu", dual_coset_weights(self.ctx, self.nu))
         if self.e_dim < 1:
             raise ValueError(f"e_dim must be >= 1, got {self.e_dim}")
 
@@ -54,12 +53,12 @@ class _WeightedSpace:
     @cached_property
     def support(self) -> tuple[int, ...]:
         """Dual-quotient coset indices carrying positive weight, sorted."""
-        return tuple(sorted(self.nu.support))
+        return tuple(np.flatnonzero(self.nu).tolist())
 
     @cached_property
     def support_weights(self) -> np.ndarray:
         """Measure weight of each support coset."""
-        return np.array([self.nu(s) for s in self.support])
+        return self.nu[self.nu > 0.0]
 
     @cached_property
     def _sqrt_weights(self) -> np.ndarray:

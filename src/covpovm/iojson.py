@@ -22,12 +22,7 @@ from operator import itemgetter
 import numpy as np
 
 from .groups import FiniteAbelianGroup, Subgroup, _as_int, _as_real, subgroup_from_generators
-from .harmonic import (
-    DOMAIN_DUAL,
-    DOMAIN_DUAL_QUOTIENT,
-    DOMAIN_QUOTIENT,
-    WeightedMeasure,
-)
+from .harmonic import DOMAIN_DUAL_QUOTIENT
 from .povm import (
     DEFAULT_ATOL,
     CovariantPOVM,
@@ -106,14 +101,13 @@ def subgroup_from_json(group: FiniteAbelianGroup, obj) -> Subgroup:
     return subgroup_from_generators(group, [group.element(c) for c in gens])
 
 
-def measure_to_json(measure: WeightedMeasure) -> dict:
-    if measure.domain == DOMAIN_DUAL:
-        weights = [[list(x.coords), w] for x, w in measure.items()]
-    elif measure.domain in (DOMAIN_DUAL_QUOTIENT, DOMAIN_QUOTIENT):
-        weights = [[int(i), w] for i, w in measure.items()]
-    else:
-        raise ValueError(f"domain {measure.domain!r} has no JSON form")
-    return {"domain": measure.domain, "weights": weights}
+def measure_to_json(weights) -> dict:
+    """A measure on the dual quotient, given as its weight at each coset,
+    as its nonzero [coset, weight] pairs in coset order."""
+    weights = np.asarray(weights, dtype=float)
+    support = np.flatnonzero(weights)
+    pairs = zip(support.tolist(), weights[support].tolist())
+    return {"domain": DOMAIN_DUAL_QUOTIENT, "weights": [list(pair) for pair in pairs]}
 
 
 def quotient_function_from_json(obj) -> np.ndarray:

@@ -45,7 +45,6 @@ from .groups import (
 )
 from .harmonic import (
     DOMAIN_DUAL,
-    DOMAIN_DUAL_QUOTIENT,
     QuotientContext,
     WeightedMeasure,
     image_measure,
@@ -261,44 +260,25 @@ def validate_rep(rep: DiagonalRep) -> None:
 
 @dataclass(frozen=True, eq=False)
 class MeasureClassData:
-    """Canonical representatives of the measure class of a diagonal rep.
+    """The class measure of a diagonal rep, as its canonical representative.
 
-    ``quotient_measure`` puts weight 1 on each occupied coset of the dual
-    quotient (any equivalent choice yields the same POVM, this one matches
-    the Haar normalization so that for the trivial subgroup the densities
-    are taken against Haar measure on the dual); ``lifted_weights`` is its
-    lift back to the dual group, one weight per character index.
+    ``coset_weights`` is 1.0 on each occupied coset of the dual quotient and
+    0.0 elsewhere (any equivalent choice yields the same POVM, see BASIS.md,
+    "Densities cancel"; this one matches the Haar normalization so that for
+    the trivial subgroup the densities are taken against Haar measure on the
+    dual); ``lifted_weights`` is its lift back to the dual group, one weight
+    per character index.
     """
 
-    quotient_measure: WeightedMeasure
+    coset_weights: np.ndarray
     lifted_weights: np.ndarray
 
 
-def class_measure(
-    ctx: QuotientContext,
-    rep: DiagonalRep,
-    quotient_measure: WeightedMeasure | None = None,
-) -> MeasureClassData:
-    """Compute the class measure data of a validated rep.
-
-    A different representative of the class may be supplied; it must carry
-    exactly the occupied cosets of the dual quotient.
-    """
+def class_measure(ctx: QuotientContext, rep: DiagonalRep) -> MeasureClassData:
+    """Compute the class measure data of a validated rep."""
     support = _unique(rep.support_table.indices)
-    occupied = np.flatnonzero(image_measure(ctx, support, np.ones(len(support))) > 0.0).tolist()
-    if quotient_measure is None:
-        quotient_measure = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, dict.fromkeys(occupied, 1.0))
-    else:
-        if quotient_measure.domain != DOMAIN_DUAL_QUOTIENT:
-            raise ValueError("class measure must live on the dual quotient")
-        if quotient_measure.support != set(occupied):
-            raise ValueError(
-                "supplied measure is not equivalent to the class measure: "
-                f"support {sorted(quotient_measure.support)} != {occupied}"
-            )
-    nu = np.zeros(len(ctx.dual_quotient))
-    nu[list(quotient_measure.weights)] = list(quotient_measure.weights.values())
-    return MeasureClassData(quotient_measure, lift_measure(ctx, nu))
+    nu = (image_measure(ctx, support, np.ones(len(support))) > 0.0).astype(float)
+    return MeasureClassData(nu, lift_measure(ctx, nu))
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,10 +389,6 @@ class CovariantPOVM:
     def dimension(self) -> int:
         return self.rep.dimension
 
-    @property
-    def quotient_measure(self) -> WeightedMeasure:
-        return self.class_data.quotient_measure
-
     def u_matrix(self, g: GroupElement) -> np.ndarray:
         return self.rep.u_matrix(g)
 
@@ -514,7 +490,7 @@ class CovariantPOVM:
     @cached_property
     def diagonal_space(self) -> DiagonalSpace:
         """Target model of the intertwiner, over the class measure."""
-        return DiagonalSpace(self.ctx, self.quotient_measure, self.e_dim)
+        return DiagonalSpace(self.ctx, self.class_data.coset_weights, self.e_dim)
 
     @cached_property
     def intertwiner(self) -> np.ndarray:
@@ -529,7 +505,6 @@ def build_covariant_povm(
     subgroup: Subgroup,
     fields: Sequence[IsometryField],
     e_dim: int,
-    quotient_measure: WeightedMeasure | None = None,
     atol: float = DEFAULT_ATOL,
 ) -> CovariantPOVM:
     """Construct a covariant POVM from a validated rep and isometry fields,
@@ -541,9 +516,9 @@ def build_covariant_povm(
     the sectors, and then, in this order, a missing matrix, a matrix
     outside its sector's support, one of the wrong shape, one with
     non-finite entries, one failing the isometry test beyond ``atol``, and
-    a point whose density d or scale sqrt(d / w) is not finite and > 0
-    (a finite weight w can overflow its density), naming the first such
-    sector and point in basis order. ``atol`` must itself be finite and
+    a point whose density d against the lifted class measure is not finite
+    and > 0 (a finite weight can overflow its density), naming the first
+    such sector and point in basis order. ``atol`` must itself be finite and
     nonnegative (``ValueError`` otherwise).
     """
     if not (math.isfinite(atol) and atol >= 0.0):
@@ -565,7 +540,7 @@ def build_covariant_povm(
         )
     fields = fields if isinstance(fields, FieldTable) else tuple(fields)
     ctx = QuotientContext.build(rep.group, subgroup)
-    povm = CovariantPOVM(rep, ctx, e_dim, fields, class_measure(ctx, rep, quotient_measure))
+    povm = CovariantPOVM(rep, ctx, e_dim, fields, class_measure(ctx, rep))
     nonfinite = np.zeros(len(table.indices), dtype=bool)
     deviation = np.zeros(len(table.indices))
     for points, w in zip(table.by_f_dim, povm._isometry_stacks):
@@ -579,14 +554,12 @@ def build_covariant_povm(
         raise PovmBuildError(
             "field matrix is not isometric", **_where(rep, p), deviation=float(deviation[p])
         )
-    # sqrt(d / w) is finite and > 0 exactly when d / w is
     with np.errstate(all="ignore"):  # an overflow is reported below
         d = povm.point_densities
-        ratio = d / table.weights
-    unusable = ~((d > 0.0) & (d < np.inf) & (ratio > 0.0) & (ratio < np.inf))
+    unusable = ~((d > 0.0) & (d < np.inf))
     if unusable.any():
         p = int(np.argmax(unusable))
-        message = "density or its scale sqrt(density / weight) is not finite and > 0"
+        message = "density is not finite and > 0"
         raise PovmBuildError(message, **_where(rep, p), weight=float(table.weights[p]))
     return povm
 
@@ -1029,9 +1002,13 @@ def equivalence_check(
 ) -> EquivalenceResult:
     """Test whether pointwise sector unitaries intertwine the two POVMs.
 
-    The criterion compares, over every block and every annihilator shift
-    within the supports, the density-weighted isometry overlaps of the two
-    fields after conjugation by the sector maps. Requires both POVMs to be
+    The criterion compares, over every pair of support points x, x' in one
+    fiber (their characters differ by an annihilator point), the isometry
+    overlaps W_x^H W_x' of the first field with (V_x S_x)^H (V_x' S_x') of
+    the second, S the sector maps. No density enters: the kernel of a POVM
+    is hw times these overlaps (``CovariantPOVM._kernel``), so hw *
+    ``max_deviation`` is the entrywise gap between the kernel of ``povm_a``
+    and S^H K_b S, hw the annihilator Haar weight. Requires both POVMs to be
     built over the same rep and subgroup, and every sector map to be
     unitary on its support.
     """
@@ -1048,19 +1025,15 @@ def equivalence_check(
             p = points[np.argmin(unitary)]
             x = rep.group.points(DualCharacter, [table.indices[p]])[0]
             raise ValueError(f"sector map {table.sectors[p]} at {x} is not unitary")
-    # every pair of support points x, x' in one fiber compares
-    # sqrt(density(x')) W_x^H W_x' with the same for W'_x S_x
     fiber = povm_a.ctx.dual_quotient.projection[table.indices]
     in_fiber = fiber[:, None] == fiber
-    weight = np.sqrt(povm_a.point_densities)
     stacks = list(zip(table.by_f_dim, povm_a._isometry_stacks, povm_b._isometry_stacks, maps))
     devs = []
     for pa, wa, va, sa in stacks:
         for pb, wb, vb, sb in stacks:
             a, b = np.nonzero(in_fiber[np.ix_(pa, pb)])
-            w = weight[pb[b], None, None]
-            lhs = w * (_adjoints(wa[a]) @ wb[b])
-            rhs = w * (_adjoints(sa[a]) @ _adjoints(va[a]) @ vb[b] @ sb[b])
+            lhs = _adjoints(wa[a]) @ wb[b]
+            rhs = _adjoints(sa[a]) @ _adjoints(va[a]) @ vb[b] @ sb[b]
             devs.append(np.abs(lhs - rhs).max(initial=0.0))
     dev = _worst(devs)
     return EquivalenceResult(equivalent=dev <= atol, max_deviation=dev)

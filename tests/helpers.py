@@ -238,12 +238,11 @@ def brute_equivalence_deviation(povm_a, povm_b, sector_maps):
             w_j = np.asarray(povm_a.fields[j].matrices[x], dtype=complex)
             wp_j = np.asarray(povm_b.fields[j].matrices[x], dtype=complex)
             s_j = np.asarray(sector_maps[j][x], dtype=complex)
-            weight = math.sqrt(point_density(povm_a, k, xp))
             w_k = np.asarray(povm_a.fields[k].matrices[xp], dtype=complex)
             wp_k = np.asarray(povm_b.fields[k].matrices[xp], dtype=complex)
             s_k = np.asarray(sector_maps[k][xp], dtype=complex)
-            lhs = weight * (w_j.conj().T @ w_k)
-            rhs = weight * (s_j.conj().T @ wp_j.conj().T @ wp_k @ s_k)
+            lhs = w_j.conj().T @ w_k
+            rhs = s_j.conj().T @ wp_j.conj().T @ wp_k @ s_k
             dev = max(dev, float(np.abs(lhs - rhs).max()))
     return dev
 
@@ -427,14 +426,17 @@ def reference_support_table(rep):
     return indices[order], sectors, f_dims, weights[order], rows, by_f_dim
 
 
-def dense_kernel(povm):
+def dense_kernel(povm, ref=None):
     """(D, K) over the rep basis one pair of multiplicities at a time, from
     the POVM's support table, isometry stacks and densities: D from the
     annihilator index of every support-point difference, K from one batched
     overlap W_x^H W_x' per pair of multiplicities, scattered into place and
     scaled by hw sqrt(d' / d) sqrt(w / w'), 0 across fibers. The reference
-    for ``CovariantPOVM._kernel``, which is one product of isometry rows."""
-    ctx, table, stacks = povm.ctx, povm.rep.support_table, povm._isometry_stacks
+    for ``CovariantPOVM._kernel``, which is one product of isometry rows.
+    With ``ref``, a :func:`reference_build` of the POVM's rep and fields over
+    any measure of the class, the isometry stacks and densities are ref's."""
+    ctx, table = povm.ctx, povm.rep.support_table
+    stacks = povm._isometry_stacks if ref is None else ref.isometry_stacks
     group, rows, by_f_dim = ctx.group, table.rows, table.by_f_dim
     support = group.coords[table.indices]
     point_d = ctx.annihilator.position(group.ravel(support[:, None] - support[None]))
@@ -445,7 +447,8 @@ def dense_kernel(povm):
             rb = (np.searchsorted(rows, pb)[:, None] + np.arange(wb.shape[2])).ravel()
             block = np.matmul(wa.conj().transpose(0, 2, 1)[:, None], wb[None]).transpose(0, 2, 1, 3)
             kernel[np.ix_(ra, rb)] = block.reshape(len(ra), len(rb))
-    density, weight = povm.point_densities, table.weights
+    density = povm.point_densities if ref is None else ref.point_densities
+    weight = table.weights
     scale = np.sqrt(density[None, :] / density[:, None])
     scale *= ctx.hperp_weight
     scale *= np.sqrt(weight[:, None] / weight[None, :])
@@ -457,8 +460,9 @@ def dense_kernel(povm):
 
 
 def reference_build(rep, subgroup, fields, e_dim, quotient_measure=None, atol=1e-9):
-    """The dict-based build: per-point field checks, the class measure as
-    measures (its lift returned as one weight per character index),
+    """The dict-based build: per-point field checks, the class measure
+    (``quotient_measure``, the canonical one by default) and its lift as
+    measures (returned as one weight per dual coset and per character index),
     densities as dicts, the isometries stacked point by point and the
     intertwiner by the per-point loop. The paper's per-point scale
     sqrt(nu(x) d / w) of the intertwiner is 1 in exact arithmetic (d = w /
@@ -502,7 +506,8 @@ def reference_build(rep, subgroup, fields, e_dim, quotient_measure=None, atol=1e
     ]
     stacks = tuple(np.stack([mats[p] for p in points]) for points in by_f_dim)
 
-    dspace = DiagonalSpace(ctx, quotient_measure, e_dim)
+    coset_weights = np.array([quotient_measure(i) for i in range(len(ctx.dual_quotient))])
+    dspace = DiagonalSpace(ctx, coset_weights, e_dim)
     intertwiner = np.zeros((dspace.dim, len(rows)), dtype=complex)
     offset = 0
     for k, spec in enumerate(rep.sectors):
@@ -519,12 +524,29 @@ def reference_build(rep, subgroup, fields, e_dim, quotient_measure=None, atol=1e
     lifted_weights[[rep.group.index_of(x) for x in lifted.weights]] = list(lifted.weights.values())
     return SimpleNamespace(
         support_table=table,
-        quotient_measure=quotient_measure,
+        coset_weights=coset_weights,
         lifted_weights=lifted_weights,
         point_densities=point_densities,
         isometry_stacks=stacks,
         intertwiner=intertwiner,
     )
+
+
+def rescaled_class_measure_gap(povm, factors) -> float:
+    """The paper's formulas evaluated on :func:`reference_build` over the
+    canonical class measure with the weight of its i-th occupied dual coset
+    multiplied by ``factors[i]``: the POVM's intertwiner must equal the
+    reference's bit for bit, and the annihilator index D of its kernel that
+    of :func:`dense_kernel` with the reference's densities (asserted).
+    Returns the largest entrywise gap between the POVM's kernel K and the
+    formula's."""
+    support = np.flatnonzero(povm.class_data.coset_weights).tolist()
+    measure = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, dict(zip(support, np.asarray(factors).tolist())))
+    ref = reference_build(povm.rep, povm.ctx.subgroup, povm.fields, povm.e_dim, measure)
+    assert np.array_equal(intertwiner_matrix(povm), ref.intertwiner)
+    index, kernel = dense_kernel(povm, ref)
+    assert np.array_equal(povm._kernel[0], index)
+    return float(np.abs(povm._kernel[1] - kernel).max(initial=0.0))
 
 
 def sector_slices(rep):

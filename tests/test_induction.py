@@ -4,14 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covpovm import (
-    DOMAIN_DUAL_QUOTIENT,
     DiagonalSpace,
     FiniteAbelianGroup,
     InducedSpace,
     QuotientContext,
-    WeightedMeasure,
     character_multiplication_matrix,
-    counting_measure,
     diagonalizer_adjoint_apply,
     diagonalizer_adjoint_matrix,
     diagonalizer_apply,
@@ -39,8 +36,7 @@ def z12_context():
 
 def counting_space(e_dim=1):
     ctx = z12_context()
-    nu = counting_measure(DOMAIN_DUAL_QUOTIENT, range(len(ctx.dual_quotient)))
-    return InducedSpace(ctx, nu, e_dim)
+    return InducedSpace(ctx, np.ones(len(ctx.dual_quotient)), e_dim)
 
 
 def spaces_under_test():
@@ -53,12 +49,8 @@ def spaces_under_test():
         counting_space(1),
         counting_space(2),
         # non-uniform weights and a dropped coset
-        InducedSpace(ctx, WeightedMeasure(DOMAIN_DUAL_QUOTIENT, {0: 2.0, 2: 0.5}), 2),
-        InducedSpace(
-            ctx22,
-            counting_measure(DOMAIN_DUAL_QUOTIENT, range(len(ctx22.dual_quotient))),
-            1,
-        ),
+        InducedSpace(ctx, np.array([2.0, 0.0, 0.5]), 2),
+        InducedSpace(ctx22, np.ones(len(ctx22.dual_quotient)), 1),
     ]
 
 
@@ -290,8 +282,7 @@ class TestSpaces:
 
     def test_support_restriction(self):
         ctx = z12_context()
-        nu = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, {0: 1.0, 1: 0.0, 2: 2.0})
-        space = InducedSpace(ctx, nu, 1)
+        space = InducedSpace(ctx, np.array([1.0, 0.0, 2.0]), 1)
         assert space.support == (0, 2)
         assert space.dim == 8
         assert len(space.diagonal_space.points) == 8
@@ -306,9 +297,10 @@ class TestSpaces:
             assert np.linalg.norm(space.to_coords(f)) == pytest.approx(space.norm(f))
 
     def test_rejects_wrong_domain(self):
+        # one weight per coset of G/H (4 of them), not of the dual quotient (3)
         ctx = z12_context()
-        with pytest.raises(ValueError):
-            InducedSpace(ctx, WeightedMeasure("quotient", {0: 1.0}), 1)
+        with pytest.raises(ValueError, match="expected 3 dual coset weights"):
+            InducedSpace(ctx, np.ones(ctx.n_cosets), 1)
 
 
 def column_by_column(dspace, omega):
@@ -333,12 +325,11 @@ def diagonal_spaces(draw):
     cosets = draw(st.lists(st.integers(0, n_dual - 1), min_size=1, unique=True))
     uniform = draw(st.booleans())
     weight = st.floats(0.1, 10.0)
+    nu = np.zeros(n_dual)
     if uniform:
-        common = draw(weight)
-        weights = {i: common for i in cosets}
+        nu[cosets] = draw(weight)
     else:
-        weights = {i: draw(weight) for i in cosets}
-    nu = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, weights)
+        nu[cosets] = [draw(weight) for _ in cosets]
     dspace = DiagonalSpace(ctx, nu, draw(st.integers(1, 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     q = ctx.n_cosets

@@ -3,7 +3,6 @@ import pytest
 
 from covpovm import (
     DOMAIN_DUAL,
-    DOMAIN_DUAL_QUOTIENT,
     DiagonalRep,
     FiniteAbelianGroup,
     IsometryField,
@@ -27,6 +26,7 @@ from helpers import (
     build_rep,
     dilation,
     random_isometry,
+    rescaled_class_measure_gap,
     row_by_row,
     scalar_z12_povm,
     sector_slices,
@@ -70,7 +70,7 @@ class TestClassMeasure:
         )
         rep = DiagonalRep(Z12, (delta_sector(Z12, [0]),))
         data = class_measure(ctx, rep)
-        assert data.quotient_measure.weights == {0: 1.0}
+        assert data.coset_weights.tolist() == [1.0, 0.0, 0.0]
         hperp = ctx.annihilator.indices
         assert np.flatnonzero(data.lifted_weights).tolist() == sorted(hperp.tolist())
         np.testing.assert_allclose(data.lifted_weights[hperp], 0.25)
@@ -91,7 +91,7 @@ class TestClassMeasure:
             Z12, subgroup_from_generators(Z12, [Z12.element([4])])
         )
         data = class_measure(ctx, DiagonalRep(Z12, ()))
-        assert not data.quotient_measure.weights
+        assert data.coset_weights.tolist() == [0.0, 0.0, 0.0]
         assert data.lifted_weights.shape == (12,)
         assert not data.lifted_weights.any()
 
@@ -414,43 +414,12 @@ class TestVerification:
 
 class TestClassMeasureInvariance:
     def test_rescaled_measure_gives_identical_povm(self):
+        # the canonical build is the paper's formulas over any measure of
+        # the class: the kernel to 1e-12, the intertwiner bit for bit
         rng = np.random.default_rng(5)
         for _, povm in standard_instances():
-            canonical = povm.quotient_measure
-            rescaled = WeightedMeasure(
-                DOMAIN_DUAL_QUOTIENT,
-                {i: w * rng.uniform(0.2, 5.0) for i, w in canonical.weights.items()},
-            )
-            other = build_covariant_povm(
-                povm.rep,
-                povm.ctx.subgroup,
-                povm.fields,
-                povm.e_dim,
-                quotient_measure=rescaled,
-            )
-            q = povm.ctx.n_cosets
-            for _ in range(5):
-                omega = rng.standard_normal(q) + 1j * rng.standard_normal(q)
-                assert np.abs(povm.assembled(omega) - other.assembled(omega)).max() < 1e-9
-                assert (
-                    np.abs(
-                        apply_via_intertwiner(povm, omega).assemble()
-                        - apply_via_intertwiner(other, omega).assemble()
-                    ).max()
-                    < 1e-9
-                )
-
-    def test_wrong_support_rejected(self):
-        povm = scalar_z12_povm()
-        bad = WeightedMeasure(DOMAIN_DUAL_QUOTIENT, {0: 1.0, 1: 1.0})
-        with pytest.raises(ValueError):
-            build_covariant_povm(
-                povm.rep,
-                povm.ctx.subgroup,
-                povm.fields,
-                povm.e_dim,
-                quotient_measure=bad,
-            )
+            factors = rng.uniform(0.2, 5.0, np.count_nonzero(povm.class_data.coset_weights))
+            assert rescaled_class_measure_gap(povm, factors) <= 1e-12
 
 
 class TestTrivialSubgroupReduction:
@@ -560,6 +529,22 @@ class TestEquivalence:
         assert not result.equivalent
         assert result.max_deviation > 1e-4
         assert self.direct_conjugation_deviation(rep, povm_a, povm_b, maps) > 1e-4
+
+    def test_deviation_is_the_kernel_gap(self):
+        # hw * max_deviation = max |K_a - S^H K_b S| on every pair above
+        phases = [np.exp(0.3j), np.exp(-1.1j)]
+        v = random_isometry(np.random.default_rng(8), 3, 3)
+        for transform in (lambda k, x, m: m, lambda k, x, m: v @ m, lambda k, x, m: phases[k] * m):
+            rep, povm_a, povm_b = self.build_pair(transform)
+            conjugate = [
+                {x: np.conj(phases[k]) * np.eye(spec.f_dim) for x in spec.rho.support}
+                for k, spec in enumerate(rep.sectors)
+            ]
+            for maps in (self.identity_maps(rep), conjugate):
+                s = sector_pointwise_operator(rep, maps)
+                gap = np.abs(povm_a._kernel[1] - s.conj().T @ povm_b._kernel[1] @ s).max()
+                dev = equivalence_check(povm_a, povm_b, maps).max_deviation
+                assert abs(povm_a.ctx.hperp_weight * dev - gap) <= 1e-14
 
     def test_non_unitary_map_rejected(self):
         rep, povm_a, povm_b = self.build_pair(lambda k, x, m: m)

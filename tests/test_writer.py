@@ -425,15 +425,19 @@ class TestCliByteIdentity:
         assert_stock_text(capsys.readouterr().out)
 
     def test_matrix(self, tmp_path, capsys, files):
+        # the values too: the stock text of the effect evaluated in-process,
+        # for the constant omega and for --omega
         scenario, _ = files()
         scen = write(tmp_path, "s.json", scenario)
-        assert main(["matrix", scen]) == 0
-        assert_stock_text(capsys.readouterr().out)
-        q = iojson.scenario_from_json(scenario).build().ctx.n_cosets
-        rng = np.random.default_rng(q)
-        omega = write(tmp_path, "o.json", {"values": rng.standard_normal((q, 2)).tolist()})
-        assert main(["matrix", scen, "--omega", omega]) == 0
-        assert_stock_text(capsys.readouterr().out)
+        povm = iojson.scenario_from_json(scenario).build()
+        q = povm.ctx.n_cosets
+        values = {"values": np.random.default_rng(q).standard_normal((q, 2)).tolist()}
+        omega = iojson.quotient_function_from_json(values)
+        for argv, function in (([], np.ones(q)), (["--omega", write(tmp_path, "o.json", values)], omega)):
+            assert main(["matrix", scen, *argv]) == 0
+            want = iojson.matrix_to_json(povm.assembled(function))
+            want["entries"] = want["entries"].tolist()
+            assert_same_text(capsys.readouterr().out, stock(want) + "\n")
 
     def test_verify_and_dumped_matrices(self, tmp_path, capsys, files):
         scenario, _ = files()
