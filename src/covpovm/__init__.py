@@ -14,9 +14,7 @@ from .groups import (
     Subgroup,
     annihilator,
     pairing,
-    pairing_is_one,
     quotient,
-    quotient_pairing,
     subgroup_from_generators,
     trivial_subgroup,
 )

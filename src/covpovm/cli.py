@@ -12,7 +12,7 @@ verification).
 
 The default verification tolerance is 1e-9; the COVPOVM_TOLERANCE
 environment variable overrides it and the --tolerance flag overrides both.
-A tolerance that is not finite, or is negative, exits 3. `build`, `matrix`
+A tolerance that is not a finite, nonnegative number exits 3. `build`, `matrix`
 and `sample` check the isometries at that tolerance; `verify` checks them
 at no less than the default, so a tighter tolerance still reaches the
 checks and tightens only them.
@@ -105,12 +105,15 @@ def _dump_matrices(povm, dump_dir: Path, omega) -> bool:
 
 def _tolerance(args) -> float:
     """--tolerance, else COVPOVM_TOLERANCE, else ``DEFAULT_ATOL`` (1e-9); it
-    must be finite and nonnegative, or the command exits 3."""
+    must be a finite, nonnegative number, or the command exits 3."""
     if getattr(args, "tolerance", None) is not None:
         source, value = "--tolerance", float(args.tolerance)
     else:
-        env = os.environ.get("COVPOVM_TOLERANCE")
-        source, value = "COVPOVM_TOLERANCE", float(env) if env else DEFAULT_ATOL
+        source, env = "COVPOVM_TOLERANCE", os.environ.get("COVPOVM_TOLERANCE")
+        try:
+            value = float(env) if env else DEFAULT_ATOL
+        except ValueError:
+            raise ValueError(f"{source} must be a number, got {env!r}") from None
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{source} must be finite and >= 0, got {value}")
     return value

@@ -167,10 +167,6 @@ class FiniteAbelianGroup:
     def zero(self) -> GroupElement:
         return GroupElement((0,) * self.rank, self.factors)
 
-    @property
-    def trivial_character(self) -> DualCharacter:
-        return DualCharacter((0,) * self.rank, self.factors)
-
     def doubling_generators(self) -> tuple[GroupElement, ...]:
         """2^k e_i for every factor i and every k < (n_i - 1).bit_length().
 
@@ -277,12 +273,6 @@ def pairing(x: DualCharacter, g: GroupElement) -> complex:
     """Canonical pairing exp(2 pi i sum_j x_j g_j / n_j); unit modulus."""
     t, lcm = pairing_exponent(x, g)
     return cmath.exp(2j * cmath.pi * t / lcm)
-
-
-def pairing_is_one(x: GroupElement, g: GroupElement) -> bool:
-    """Exact integer test for <x, g> = 1."""
-    t, _ = pairing_exponent(x, g)
-    return t == 0
 
 
 def _trivial_pairing(group: FiniteAbelianGroup, indices) -> np.ndarray:
@@ -490,21 +480,3 @@ def quotient(group: FiniteAbelianGroup, subgroup: Subgroup) -> QuotientGroup:
     projection[sums] = np.arange(box.prod()).reshape(*box, 1)
     return QuotientGroup(subgroup, np.ravel_multi_index(axes, group.factors).ravel(), projection)
 
-
-def quotient_pairing(quot: QuotientGroup, character, coset_index: int) -> complex:
-    """Pairing of a character with a coset, via any representative.
-
-    Only defined when the character pairs trivially with the quotiented
-    subgroup; then the value does not depend on the representative. For a
-    quotient of the dual group the roles are mirrored and ``character`` is
-    a plain group element.
-    """
-    for h in quot.subgroup.generators:
-        if not pairing_is_one(character, h):
-            raise ValueError(
-                f"{character} is not trivial on the subgroup; "
-                "the pairing is not constant on cosets"
-            )
-    if not 0 <= coset_index < len(quot.representatives):
-        raise ValueError(f"coset index {coset_index} out of range")
-    return pairing(character, quot.representatives[coset_index])

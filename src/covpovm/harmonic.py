@@ -134,10 +134,6 @@ class QuotientContext:
             raise ValueError("quotient function has non-finite values")
         return omega
 
-    def cotransform_adjoint(self, phi) -> np.ndarray:
-        """Adjoint of :meth:`cotransform`; inverse of it, by unitarity."""
-        return self.hperp_weight * self.cotransform_transposed(np.conj(phi)).conj()
-
     def cotransform_transposed(self, phi) -> np.ndarray:
         """Transpose of :meth:`cotransform`: the coset values
         sum_a phi[a] <y_a, coset>, so that ``phi @ cotransform(omega)``

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import DualCharacter, GroupElement, _isin, pairing
+from .groups import DualCharacter, GroupElement, _isin
 from .harmonic import QuotientContext, dual_coset_weights
 
 
@@ -101,11 +101,6 @@ class InducedSpace(_WeightedSpace):
         support coset."""
         return self.ctx.dual_quotient.rep_indices[list(self.support)]
 
-    @cached_property
-    def support_characters(self) -> tuple[DualCharacter, ...]:
-        """Canonical character representative of each support coset."""
-        return self.ctx.group.points(DualCharacter, self.support_character_indices)
-
     @property
     def shape(self) -> tuple[int, int, int]:
         return (self.ctx.n_cosets, len(self.support), self.e_dim)
@@ -119,14 +114,6 @@ class InducedSpace(_WeightedSpace):
     @cached_property
     def diagonal_space(self) -> "DiagonalSpace":
         return DiagonalSpace(self.ctx, self.nu, self.e_dim)
-
-    def value_at(self, f: np.ndarray, g: GroupElement, support_pos: int) -> np.ndarray:
-        """Function value at an arbitrary group element, reconstructed from
-        the stored representative through the covariance phase."""
-        i = self.ctx.quotient.index_of(g)
-        h = g - self.ctx.quotient.representatives[i]
-        phase = pairing(self.support_characters[support_pos], h).conjugate()
-        return phase * f[i, support_pos, :]
 
 
 class DiagonalSpace(_WeightedSpace):

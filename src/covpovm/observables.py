@@ -101,12 +101,6 @@ class TrigPolynomial:
             )
         return TrigPolynomial({n: c * z ** (-n) for n, c in self.coeffs.items()})
 
-    def is_real_valued(self, atol: float = 1e-12) -> bool:
-        return all(
-            abs(c - self.coeffs.get(-n, 0.0 + 0.0j).conjugate()) <= atol
-            for n, c in self.coeffs.items()
-        )
-
     @staticmethod
     def one() -> "TrigPolynomial":
         return TrigPolynomial({0: 1.0})
@@ -175,10 +169,6 @@ class PhaseObservable:
 
     def f_dim(self, k: int) -> int:
         return self.isometries[k].shape[1]
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.f_dim(k) for k in self.indices)
 
     def _check_degree(self, omega: TrigPolynomial) -> None:
         if self.degree_window is not None and omega.degree > self.degree_window:

@@ -35,6 +35,7 @@ from covpovm import (
     transported_multiplication_act,
     transported_multiplication_matrix,
 )
+from covpovm.groups import pairing_exponent
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
@@ -287,6 +288,16 @@ def dense_cotransform_transposed(ctx, phi):
     """sum_a phi[a] <y_a, coset> by the dense |H-perp| x q pairing matrix."""
     fourier = ctx.group.pairing_matrix(ctx.annihilator.indices, ctx.quotient.rep_indices)
     return fourier.T @ np.asarray(phi, dtype=complex)
+
+
+def cotransform_adjoint(ctx, phi):
+    """Adjoint of ``ctx.cotransform``; its inverse, by unitarity."""
+    return ctx.hperp_weight * ctx.cotransform_transposed(np.conj(phi)).conj()
+
+
+def pairing_is_one(x, g) -> bool:
+    """Exact integer test for <x, g> = 1."""
+    return pairing_exponent(x, g)[0] == 0
 
 
 @st.composite
@@ -576,6 +587,15 @@ def loop_intertwiner(povm):
                 scale * np.asarray(povm.fields[k].matrices[x], dtype=complex)
             )
     return out
+
+
+def value_at(space, f, g, support_pos):
+    """The induced-space function ``f`` at any group element, from its
+    stored representative through the covariance phase."""
+    i = space.ctx.quotient.index_of(g)
+    h = g - space.ctx.quotient.representatives[i]
+    x = space.ctx.group.points(DualCharacter, space.support_character_indices)[support_pos]
+    return pairing(x, h).conjugate() * f[i, support_pos, :]
 
 
 def loop_diagonalizer_adjoint_apply(space, phi):

@@ -3,7 +3,6 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
-import json
 import time
 
 import numpy as np
@@ -42,6 +41,7 @@ from helpers import (
     scalar_z12_povm,
     standard_instances,
 )
+from scenarios import scalar_z12, write
 
 TOL = 1e-9
 
@@ -368,19 +368,9 @@ def test_criterion_9_sampling(tmp_path, capsys):
     sigma = np.sqrt(n * 0.25 * 0.75)
     within = all(abs(c - n / 4) < 5 * sigma for c in counts)
 
-    scenario = {
-        "spec_version": 1,
-        "group": {"factors": [12]},
-        "subgroup": {"generators": [[4]]},
-        "e_dim": 1,
-        "sectors": [{"f_dim": 1, "support": [[[0], 1.0]]}],
-        "fields": [{"sector": 0, "matrices": [[[0], [[[1.0, 0.0]]]]]}],
-    }
-    scen = tmp_path / "scenario.json"
-    scen.write_text(json.dumps(scenario))
-    state = tmp_path / "state.json"
-    state.write_text(json.dumps({"state": [[1.0, 0.0]]}))
-    argv = ["sample", str(scen), "--state", str(state), "-n", "2000", "--seed", "7"]
+    scen = write(tmp_path, "scenario.json", scalar_z12())
+    state = write(tmp_path, "state.json", {"state": [[1.0, 0.0]]})
+    argv = ["sample", scen, "--state", state, "-n", "2000", "--seed", "7"]
     assert cli_main(argv) == 0
     first = capsys.readouterr().out
     assert cli_main(argv) == 0

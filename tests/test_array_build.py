@@ -29,6 +29,7 @@ from helpers import (
     rescaled_class_measure_gap,
     standard_instances,
 )
+from scenarios import position, scenario_json
 
 
 @st.composite
@@ -121,8 +122,7 @@ def test_class_measure_cancels(instance, seed):
 
 def test_scenario_round_trip_keeps_every_float():
     povm = fibered_instance()
-    scenario = iojson.Scenario(povm.rep.group, povm.ctx.subgroup, povm.rep, povm.e_dim, povm.fields)
-    text = json.dumps(iojson.scenario_to_json(scenario))
+    text = json.dumps(scenario_json(povm))
     again = iojson.scenario_from_json(json.loads(text))
     assert json.dumps(iojson.scenario_to_json(again)) == text
     assert same(again.rep.support_table.weights, povm.rep.support_table.weights)
@@ -145,10 +145,7 @@ def test_signed_zeros_survive_the_reader():
 
 
 def test_intertwiner_equals_the_per_point_loop():
-    rng = np.random.default_rng(8)
-    raw = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
-    position = position_povm_zn(16, [v / np.linalg.norm(v) for v in raw])
-    povms = [p for _, p in standard_instances()] + [fibered_instance(), position]
+    povms = [p for _, p in standard_instances()] + [fibered_instance(), position(16, 8)]
     for povm in povms:
         assert same(intertwiner_matrix(povm), loop_intertwiner(povm))
 

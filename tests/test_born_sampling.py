@@ -16,6 +16,7 @@ from covpovm.cli import main
 from covpovm.observables import SAMPLE_BLOCK, _inverse_transform_counts
 from helpers import (
     brute_sample_counts,
+    cotransform_adjoint,
     dense_cotransform_transposed,
     fibered_instance,
     intertwiner_born,
@@ -24,20 +25,11 @@ from helpers import (
     scalar_z12_povm,
     standard_instances,
 )
+from scenarios import scalar_z12, unit_state, write
 
 B = SAMPLE_BLOCK
 INSTANCES = standard_instances() + [("Z4xZ4_fibered", fibered_instance())]
 SINGLETONS = [[0], [1], [2], [3]]
-Z12_SCENARIO = (
-    '{"spec_version": 1, "group": {"factors": [12]}, "subgroup": {"generators": [[4]]},'
-    ' "e_dim": 1, "sectors": [{"f_dim": 1, "support": [[[0], 1.0]]}],'
-    ' "fields": [{"sector": 0, "matrices": [[[0], [[[1.0, 0.0]]]]]}]}'
-)
-
-
-def unit_state(rng, dim):
-    state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return state / np.linalg.norm(state)
 
 
 def partitions(q, rng):
@@ -102,7 +94,7 @@ class TestBornOracles:
         dense = dense_cotransform_transposed(ctx, phi)
         np.testing.assert_allclose(ctx.cotransform_transposed(phi), dense, rtol=0, atol=1e-12)
         adjoint = ctx.hperp_weight * dense_cotransform_transposed(ctx, phi.conj()).conj()
-        np.testing.assert_allclose(ctx.cotransform_adjoint(phi), adjoint, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cotransform_adjoint(ctx, phi), adjoint, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("name, povm", INSTANCES, ids=[n for n, _ in INSTANCES])
     def test_kernel_table_is_not_read(self, monkeypatch, name, povm):
@@ -138,7 +130,7 @@ class TestDegenerateWeights:
 
     def test_cli_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "s.json").write_text(Z12_SCENARIO)
+        write(tmp_path, "s.json", scalar_z12())
         (tmp_path / "st.json").write_text('{"state": [[1.0, 0.0]]}')
         monkeypatch.setattr(
             CovariantPOVM, "singleton_expectations", lambda self, state: np.zeros(4)
@@ -312,7 +304,7 @@ class TestBoundary:
     )
     def test_cli_exits_3(self, tmp_path, capsys, monkeypatch, args, shown):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "s.json").write_text(Z12_SCENARIO)
+        write(tmp_path, "s.json", scalar_z12())
         (tmp_path / "st.json").write_text('{"state": [[1.0, 0.0]]}')
         (tmp_path / "p.json").write_text('{"partition": [[0], [1], [2], [2, 3]]}')
         assert main(["sample", "s.json", "--state", "st.json", *args]) == 3
@@ -348,7 +340,7 @@ class TestCosetListEntries:
             povm.ctx.indicator([0, bad])
         assert indicator_message in str(info.value)
 
-        (tmp_path / "s.json").write_text(Z12_SCENARIO)
+        write(tmp_path, "s.json", scalar_z12())
         (tmp_path / "st.json").write_text('{"state": [[1.0, 0.0]]}')
         (tmp_path / "p.json").write_text(json.dumps({"partition": partition}))
         argv = ["sample", str(tmp_path / "s.json"), "--state", str(tmp_path / "st.json")]

@@ -8,26 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covpovm import position_povm_zn
 from covpovm import iojson
 from covpovm.cli import main
-
-
-def write(tmp_path, name, obj):
-    path = tmp_path / name
-    path.write_text(json.dumps(obj))
-    return str(path)
-
-
-def scalar_scenario():
-    return {
-        "spec_version": 1,
-        "group": {"factors": [12]},
-        "subgroup": {"generators": [[4]]},
-        "e_dim": 1,
-        "sectors": [{"f_dim": 1, "support": [[[0], 1.0]]}],
-        "fields": [{"sector": 0, "matrices": [[[0], [[[1.0, 0.0]]]]]}],
-    }
+from scenarios import position, scalar_z12, scenario_json, write
 
 
 class TestGroupCommand:
@@ -97,7 +80,7 @@ class TestGroupCommand:
 
 class TestBuildCommand:
     def test_scalar_build(self, tmp_path, capsys):
-        scen = write(tmp_path, "s.json", scalar_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         assert main(["build", scen]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["dimension"] == 1
@@ -105,7 +88,7 @@ class TestBuildCommand:
         assert out["sectors"][0]["densities"] == [[[0], 4.0]]
 
     def test_corrupted_isometry_exits_4(self, tmp_path, capsys):
-        bad = scalar_scenario()
+        bad = scalar_z12()
         bad["fields"][0]["matrices"][0][1] = [[[1.001, 0.0]]]
         scen = write(tmp_path, "s.json", bad)
         assert main(["build", scen]) == 4
@@ -122,7 +105,7 @@ class TestBuildCommand:
         assert main(["build", "/nonexistent/file.json"]) == 2
 
     def test_semantic_error_exits_3(self, tmp_path):
-        bad = scalar_scenario()
+        bad = scalar_z12()
         del bad["spec_version"]
         scen = write(tmp_path, "s.json", bad)
         assert main(["build", scen]) == 3
@@ -130,7 +113,7 @@ class TestBuildCommand:
 
 class TestVerifyCommand:
     def test_pass_and_report(self, tmp_path, capsys):
-        scen = write(tmp_path, "s.json", scalar_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         assert main(["verify", scen]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["pass"] is True
@@ -139,7 +122,7 @@ class TestVerifyCommand:
         assert all(c["max_deviation"] < 1e-9 for c in out["checks"])
 
     def test_constant_omega_dump_is_identity(self, tmp_path, capsys):
-        scen = write(tmp_path, "s.json", scalar_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         omega = write(tmp_path, "omega.json", {"values": [[1.0, 0.0]] * 4})
         dump = tmp_path / "dump"
         assert main(
@@ -165,7 +148,7 @@ class TestVerifyCommand:
             raise AssertionError("the checks ran before the dump directory was made")
 
         monkeypatch.setattr(cli_module, "dilation_sweep", no_sweep)
-        scen = write(tmp_path, "s.json", scalar_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         taken = tmp_path / "taken"
         taken.write_text("")
         dump = taken if where == "file" else taken / "dump"
@@ -181,7 +164,7 @@ class TestVerifyCommand:
             raise AssertionError("the checks ran before the dump files were written")
 
         monkeypatch.setattr(cli_module, "dilation_sweep", no_sweep)
-        scen = write(tmp_path, "s.json", scalar_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         dump = tmp_path / "dump"
         (dump / "m_omega.json").mkdir(parents=True)
         assert main(["verify", scen, "--dump-matrices", str(dump)]) == 2
@@ -197,7 +180,7 @@ class TestVerifyCommand:
             raise MemoryError("Unable to allocate 16.0 GiB for an array")
 
         monkeypatch.setattr(cli_module, "verify_covariance", too_large)
-        scen = write(tmp_path, "s.json", scalar_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         assert main(["verify", scen]) == cli_module.EXIT_TOO_LARGE == 5
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -207,7 +190,7 @@ class TestVerifyCommand:
         assert "16.0 GiB" in lines[0]
 
     def test_tolerance_flag(self, tmp_path, capsys):
-        scen = write(tmp_path, "s.json", scalar_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         assert main(["verify", scen, "--tolerance", "1e-3"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["tolerance"] == 1e-3
@@ -216,13 +199,7 @@ class TestVerifyCommand:
         # the Z_64 position surrogate, seeded like the CI step: its isometries
         # are unit to rounding only, so a build at tolerance 0 would exit 4;
         # verify builds at the default and fails every check that is inexact
-        rng = np.random.default_rng(64)
-        raw = rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2))
-        povm = position_povm_zn(64, [v / np.linalg.norm(v) for v in raw])
-        scenario = iojson.Scenario(
-            povm.rep.group, povm.ctx.subgroup, povm.rep, povm.e_dim, povm.fields
-        )
-        scen = write(tmp_path, "s.json", iojson.scenario_to_json(scenario))
+        scen = write(tmp_path, "s.json", scenario_json(position(64, 64)))
         assert main(["build", scen, "--tolerance", "0"]) == 4
         capsys.readouterr()
         assert main(["verify", scen, "--tolerance", "0"]) == 1
@@ -236,7 +213,7 @@ class TestVerifyCommand:
 
     def test_tolerance_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("COVPOVM_TOLERANCE", "1e-6")
-        scen = write(tmp_path, "s.json", scalar_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         assert main(["verify", scen]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["tolerance"] == 1e-6
@@ -249,7 +226,7 @@ class TestToleranceMustBeFinite:
 
     @staticmethod
     def stretched_scenario(tmp_path):
-        bad = scalar_scenario()
+        bad = scalar_z12()
         bad["fields"][0]["matrices"][0][1] = [[[5.0, 0.0]]]
         return write(tmp_path, "s.json", bad)
 
@@ -268,21 +245,28 @@ class TestToleranceMustBeFinite:
         assert main(["verify", self.stretched_scenario(tmp_path)]) == 3
         assert "COVPOVM_TOLERANCE must be finite and >= 0" in capsys.readouterr().err
 
+    def test_environment_not_a_number_names_the_variable(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COVPOVM_TOLERANCE", "abc")
+        assert main(["build", write(tmp_path, "s.json", scalar_z12())]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid input: COVPOVM_TOLERANCE must be a number, got 'abc'\n"
+
     def test_zero_is_accepted(self, tmp_path, capsys):
-        scen = write(tmp_path, "s.json", scalar_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         assert main(["build", scen, "--tolerance", "0"]) == 0
 
 
 class TestMatrixCommand:
     def test_default_omega_is_identity(self, tmp_path, capsys):
-        scen = write(tmp_path, "s.json", scalar_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         assert main(["matrix", scen]) == 0
         out = json.loads(capsys.readouterr().out)
         m = iojson.matrix_from_json(out)
         np.testing.assert_allclose(m, np.eye(1), atol=1e-12)
 
     def test_roundtrip(self, tmp_path, capsys):
-        scen = write(tmp_path, "s.json", scalar_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         omega = write(tmp_path, "o.json", {"values": [[1, 0], [2, 0], [3, 0], [4, 0]]})
         assert main(["matrix", scen, "--omega", omega]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -293,7 +277,7 @@ class TestMatrixCommand:
 
 class TestSampleCommand:
     def test_zero_draws_header_only(self, tmp_path, capsys):
-        scen = write(tmp_path, "s.json", scalar_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         state = write(tmp_path, "st.json", {"state": [[1.0, 0.0]]})
         assert main(["sample", scen, "--state", state, "-n", "0", "--seed", "1"]) == 0
         lines = capsys.readouterr().out
@@ -301,7 +285,7 @@ class TestSampleCommand:
         assert all(line.endswith(",0") for line in lines.splitlines()[1:])
 
     def test_fixed_seed_byte_identical(self, tmp_path, capsys):
-        scen = write(tmp_path, "s.json", scalar_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         state = write(tmp_path, "st.json", {"state": [[1.0, 0.0]]})
         argv = ["sample", scen, "--state", state, "-n", "1000", "--seed", "77"]
         assert main(argv) == 0
@@ -311,7 +295,7 @@ class TestSampleCommand:
         assert first == second
 
     def test_counts_within_five_sigma(self, tmp_path, capsys):
-        scen = write(tmp_path, "s.json", scalar_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         state = write(tmp_path, "st.json", {"state": [[1.0, 0.0]]})
         n = 10_000
         assert main(
@@ -325,12 +309,12 @@ class TestSampleCommand:
             assert abs(c - n / 4) < 5 * sigma
 
     def test_bad_state_exits_3(self, tmp_path):
-        scen = write(tmp_path, "s.json", scalar_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         state = write(tmp_path, "st.json", {"state": [[0.5, 0.0]]})
         assert main(["sample", scen, "--state", state, "-n", "10", "--seed", "1"]) == 3
 
     def test_custom_partition(self, tmp_path, capsys):
-        scen = write(tmp_path, "s.json", scalar_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         state = write(tmp_path, "st.json", {"state": [[1.0, 0.0]]})
         part = write(tmp_path, "p.json", {"partition": [[0, 1], [2, 3]]})
         assert main(
@@ -367,7 +351,7 @@ class TestOutputCannotBeWritten:
     )
     @pytest.mark.parametrize("command", ["matrix", "sample"])
     def test_exits_2_naming_the_write(self, tmp_path, capsys, monkeypatch, command, error):
-        scen = write(tmp_path, "s.json", scalar_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         argv = [command, scen]
         if command == "sample":
             state = write(tmp_path, "st.json", {"state": [[1.0, 0.0]]})
@@ -384,13 +368,13 @@ class TestOutputCannotBeWritten:
             def flush(self):
                 raise self.error
 
-        scen = write(tmp_path, "s.json", scalar_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         monkeypatch.setattr("sys.stdout", FailingFlush(OSError(errno.ENOSPC, "No space left")))
         assert main(["build", scen]) == 2
         assert capsys.readouterr().err.startswith("cannot write output: [Errno 28]")
 
     def test_rejected_build_says_so_before_the_write_fails(self, tmp_path, capsys, monkeypatch):
-        bad = scalar_scenario()
+        bad = scalar_z12()
         bad["sectors"][0]["support"][0][1] = 1e308  # overflows its density
         scen = write(tmp_path, "bad.json", bad)
         assert main(["build", scen]) == 4
@@ -407,7 +391,7 @@ class TestOutputCannotBeWritten:
     def test_full_device_exits_2_in_a_fresh_interpreter(self, tmp_path, command):
         """With stdout buffered and on /dev/full, the output left in the
         buffer must not fail again at interpreter exit (which exits 120)."""
-        scenario = scalar_scenario()
+        scenario = scalar_z12()
         if command == "build-rejected":
             scenario["sectors"][0]["support"][0][1] = 1e308  # overflows its density
         argv = [command.split("-")[0], write(tmp_path, "s.json", scenario)]
@@ -434,7 +418,7 @@ class TestOutputCannotBeWritten:
 
 class TestJsonRoundTrips:
     def test_scenario(self):
-        scenario = iojson.scenario_from_json(scalar_scenario())
+        scenario = iojson.scenario_from_json(scalar_z12())
         again = iojson.scenario_from_json(iojson.scenario_to_json(scenario))
         assert again.group == scenario.group
         assert again.e_dim == scenario.e_dim
@@ -491,14 +475,14 @@ class TestNonIntegralScenarioInput:
         ],
     )
     def test_build_exits_3_naming_the_value(self, tmp_path, capsys, path, value):
-        scen = write(tmp_path, "s.json", _with(scalar_scenario(), path, value))
+        scen = write(tmp_path, "s.json", _with(scalar_z12(), path, value))
         assert main(["build", scen]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be an integer" in captured.err and str(value) in captured.err
 
     def test_sample_partition_exits_3_naming_the_value(self, tmp_path, capsys):
-        scen = write(tmp_path, "s.json", scalar_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         state = write(tmp_path, "st.json", {"state": [[1.0, 0.0]]})
         part = write(tmp_path, "p.json", {"partition": [[0.9, 1], [2, 3.5]]})
         argv = ["sample", scen, "--state", state, "--partition", part]

@@ -13,16 +13,14 @@ from covpovm import (
     Subgroup,
     annihilator,
     pairing,
-    pairing_is_one,
     quotient,
-    quotient_pairing,
     subgroup_from_generators,
     trivial_subgroup,
 )
 from covpovm import groups as groups_module
 from covpovm.groups import _isin, _triangular_generators as triangular, _unique
 from covpovm.harmonic import QuotientContext
-from helpers import brute_closure, brute_cosets
+from helpers import brute_closure, brute_cosets, pairing_is_one
 
 Z12 = FiniteAbelianGroup((12,))
 Z2Z2 = FiniteAbelianGroup((2, 2))
@@ -44,7 +42,7 @@ def subgroup_zoo():
 
 class TestPairing:
     def test_trivial_character(self):
-        x = Z12.trivial_character
+        x = Z12.character([0])
         for g in Z12.elements():
             assert pairing(x, g) == 1
 
@@ -190,29 +188,32 @@ class TestQuotient:
 
 
 class TestQuotientPairing:
+    """A character of the annihilator pairs with a coset through any of its
+    members, the representative included; another character does not."""
+
     def setup_method(self):
         self.h = subgroup_from_generators(Z12, [Z12.element([4])])
         self.q = quotient(Z12, self.h)
 
     def test_trivial_character(self):
-        for i in range(len(self.q)):
-            assert quotient_pairing(self.q, Z12.trivial_character, i) == 1
+        for rep in self.q.representatives:
+            assert pairing(Z12.character([0]), rep) == 1
 
     def test_value_and_representative_independence(self):
         y = Z12.character([3])
         coset = self.q.index_of(Z12.element([1]))
-        assert quotient_pairing(self.q, y, coset) == pytest.approx(1j)
+        assert pairing(y, self.q.representatives[coset]) == pytest.approx(1j)
         # same value from every member of the coset {1, 5, 9}
         for g in (Z12.element([1]), Z12.element([5]), Z12.element([9])):
             assert pairing(y, g) == pytest.approx(1j)
 
     def test_value_six_two(self):
         coset = self.q.index_of(Z12.element([2]))
-        assert quotient_pairing(self.q, Z12.character([6]), coset) == pytest.approx(1.0)
+        assert pairing(Z12.character([6]), self.q.representatives[coset]) == pytest.approx(1.0)
 
     def test_character_outside_annihilator(self):
-        with pytest.raises(ValueError):
-            quotient_pairing(self.q, Z12.character([1]), 0)
+        # its values on the coset H = {0, 4, 8} differ
+        assert len({pairing(Z12.character([1]), h) for h in self.h.elements}) == 3
 
 
 class TestIntegerBoundary:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from covpovm import (
     DiagonalSpace,
+    DualCharacter,
     FiniteAbelianGroup,
     InducedSpace,
     QuotientContext,
@@ -23,7 +24,7 @@ from covpovm import (
     transported_multiplication_matrix,
 )
 from covpovm.induction import _materialize
-from helpers import brute_shift_index, brute_shift_table, loop_diagonalizer_adjoint_apply
+from helpers import brute_shift_index, brute_shift_table, loop_diagonalizer_adjoint_apply, value_at
 
 Z12 = FiniteAbelianGroup((12,))
 
@@ -159,7 +160,7 @@ class TestDiagonalizer:
                 s = int(dspace._fiber_position[p])
                 for i, rep in enumerate(ctx.quotient.representatives):
                     g = rep + shifts[i]
-                    out[p] += pairing(x, g) * space.value_at(f, g, s)
+                    out[p] += pairing(x, g) * value_at(space, f, g, s)
             np.testing.assert_allclose(out, expected, atol=1e-9)
 
     def test_adjoint_roundtrip(self):
@@ -187,11 +188,11 @@ class TestDiagonalizer:
         ctx = space.ctx
         phi = space.diagonal_space.random(rng)
         f = diagonalizer_adjoint_apply(space, phi)
-        for s, x in enumerate(space.support_characters):
+        for s, x in enumerate(ctx.group.points(DualCharacter, space.support_character_indices)):
             for i, rep in enumerate(ctx.quotient.representatives):
                 for h in ctx.subgroup.elements:
                     expected = pairing(x, h).conjugate() * f[i, s, :]
-                    actual = space.value_at(f, rep + h, s)
+                    actual = value_at(space, f, rep + h, s)
                     np.testing.assert_allclose(actual, expected, atol=1e-12)
 
     def test_adjoint_norm(self):

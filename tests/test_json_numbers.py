@@ -1,7 +1,6 @@
 """JSON values that are not numbers (bools, strings, null) are rejected
 where a real number is read, and the default tolerance has one definition."""
 
-import json
 import math
 
 import numpy as np
@@ -12,57 +11,27 @@ from hypothesis import strategies as st
 from covpovm import FiniteAbelianGroup, iojson, observables, povm
 from covpovm.cli import _tolerance, build_parser, main
 from covpovm.groups import _as_real
+from scenarios import scalar, scalar_z12, write
 
 NOT_NUMBERS = [True, False, "1.0", None]
 
 
-def write(tmp_path, name, obj):
-    path = tmp_path / name
-    path.write_text(json.dumps(obj))
-    return str(path)
-
-
-def z12_scenario():
-    return {
-        "spec_version": 1,
-        "group": {"factors": [12]},
-        "subgroup": {"generators": [[4]]},
-        "e_dim": 1,
-        "sectors": [{"f_dim": 1, "support": [[[0], 1.0]]}],
-        "fields": [{"sector": 0, "matrices": [[[0], [[[1.0, 0.0]]]]]}],
-    }
-
-
 def z4_scenario():
-    return {
-        "spec_version": 1,
-        "group": {"factors": [4]},
-        "subgroup": {"generators": []},
-        "e_dim": 1,
-        "sectors": [{"f_dim": 1, "support": [[[1], 1.0]]}],
-        "fields": [{"sector": 0, "matrices": [[[1], [[[1.0, 0.0]]]]]}],
-    }
+    return scalar([4], [], [([1], 1.0)], [([1], [1.0, 0.0])])
 
 
 def z4x4_scenario():
-    return {
-        "spec_version": 1,
-        "group": {"factors": [4, 4]},
-        "subgroup": {"generators": []},
-        "e_dim": 1,
-        "sectors": [{"f_dim": 1, "support": [[[1, 0], 1.0]]}],
-        "fields": [{"sector": 0, "matrices": [[[1, 0], [[[1.0, 0.0]]]]]}],
-    }
+    return scalar([4, 4], [], [([1, 0], 1.0)], [([1, 0], [1.0, 0.0])])
 
 
 def with_weight(value):
-    scen = z12_scenario()
+    scen = scalar_z12()
     scen["sectors"][0]["support"][0][1] = value
     return scen
 
 
 def with_entry(pair):
-    scen = z12_scenario()
+    scen = scalar_z12()
     scen["fields"][0]["matrices"][0][1] = [[pair]]
     return scen
 
@@ -161,13 +130,13 @@ class TestCliExits3:
         assert f"point [1] is listed twice (sector 0, point {listed})" in captured.err
 
     def test_verify_omega(self, tmp_path, capsys):
-        scen = write(tmp_path, "s.json", z12_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         omega = write(tmp_path, "o.json", {"values": [[1.0, 0.0]] * 3 + [["1", 0.0]]})
         assert main(["verify", scen, "--omega", omega]) == 3
         assert "real part must be a real number, got '1'" in capsys.readouterr().err
 
     def test_sample_state(self, tmp_path, capsys):
-        scen = write(tmp_path, "s.json", z12_scenario())
+        scen = write(tmp_path, "s.json", scalar_z12())
         state = write(tmp_path, "st.json", {"state": [[True, 0.0]]})
         assert main(["sample", scen, "--state", state, "-n", "10", "--seed", "1"]) == 3
         assert "real part must be a real number, got True" in capsys.readouterr().err

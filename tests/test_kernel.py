@@ -11,10 +11,11 @@ from covpovm import (
     FiniteAbelianGroup,
     apply_via_intertwiner,
     build_covariant_povm,
-    pairing_is_one,
     subgroup_from_generators,
 )
-from helpers import build_rep, dense_kernel, point_density, random_povms, sector_slices
+from helpers import (
+    build_rep, dense_kernel, pairing_is_one, point_density, random_povms, sector_slices
+)
 
 
 @st.composite

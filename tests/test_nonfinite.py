@@ -25,6 +25,7 @@ from covpovm import (
 from covpovm.cli import _oracle_report, main
 from covpovm.iojson import quotient_function_from_json, scenario_from_json
 from helpers import dilation, row_by_row, scalar_z12_povm, standard_instances
+from scenarios import overflow_z8, position, scalar, scalar_z12, scenario_json, write
 
 
 def nan_field_povm():
@@ -54,49 +55,26 @@ class TestRejectedAtTheBoundary:
             WeightedMeasure(DOMAIN_DUAL, {0: 1.0, 1: bad})
 
     def test_cli_nan_isometry_exits_4(self, tmp_path, capsys):
-        scenario = {
-            "spec_version": 1,
-            "group": {"factors": [12]},
-            "subgroup": {"generators": [[4]]},
-            "e_dim": 1,
-            "sectors": [{"f_dim": 1, "support": [[[0], 1.0]]}],
-            "fields": [{"sector": 0, "matrices": [[[0], [[[math.nan, 0.0]]]]]}],
-        }
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(scenario))
-        assert main(["verify", str(path)]) == 4
+        scenario = scalar([12], [[4]], [([0], 1.0)], [([0], [math.nan, 0.0])])
+        assert main(["verify", write(tmp_path, "s.json", scenario)]) == 4
         rejected = json.loads(capsys.readouterr().out)["rejected"]
         assert rejected["sector"] == 0
         assert rejected["point"] == [0]
 
 
-# Z_8 with H = <4>: the lifted class weight is 1/4, so the finite weight
-# 1e308 at point 0 has an infinite density
-OVERFLOW_SCENARIO = {
-    "spec_version": 1,
-    "group": {"factors": [8]},
-    "subgroup": {"generators": [[4]]},
-    "e_dim": 1,
-    "sectors": [{"f_dim": 1, "support": [[[0], 1e308]] + [[[x], 1.0] for x in range(1, 5)]}],
-    "fields": [{"sector": 0, "matrices": [[[x], [[[1.0, 0.0]]]] for x in range(5)]}],
-}
-
-
 class TestOverflowingDensity:
     def test_build_names_sector_and_point(self):
         with pytest.raises(PovmBuildError, match="density") as exc:
-            scenario_from_json(OVERFLOW_SCENARIO).build()
+            scenario_from_json(overflow_z8()).build()
         assert exc.value.details["sector"] == 0
         assert exc.value.details["point"] == [0]
 
     @pytest.mark.parametrize("command", ["build", "matrix", "verify", "sample"])
     def test_cli_exits_4(self, tmp_path, capsys, command):
-        paths = {"scenario": tmp_path / "s.json", "state": tmp_path / "state.json"}
-        paths["scenario"].write_text(json.dumps(OVERFLOW_SCENARIO))
-        paths["state"].write_text(json.dumps({"state": [[1.0, 0.0]] + [[0.0, 0.0]] * 4}))
-        argv = [command, str(paths["scenario"])]
+        argv = [command, write(tmp_path, "s.json", overflow_z8())]
         if command == "sample":
-            argv += ["--state", str(paths["state"]), "-n", "10", "--seed", "1"]
+            state = write(tmp_path, "state.json", {"state": [[1.0, 0.0]] + [[0.0, 0.0]] * 4})
+            argv += ["--state", state, "-n", "10", "--seed", "1"]
         assert main(argv) == 4
         out = capsys.readouterr().out
         rejected = json.loads(out)["rejected"]
@@ -174,23 +152,12 @@ class TestNonFiniteStatesAndOmegas:
             quotient_function_from_json({"values": [[math.nan, 0.0], [1.0, 0.0]]})
 
     def cli_files(self, tmp_path):
-        scenario = {
-            "spec_version": 1,
-            "group": {"factors": [12]},
-            "subgroup": {"generators": [[4]]},
-            "e_dim": 1,
-            "sectors": [{"f_dim": 1, "support": [[[0], 1.0]]}],
-            "fields": [{"sector": 0, "matrices": [[[0], [[[1.0, 0.0]]]]]}],
+        omega = {"values": [[math.nan, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+        return {
+            "scenario": write(tmp_path, "scenario.json", scalar_z12()),
+            "state": write(tmp_path, "state.json", {"state": [[math.nan, 0.0]]}),
+            "omega": write(tmp_path, "omega.json", omega),
         }
-        paths = {}
-        for name, obj in (
-            ("scenario", scenario),
-            ("state", {"state": [[math.nan, 0.0]]}),
-            ("omega", {"values": [[math.nan, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}),
-        ):
-            paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(json.dumps(obj))
-        return {k: str(v) for k, v in paths.items()}
 
     def test_cli_sample_nan_state_exits_3(self, tmp_path, capsys):
         p = self.cli_files(tmp_path)
@@ -211,16 +178,8 @@ class TestNonFiniteStatesAndOmegas:
     def test_cli_overflowing_omega_exits_3(self, tmp_path, capsys, command):
         # the Z_8 position surrogate with eight finite values of 1e308: the
         # cotransform overflows, so no NaN reaches the output
-        from covpovm import iojson, position_povm_zn
-
-        rng = np.random.default_rng(8)
-        raw = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
-        povm = position_povm_zn(8, [v / np.linalg.norm(v) for v in raw])
-        scenario = iojson.Scenario(
-            povm.rep.group, povm.ctx.subgroup, povm.rep, povm.e_dim, povm.fields
-        )
         scen, omega = tmp_path / "s.json", tmp_path / "omega.json"
-        scen.write_text(json.dumps(iojson.scenario_to_json(scenario)))
+        scen.write_text(json.dumps(scenario_json(position(8, 8))))
         omega.write_text(json.dumps({"values": [[1e308, 0.0]] * 8}))
         assert main([command, str(scen), "--omega", str(omega)]) == 3
         captured = capsys.readouterr()

@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 import covpovm.povm as povm_module
 from covpovm import (
     CovariantPOVM,
-    iojson,
-    position_povm_zn,
     transported_multiplication_matrix,
     verify_axioms,
 )
 from covpovm.cli import main
-from helpers import fibered_instance, random_isometry, random_povms, standard_instances
+from helpers import fibered_instance, random_povms, standard_instances
+from scenarios import position_qr, scenario_json, write
 
 
 @st.composite
@@ -99,9 +98,7 @@ class TestBadStacks:
 class TestAxiomBlocks:
     @pytest.mark.parametrize("per_block", [1, 2, 3, 7])
     def test_same_deviations_as_one_block(self, monkeypatch, per_block):
-        rng = np.random.default_rng(16)
-        z16 = position_povm_zn(16, [random_isometry(rng, 2, 1)[:, 0] for _ in range(16)])
-        povms = [povm for _, povm in standard_instances()] + [fibered_instance(), z16]
+        povms = [povm for _, povm in standard_instances()] + [fibered_instance(), position_qr(16, 16)]
         monkeypatch.setattr(povm_module, "_BLOCK_ENTRIES", 1 << 40)
         whole = [verify_axioms(povm).as_dict() for povm in povms]
         blocked = []
@@ -113,13 +110,8 @@ class TestAxiomBlocks:
 
 class TestCallCounts:
     def test_verify_makes_at_most_three_apply_calls(self, tmp_path, monkeypatch, capsys):
-        rng = np.random.default_rng(16)
-        povm = position_povm_zn(16, [random_isometry(rng, 2, 1)[:, 0] for _ in range(16)])
-        scenario = iojson.Scenario(
-            povm.rep.group, povm.ctx.subgroup, povm.rep, povm.e_dim, povm.fields
-        )
-        path = tmp_path / "z16.json"
-        path.write_text(json.dumps(iojson.scenario_to_json(scenario)), encoding="utf-8")
+        povm = position_qr(16, 16)
+        path = write(tmp_path, "z16.json", scenario_json(povm))
         calls = []
         original = CovariantPOVM.apply
 
@@ -128,6 +120,6 @@ class TestCallCounts:
             return original(self, omega)
 
         monkeypatch.setattr(CovariantPOVM, "apply", counted)
-        assert main(["verify", str(path)]) == 0
+        assert main(["verify", path]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
         assert len(calls) <= 3, calls

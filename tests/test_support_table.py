@@ -32,6 +32,7 @@ from helpers import (
     random_isometry,
     scalar_z12_povm,
 )
+from scenarios import scalar, write
 
 Z12 = FiniteAbelianGroup((12,))
 
@@ -154,18 +155,8 @@ def test_field_matrix_outside_support_rejected():
 
 
 def test_cli_build_field_matrix_outside_support_exits_4(tmp_path, capsys):
-    one = [[[1.0, 0.0]]]
-    scenario = {
-        "spec_version": 1,
-        "group": {"factors": [12]},
-        "subgroup": {"generators": [[4]]},
-        "e_dim": 1,
-        "sectors": [{"f_dim": 1, "support": [[[0], 1.0]]}],
-        "fields": [{"sector": 0, "matrices": [[[0], one], [[5], [[[7.0, 0.0]]]]]}],
-    }
-    path = tmp_path / "s.json"
-    path.write_text(json.dumps(scenario))
-    assert main(["build", str(path)]) == 4
+    scenario = scalar([12], [[4]], [([0], 1.0)], [([0], [1.0, 0.0]), ([5], [7.0, 0.0])])
+    assert main(["build", write(tmp_path, "s.json", scenario)]) == 4
     rejected = json.loads(capsys.readouterr().out)["rejected"]
     assert rejected["sector"] == 0
     assert rejected["point"] == [5]

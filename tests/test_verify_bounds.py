@@ -18,7 +18,6 @@ from covpovm import (
     dilation_sweep,
     intertwiner_compressions,
     pairing,
-    position_povm_zn,
     subgroup_from_generators,
     transported_multiplication_matrix,
     verify_axioms,
@@ -35,6 +34,7 @@ from helpers import (
     scalar_z12_povm,
     standard_instances,
 )
+from scenarios import position_qr
 
 
 class Wrapped:
@@ -108,8 +108,7 @@ class TestReportedBoundsHoldExhaustively:
 
     def test_one_perturbed_entry_is_seen_by_both(self):
         # one entry of one singleton effect of the Z_16 position surrogate
-        rng = np.random.default_rng(16)
-        povm = position_povm_zn(16, [random_isometry(rng, 2, 1)[:, 0] for _ in range(16)])
+        povm = position_qr(16, 16)
         bump = np.zeros((16, 16), dtype=complex)
         bump[3, 5] = 1e-4
         wrapped = Wrapped(povm, {15: bump})

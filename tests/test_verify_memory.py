@@ -9,9 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from covpovm import iojson, position_povm_zn
+from scenarios import position, scenario_json, write
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PROBE = (
@@ -28,14 +26,9 @@ LIMIT_MB = 150
 
 
 def test_z256_position_verify_peak(tmp_path):
-    rng = np.random.default_rng(256)
-    raw = rng.standard_normal((256, 2)) + 1j * rng.standard_normal((256, 2))
-    povm = position_povm_zn(256, [v / np.linalg.norm(v) for v in raw])
-    scenario = iojson.Scenario(povm.rep.group, povm.ctx.subgroup, povm.rep, povm.e_dim, povm.fields)
-    path = tmp_path / "z256-position.json"
-    path.write_text(json.dumps(iojson.scenario_to_json(scenario)), encoding="utf-8")
+    path = write(tmp_path, "z256-position.json", scenario_json(position(256, 256)))
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, str(path)],
+        [sys.executable, "-c", PROBE, path],
         capture_output=True,
         text=True,
         timeout=300,

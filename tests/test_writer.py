@@ -18,6 +18,7 @@ from covpovm import FiniteAbelianGroup, iojson, subgroup_from_generators
 from covpovm.cli import main
 
 from helpers import build_rep, fibered_instance
+from scenarios import scalar_z12, scenario_json, spec_json, write
 
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, -1e16, 1e-7, math.nan, math.inf, -math.inf]
 AWKWARD_TEXT = ['"', ",", "[", "]", "],[", "[]", "{}", "\n", "é", "π ∑", "\x00", '"],["']
@@ -357,32 +358,17 @@ class TestDump:
 # --- CLI byte identity -------------------------------------------------------
 
 
-def write(tmp_path, name, obj):
-    path = tmp_path / name
-    path.write_text(json.dumps(obj))
-    return str(path)
-
-
 def z12_files():
     """README's scalar Z_12 scenario (H = <4>) and its group spec."""
-    scenario = {
-        "spec_version": 1,
-        "group": {"factors": [12]},
-        "subgroup": {"generators": [[4]]},
-        "e_dim": 1,
-        "sectors": [{"f_dim": 1, "support": [[[0], 1.0]]}],
-        "fields": [{"sector": 0, "matrices": [[[0], [[[1.0, 0.0]]]]]}],
-    }
-    return scenario, {"group": scenario["group"], "subgroup": scenario["subgroup"]}
+    scenario = scalar_z12()
+    return scenario, spec_json(scenario)
 
 
 def fibered_files():
     """helpers.fibered_instance (Z_4 x Z_4, H = <(0, 2)>) as a scenario file."""
     povm = fibered_instance()
-    scenario = iojson.scenario_to_json(
-        iojson.Scenario(povm.rep.group, povm.ctx.subgroup, povm.rep, povm.e_dim, povm.fields)
-    )
-    return scenario, {"group": scenario["group"], "subgroup": scenario["subgroup"]}
+    scenario = scenario_json(povm)
+    return scenario, spec_json(scenario)
 
 
 def z8sq_fibered_files():
@@ -397,7 +383,7 @@ def z8sq_fibered_files():
     rep, fields = build_rep(group, sector_data, rng, e_dim=2)
     subgroup = subgroup_from_generators(group, [group.element([0, 2])])
     scenario = iojson.scenario_to_json(iojson.Scenario(group, subgroup, rep, 2, fields))
-    return scenario, {"group": scenario["group"], "subgroup": scenario["subgroup"]}
+    return scenario, spec_json(scenario)
 
 
 def rejected(scenario):
