@@ -6,9 +6,11 @@ output (JSON, CSV) goes to stdout, human messages to stderr. Exit codes:
 output that cannot be written to stdout (a closed pipe, a full disk), or a
 `verify --dump-matrices` directory or file that cannot be written (the
 dump is written before the checks run, so nothing goes to stdout), 3
-semantic error in the input, 4 build rejection, 5 out of memory (the
-problem is too large for the machine; it is never read as a failed
-verification).
+semantic error in the input (a file whose JSON shape is wrong, such as a
+`subgroup` that is not an object or an integer beyond int64, is one: it
+exits 3 with `invalid input: ...`, never 1), 4 build rejection, 5 out of
+memory (the problem is too large for the machine; it is never read as a
+failed verification).
 
 The default verification tolerance is 1e-9; the COVPOVM_TOLERANCE
 environment variable overrides it and the --tolerance flag overrides both.

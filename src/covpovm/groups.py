@@ -478,5 +478,6 @@ def quotient(group: FiniteAbelianGroup, subgroup: Subgroup) -> QuotientGroup:
     sums = np.ravel_multi_index([x[..., None] + y for x, y in zip(axes, h)], group.factors, "wrap")
     projection = np.empty(group.order, dtype=np.int64)
     projection[sums] = np.arange(box.prod()).reshape(*box, 1)
-    return QuotientGroup(subgroup, np.ravel_multi_index(axes, group.factors).ravel(), projection)
+    # the box plus H's first element, the identity, is the box: the representatives
+    return QuotientGroup(subgroup, sums[..., 0].ravel(), projection)
 

@@ -30,6 +30,7 @@ from .povm import (
     FieldTable,
     IsometryField,
     VerificationReport,
+    _multiplicities,
     build_covariant_povm,
 )
 
@@ -97,6 +98,8 @@ def subgroup_to_json(subgroup: Subgroup) -> dict:
 
 
 def subgroup_from_json(group: FiniteAbelianGroup, obj) -> Subgroup:
+    if not isinstance(obj, dict):
+        raise ValueError(f"subgroup spec must be an object, got {type(obj).__name__}")
     gens = obj.get("generators", [])
     return subgroup_from_generators(group, [group.element(c) for c in gens])
 
@@ -153,6 +156,8 @@ def scenario_from_json(obj) -> Scenario:
     """Read a scenario into arrays, checking each list in bulk (README lists
     the checks); a failure raises ``ValueError`` naming the sector and the
     point. Whether the fields fit the sectors is checked by the build."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"scenario must be an object, got {type(obj).__name__}")
     version = obj.get("spec_version")
     if version != SPEC_VERSION:
         raise ValueError(
@@ -165,23 +170,24 @@ def scenario_from_json(obj) -> Scenario:
     f_dims = _checked(f_dims, {int}, partial(_as_int, what="f_dim"), lambda k: f" (sector {k})")
     sectors, coords, weights = _pairs([s["support"] for s in obj["sectors"]], "support entry")
     where = _locator(sectors, coords)
-    indices = _indices(group, coords, sectors, where)
+    indices, order = _indices(group, coords, sectors, where)
     weights = _checked(weights, {int, float}, partial(_as_real, what="support weight"), where)
     weights = np.array(weights, dtype=float)
     for bad, what in ((~np.isfinite(weights), "non-finite"), (weights < 0.0, "negative")):
         if bad.any():
             raise ValueError(f"{what} weight {weights[bad][0]}{where(np.argmax(bad))}")
-    kept = weights > 0.0
-    rep = DiagonalRep.of_arrays(group, sectors[kept], indices[kept], weights[kept], f_dims)
+    kept = order[weights[order] > 0.0]  # in basis order
+    f_dims = _multiplicities(_int64(f_dims, "f_dim", lambda k: f" (sector {k})"))
+    rep = DiagonalRep.of_sorted(group, sectors[kept], indices[kept], weights[kept], f_dims)
 
     declared = [f["sector"] for f in obj["fields"]]
     declared = _checked(
         declared, {int}, partial(_as_int, what="field sector"), lambda k: f" (field {k})"
     )
-    declared = np.array(declared, dtype=np.int64)
+    declared = _int64(declared, "field sector", lambda k: f" (field {k})")
     owners, coords, matrices = _pairs([f["matrices"] for f in obj["fields"]], "matrices entry")
     where = _locator(declared[owners], coords)
-    indices = _indices(group, coords, owners, where)
+    indices, _ = _indices(group, coords, owners, where)
     fields = FieldTable(group, declared, owners, indices, *_matrices(matrices, where))
     return Scenario(group, subgroup, rep, e_dim, fields)
 
@@ -215,10 +221,13 @@ def _pairs(lists: list, what: str) -> tuple[np.ndarray, list, list]:
     return owners, list(map(itemgetter(0), flat)), list(map(itemgetter(1), flat))
 
 
-def _indices(group: FiniteAbelianGroup, coords: list, owners: np.ndarray, where) -> np.ndarray:
+def _indices(
+    group: FiniteAbelianGroup, coords: list, owners: np.ndarray, where
+) -> tuple[np.ndarray, np.ndarray]:
     """Group index of each coordinate row (``rank`` integers, bools
-    rejected), reduced mod the factors; a point listed twice for one owner
-    raises ``ValueError``."""
+    rejected), reduced mod the factors, and the order that sorts the rows by
+    owner, then group index; a point listed twice for one owner raises
+    ``ValueError``."""
     if set(map(len, coords)) - {group.rank}:
         i = next(i for i, row in enumerate(coords) if len(row) != group.rank)
         message = f"coordinate tuple {tuple(coords[i])} does not match factors {group.factors}"
@@ -237,7 +246,17 @@ def _indices(group: FiniteAbelianGroup, coords: list, owners: np.ndarray, where)
     if len(repeated):
         i = repeated.min()
         raise ValueError(f"point {group.coords[indices[i]].tolist()} is listed twice{where(i)}")
-    return indices
+    return indices, order
+
+
+def _int64(values: list, what: str, where) -> np.ndarray:
+    """Integers as one int64 array; the first beyond int64 raises
+    ``ValueError`` naming it, with where(i) appended."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        i = next(i for i, v in enumerate(values) if not -(2**63) <= v < 2**63)
+        raise ValueError(f"{what} {values[i]} is outside [-2**63, 2**63){where(i)}") from None
 
 
 def _matrices(matrices: list, where) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +268,7 @@ def _matrices(matrices: list, where) -> tuple[np.ndarray, np.ndarray]:
     n_cols = np.array(list(map(len, rows)), dtype=np.int64)
     cols = np.where(n_rows > 0, np.append(n_cols, 0)[np.cumsum(n_rows) - n_rows], 0)
     matrix_of = np.repeat(np.arange(len(matrices)), n_rows)  # of each row
-    ragged = np.flatnonzero(n_cols != np.repeat(cols, n_rows))
+    ragged = np.flatnonzero(n_cols != cols[matrix_of])
     if len(ragged):
         raise ValueError(f"isometry matrix rows differ in length{where(matrix_of[ragged[0]])}")
     data = _complex_values(

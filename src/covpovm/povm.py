@@ -32,6 +32,8 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -99,19 +101,6 @@ class SupportTable:
     by_f_dim: tuple[np.ndarray, ...]
     sector_f_dims: np.ndarray
 
-    @classmethod
-    def of(cls, sectors, indices, weights, sector_f_dims) -> "SupportTable":
-        """The table of support points given in any order by sector, group
-        index and weight, with the multiplicity of each sector."""
-        order = np.lexsort((indices, sectors))
-        sectors = np.asarray(sectors, dtype=np.int64)[order]
-        sector_f_dims = np.asarray(sector_f_dims, dtype=np.int64)
-        f_dims = sector_f_dims[sectors]
-        rows = np.repeat(np.arange(len(order)), f_dims)
-        by_f_dim = tuple(np.flatnonzero(f_dims == f) for f in _unique(f_dims))
-        indices, weights = np.asarray(indices)[order], np.asarray(weights, dtype=float)[order]
-        return cls(indices, sectors, f_dims, weights, rows, by_f_dim, sector_f_dims)
-
     @cached_property
     def counts(self) -> np.ndarray:
         """Number of support points of each sector."""
@@ -132,6 +121,16 @@ class SupportTable:
         return self.row_starts[points][:, None] + np.arange(f_dim)
 
 
+def _multiplicities(f_dims) -> np.ndarray:
+    """The multiplicity of each sector as an int64 array; one that is not
+    >= 1 raises ``ValueError``."""
+    f_dims = np.asarray(f_dims, dtype=np.int64)
+    small = f_dims[f_dims < 1]
+    if len(small):
+        raise ValueError(f"multiplicity must be >= 1, got {small[0]}")
+    return f_dims
+
+
 class DiagonalRep:
     """Representation acting by character multiplication on an orthogonal sum
     of weighted character spaces.
@@ -140,9 +139,9 @@ class DiagonalRep:
     multiplicity coordinate (minor). The inner-product weight of a basis
     entry is the sector measure at its character. ``support_table`` is the
     internal form of the support: ``DiagonalRep(group, sectors)`` converts
-    the sector measures to it on first use, and :meth:`of_arrays` builds it
-    directly, leaving ``sectors`` and ``sector_points`` to be built from it
-    for callers that read them.
+    the sector measures to it on first use, and :meth:`of_arrays` and
+    :meth:`of_sorted` build it directly, leaving ``sectors`` and
+    ``sector_points`` to be built from it for callers that read them.
     """
 
     def __init__(self, group: FiniteAbelianGroup, sectors: Sequence[SectorSpec]):
@@ -152,15 +151,12 @@ class DiagonalRep:
     @classmethod
     def of_arrays(cls, group, sectors, indices, weights, sector_f_dims) -> "DiagonalRep":
         """The rep with support point ``indices[i]`` (a group index) in sector
-        ``sectors[i]`` at weight ``weights[i]`` > 0, each point once per
-        sector, and multiplicities ``sector_f_dims``, each >= 1. Arrays of
-        different lengths, an index outside [0, |G|), a sector outside
+        ``sectors[i]`` at weight ``weights[i]`` > 0, in any order, each
+        point once per sector, and multiplicities ``sector_f_dims``, each
+        >= 1. Arrays of different lengths, an index outside [0, |G|), a sector outside
         [0, len(sector_f_dims)) and a weight that is not finite and > 0
         raise :class:`PovmBuildError` naming the position and the value."""
-        sector_f_dims = np.asarray(sector_f_dims, dtype=np.int64)
-        small = sector_f_dims[sector_f_dims < 1]
-        if len(small):
-            raise ValueError(f"multiplicity must be >= 1, got {small[0]}")
+        sector_f_dims = _multiplicities(sector_f_dims)
         sectors, indices = np.asarray(sectors), np.asarray(indices)
         weights = np.asarray(weights, dtype=float)
         lengths = {"sectors": len(sectors), "indices": len(indices), "weights": len(weights)}
@@ -175,9 +171,20 @@ class DiagonalRep:
             if bad.any():
                 p = int(np.argmax(bad))
                 raise PovmBuildError(message, position=p, value=values[p].item())
+        at = np.lexsort((indices, sectors))
+        return cls.of_sorted(group, sectors[at], indices[at], weights[at], sector_f_dims)
+
+    @classmethod
+    def of_sorted(cls, group, sectors, indices, weights, sector_f_dims) -> "DiagonalRep":
+        """The rep of support arrays in basis order that pass the checks of
+        :meth:`of_arrays`, taken as they are, with int64 multiplicities."""
+        sectors = np.asarray(sectors, dtype=np.int64)
+        f_dims = sector_f_dims[sectors]
+        rows = np.repeat(np.arange(len(sectors)), f_dims)
+        by_f_dim = tuple(np.flatnonzero(f_dims == f) for f in _unique(f_dims))
+        table = SupportTable(indices, sectors, f_dims, weights, rows, by_f_dim, sector_f_dims)
         rep = cls.__new__(cls)
-        rep.group = group
-        rep.support_table = SupportTable.of(sectors, indices, weights, sector_f_dims)
+        rep.group, rep.support_table = group, table
         return rep
 
     @cached_property
@@ -204,7 +211,7 @@ class DiagonalRep:
         coords = np.array([x.coords for x in points], dtype=np.int64).reshape(-1, group.rank)
         weights = [w for s in self.sectors for w in s.rho.weights.values()]
         f_dims = [s.f_dim for s in self.sectors]
-        return SupportTable.of(sectors, group.ravel(coords), weights, f_dims)
+        return self.of_arrays(group, sectors, group.ravel(coords), weights, f_dims).support_table
 
     @cached_property
     def sector_points(self) -> tuple[tuple[DualCharacter, ...], ...]:
@@ -240,20 +247,18 @@ def validate_rep(rep: DiagonalRep) -> None:
     would fail normalization.
     """
     table = rep.support_table
-    points, counts = np.unique(table.indices, return_counts=True)
-    if len(points) == len(table.indices):
+    order = np.argsort(table.indices, kind="stable")  # by point, then sector: basis order
+    points = table.indices[order]
+    if not (points[1:] == points[:-1]).any():
         return
-    shared = _isin(table.indices, points[counts > 1])
-    # rows (j, k, point) for two memberships of one shared point, j < k, sorted
-    point, sector = table.indices[shared], table.sectors[shared]
-    a, b = np.nonzero((point[:, None] == point) & (sector[:, None] < sector))
-    rows = np.stack([sector[a], sector[b], point[a]], axis=1)
-    # return_index: a plain np.unique imports numpy.ma
-    pairs = np.unique(rows, axis=0, return_index=True)[0]
-    _, starts = np.unique(pairs[:, :2], axis=0, return_index=True)
+    shared = {}  # the points of sectors j < k in both, ascending, by (j, k)
+    pairs = zip(points.tolist(), table.sectors[order].tolist())
+    for x, memberships in groupby(pairs, itemgetter(0)):
+        for (_, j), (_, k) in combinations(memberships, 2):
+            shared.setdefault((j, k), []).append(x)
     overlaps = [
-        {"sectors": chunk[0, :2].tolist(), "points": rep.group.coords[chunk[:, 2]].tolist()}
-        for chunk in np.split(pairs, starts[1:])
+        {"sectors": list(pair), "points": rep.group.coords[xs].tolist()}
+        for pair, xs in sorted(shared.items())
     ]
     raise PovmBuildError("sector supports are not pairwise disjoint", overlaps=overlaps)
 
@@ -276,8 +281,8 @@ class MeasureClassData:
 
 def class_measure(ctx: QuotientContext, rep: DiagonalRep) -> MeasureClassData:
     """Compute the class measure data of a validated rep."""
-    support = _unique(rep.support_table.indices)
-    nu = (image_measure(ctx, support, np.ones(len(support))) > 0.0).astype(float)
+    indices = rep.support_table.indices  # a coset is occupied once or more: the same 0/1 weights
+    nu = (image_measure(ctx, indices, np.ones(len(indices))) > 0.0).astype(float)
     return MeasureClassData(nu, lift_measure(ctx, nu))
 
 
@@ -546,28 +551,23 @@ def build_covariant_povm(
     for points, w in zip(table.by_f_dim, povm._isometry_stacks):
         nonfinite[points] = ~np.isfinite(w).all(axis=(1, 2))
         deviation[points] = np.abs(_adjoints(w) @ w - np.eye(w.shape[2])).max(axis=(1, 2))
-    if nonfinite.any():
-        p = int(np.argmax(nonfinite))
-        raise PovmBuildError("isometry matrix has non-finite entries", **_where(rep, p))
-    if (deviation > atol).any():
-        p = int(np.argmax(deviation > atol))
-        raise PovmBuildError(
-            "field matrix is not isometric", **_where(rep, p), deviation=float(deviation[p])
-        )
+    _reject(rep, "isometry matrix has non-finite entries", nonfinite)
+    _reject(rep, "field matrix is not isometric", deviation > atol, deviation=deviation)
     with np.errstate(all="ignore"):  # an overflow is reported below
         d = povm.point_densities
-    unusable = ~((d > 0.0) & (d < np.inf))
-    if unusable.any():
-        p = int(np.argmax(unusable))
-        message = "density is not finite and > 0"
-        raise PovmBuildError(message, **_where(rep, p), weight=float(table.weights[p]))
+    _reject(rep, "density is not finite and > 0", ~((d > 0.0) & (d < np.inf)), weight=table.weights)
     return povm
 
 
-def _where(rep: DiagonalRep, p: int) -> dict:
-    """Sector and point coordinates of support point p, for rejection details."""
-    table = rep.support_table
-    return {"sector": int(table.sectors[p]), "point": rep.group.coords[table.indices[p]].tolist()}
+def _reject(rep: DiagonalRep, message: str, bad: np.ndarray, **values) -> None:
+    """Raise :class:`PovmBuildError` naming the first support point where
+    ``bad`` holds: its sector, its coordinates and each of ``values`` (one
+    per point) there."""
+    if bad.any():
+        p, table = int(np.argmax(bad)), rep.support_table
+        point = rep.group.coords[table.indices[p]].tolist()
+        details = {name: value[p].tolist() for name, value in values.items()}
+        raise PovmBuildError(message, sector=int(table.sectors[p]), point=point, **details)
 
 
 def _stacked(rep: DiagonalRep, fields, e_dim: int | None) -> tuple[np.ndarray, ...]:
@@ -581,32 +581,26 @@ def _stacked(rep: DiagonalRep, fields, e_dim: int | None) -> tuple[np.ndarray, .
     if len(misplaced):
         k, message = int(misplaced[0]), "isometry field order does not match sector order"
         raise PovmBuildError(message, position=k, field_sector=int(fields.sectors[k]))
-    # (sector, group index) keys of the support, sorted, and of the listed matrices
+    # (sector, group index) keys of the support, in basis order so sorted, and
+    # of the listed matrices; sorting the listed keys aligns them when they match
     wanted = table.sectors * group.order + table.indices
     listed = fields.owners * group.order + fields.indices
-    missing = ~_isin(wanted, listed)
-    if missing.any():
-        p = int(np.argmax(missing))
-        raise PovmBuildError("isometry field is missing a support point", **_where(rep, p))
-    outside = ~_isin(listed, wanted)
-    if outside.any():
-        k, index = divmod(int(listed[outside].min()), group.order)
+    at = np.argsort(listed)
+    if len(at) != len(wanted) or (listed[at] != wanted).any():
+        _reject(rep, "isometry field is missing a support point", ~_isin(wanted, listed))
+        k, index = divmod(int(listed[~_isin(listed, wanted)].min()), group.order)
         message = "isometry field has a matrix outside its sector's support"
         raise PovmBuildError(message, sector=k, point=group.coords[index].tolist())
-    at = np.argsort(listed)  # the listed keys are now the wanted ones: this aligns them
-    rows = table.f_dims if e_dim is None else np.full(len(at), e_dim)
-    expected = np.stack((rows, table.f_dims), axis=1)
-    wrong = (fields.shapes[at] != expected).any(axis=1)
+    shapes, rows = fields.shapes[at], table.f_dims if e_dim is None else e_dim
+    wrong = (shapes[:, 0] != rows) | (shapes[:, 1] != table.f_dims)
     if wrong.any():
-        p = int(np.argmax(wrong))
-        raise PovmBuildError(
-            "isometry matrix has the wrong shape",
-            **_where(rep, p), shape=fields.shapes[at[p]].tolist(), expected=expected[p].tolist(),
-        )
+        expected = np.stack(np.broadcast_arrays(rows, table.f_dims), axis=1)
+        _reject(rep, "isometry matrix has the wrong shape", wrong, shape=shapes, expected=expected)
     starts = fields.starts[at]
+    f_dims = [int(table.f_dims[points[0]]) for points in table.by_f_dim]
     return tuple(
         fields.data[starts[points, None] + np.arange((e_dim or f) * f)].reshape(len(points), -1, f)
-        for points, f in zip(table.by_f_dim, _unique(table.f_dims).tolist())
+        for points, f in zip(table.by_f_dim, f_dims)
     )
 
 

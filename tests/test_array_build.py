@@ -6,14 +6,17 @@ The class measure's densities cancel in orthonormal coordinates: the
 paper's formulas over any equivalent class measure give the canonical
 build's kernel and intertwiner."""
 
+import copy
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covpovm import (
     FiniteAbelianGroup,
+    PovmBuildError,
     build_covariant_povm,
     intertwiner_matrix,
     iojson,
@@ -167,3 +170,78 @@ def test_position_build_makes_no_per_point_objects(monkeypatch):
     povm = position_povm_zn(512, vectors)
     assert len(calls) <= 4
     assert povm.dimension == 512 and povm.ctx.n_cosets == 512
+
+
+def shuffled(obj, rnd):
+    """A copy of a scenario with the entries of each sector's support and of
+    each field's matrices listed in another order."""
+    obj = copy.deepcopy(obj)
+    for sector in obj["sectors"]:
+        rnd.shuffle(sector["support"])
+    for field in obj["fields"]:
+        rnd.shuffle(field["matrices"])
+    return obj
+
+
+def broken(obj, kind, rnd):
+    """A copy of a scenario with one or two of its matrices missing, added
+    at points outside their sector's support, or given an extra row, so
+    that the build rejects it; None when the scenario has no room for it."""
+    obj = copy.deepcopy(obj)
+    fields = obj["fields"]
+    listed = [(k, i) for k, field in enumerate(fields) for i in range(len(field["matrices"]))]
+    if not listed:
+        return None
+    for k, i in rnd.sample(listed, min(2, len(listed))):
+        matrices = fields[k]["matrices"]
+        if kind == "missing":
+            matrices[i] = None
+        elif kind == "wrong shape":
+            rows = matrices[i][1]
+            rows.append([[0.0, 0.0]] * len(rows[0]))
+        else:
+            support = {tuple(x) for x, _ in obj["sectors"][k]["support"]}
+            factors = obj["group"]["factors"]
+            points = [m[0] for m in matrices]
+            free = [x for x in np.ndindex(*factors) if x not in support and list(x) not in points]
+            if not free:
+                return None
+            matrices.append([list(rnd.choice(free)), matrices[i][1]])
+    for field in fields:
+        field["matrices"] = [m for m in field["matrices"] if m is not None]
+    return obj
+
+
+def rejection(obj) -> dict:
+    with pytest.raises(PovmBuildError) as exc:
+        iojson.scenario_from_json(obj).build()
+    return exc.value.details
+
+
+@given(instances(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_listing_order_reads_the_same_scenario(instance, rnd):
+    """Supports and matrices listed in any order give the same support
+    table and isometry stacks bit for bit, and the same rejections, naming
+    the same point."""
+    rep, fields, subgroup, e_dim = instance
+    scenario = iojson.Scenario(rep.group, subgroup, rep, e_dim, fields)
+    obj = json.loads(json.dumps(iojson.scenario_to_json(scenario)))
+    povm, again = (iojson.scenario_from_json(o).build() for o in (obj, shuffled(obj, rnd)))
+    table, other = povm.rep.support_table, again.rep.support_table
+    for name in ("indices", "sectors", "f_dims", "weights", "rows", "sector_f_dims"):
+        assert same(getattr(table, name), getattr(other, name)), name
+    assert len(table.by_f_dim) == len(other.by_f_dim)
+    assert all(same(a, b) for a, b in zip(table.by_f_dim, other.by_f_dim))
+    assert len(povm._isometry_stacks) == len(again._isometry_stacks)
+    assert all(same(a, b) for a, b in zip(povm._isometry_stacks, again._isometry_stacks))
+    for kind, error in (
+        ("missing", "isometry field is missing a support point"),
+        ("outside", "isometry field has a matrix outside its sector's support"),
+        ("wrong shape", "isometry matrix has the wrong shape"),
+    ):
+        bad = broken(obj, kind, rnd)
+        if bad is not None:
+            details = rejection(bad)
+            assert details["error"] == error
+            assert rejection(shuffled(bad, rnd)) == details

@@ -503,3 +503,40 @@ class TestNonIntegralScenarioInput:
     def test_readers_reject_non_integral_indices(self, read):
         with pytest.raises(ValueError, match="must be an integer"):
             read()
+
+
+class TestWrongJsonShapeExits3:
+    """A scenario or group spec whose JSON shape is wrong exits 3 with an
+    ``invalid input`` message that names the entry, not 1 with a traceback."""
+
+    @pytest.mark.parametrize("command", ["build", "group"])
+    @pytest.mark.parametrize("subgroup", [[], None, 4, "x", [[4]]])
+    def test_subgroup_that_is_not_an_object(self, tmp_path, capsys, command, subgroup):
+        path = write(tmp_path, "s.json", _with(scalar_z12(), ("subgroup",), subgroup))
+        assert main([command, path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid input: subgroup spec must be an object")
+
+    @pytest.mark.parametrize("value", [[], 7, "x", None])
+    def test_scenario_that_is_not_an_object(self, tmp_path, capsys, value):
+        assert main(["build", write(tmp_path, "s.json", value)]) == 3
+        assert capsys.readouterr().err.startswith("invalid input: scenario must be an object")
+
+    @pytest.mark.parametrize(
+        "path, named",
+        [(("sectors", 0, "f_dim"), "f_dim {} is outside [-2**63, 2**63) (sector 0)"),
+         (("fields", 0, "sector"), "field sector {} is outside [-2**63, 2**63) (field 0)")],
+    )
+    @pytest.mark.parametrize("value", [2**70, 2**63, -(2**63) - 1])
+    def test_integer_beyond_int64(self, tmp_path, capsys, path, named, value):
+        scen = write(tmp_path, "s.json", _with(scalar_z12(), path, value))
+        assert main(["build", scen]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: {named.format(value)}\n"
+
+    def test_field_sector_at_the_int64_bound_reaches_the_build(self, tmp_path, capsys):
+        scen = write(tmp_path, "s.json", _with(scalar_z12(), ("fields", 0, "sector"), -(2**63)))
+        assert main(["build", scen]) == 4
+        assert "isometry field order does not match sector order" in capsys.readouterr().err

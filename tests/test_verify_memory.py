@@ -1,7 +1,9 @@
 """CLI ``verify`` holds no q * dim^2 stack of effects: on the Z_256 position
 surrogate, seeded like the CI step, a fresh interpreter's peak resident
 set stays below 150 MB (a stack of the 256 singleton effects alone is
-268 MB)."""
+268 MB). The probe reads its own high-water mark, VmHWM in
+/proc/self/status: its ru_maxrss can carry the spawning test process's
+peak across vfork and exec."""
 
 import json
 import os
@@ -13,12 +15,13 @@ from scenarios import position, scenario_json, write
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PROBE = (
-    "import contextlib, io, json, resource, sys\n"
+    "import contextlib, io, json, sys\n"
     "from covpovm.cli import main\n"
     "out = io.StringIO()\n"
     "with contextlib.redirect_stdout(out):\n"
     "    code = main(['verify', sys.argv[1]])\n"
-    "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "with open('/proc/self/status') as status:\n"
+    "    peak = next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
     "passed = json.loads(out.getvalue())['pass']\n"
     "print(json.dumps({'code': code, 'pass': passed, 'peak_kb': peak}))\n"
 )
@@ -37,5 +40,5 @@ def test_z256_position_verify_peak(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert result["code"] == 0 and result["pass"] is True
-    # ru_maxrss is in kilobytes on Linux
+    # VmHWM is in kilobytes
     assert result["peak_kb"] / 1024 < LIMIT_MB, result
