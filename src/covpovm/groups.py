@@ -214,17 +214,26 @@ class FiniteAbelianGroup:
         return tuple(point_type(c, self.factors) for c in self.coords[indices].tolist())
 
     @cached_property
-    def _roots(self) -> np.ndarray:
-        """exp(2 pi i t / L) for t < L: the pairing <1, t> on Z_L, by :func:`pairing`
+    def _roots(self) -> dict[int, np.ndarray]:
+        """Root tables by step s, a divisor of L: exp(2 pi i t / L) for
+        t = 0, s, 2s, ... < L, each the pairing <1, t> on Z_L by :func:`pairing`
         itself, so the pairing matrix equals it bit for bit."""
-        cyclic = (self.exponent,)
-        one = DualCharacter((1,), cyclic)
-        return np.array([pairing(one, GroupElement((t,), cyclic)) for t in range(cyclic[0])])
+        return {}
 
-    def exponents(self, x_indices, g_indices) -> np.ndarray:
-        """t[a, b] with <x_a, g_b> = exp(2 pi i t / L), 0 <= t < L, exactly."""
-        scaled = self.coords[x_indices] * self._pairing_scales
-        return scaled @ self.coords[g_indices].T % self.exponent
+    def _root_table(self, step: int) -> np.ndarray:
+        """The roots at the multiples of ``step``. A multiple of a cached
+        step slices that finer table, so no root is computed twice for one
+        step and a coarse table after a fine one computes none."""
+        tables, lcm = self._roots, self.exponent
+        if step not in tables:
+            finer = next((s for s in tables if step % s == 0), None)
+            if finer is not None:
+                tables[step] = tables[finer][:: step // finer]
+            else:
+                one = DualCharacter((1,), (lcm,))
+                ts = range(0, lcm, step)
+                tables[step] = np.array([pairing(one, GroupElement((t,), (lcm,))) for t in ts])
+        return tables[step]
 
     @cached_property
     def _strides(self) -> np.ndarray:
@@ -247,12 +256,20 @@ class FiniteAbelianGroup:
         )
 
     def pairing_matrix(self, x_indices, g_indices) -> np.ndarray:
-        """P[a, b] = <x_a, g_b>, equal entry for entry to :func:`pairing`. An
-        empty table does not fill the root table."""
-        exponents = self.exponents(x_indices, g_indices)
-        if exponents.size == 0:
-            return np.empty(exponents.shape, dtype=complex)
-        return self._roots[exponents]
+        """P[a, b] = <x_a, g_b>, equal entry for entry to :func:`pairing`.
+        With a the gcd of the scaled character coordinates x_j L / n_j and b
+        that of the element coordinates, every exponent is a multiple of the
+        step s = gcd(L, a b), so the table reads only the L / s roots at the
+        multiples of s. An empty table fills no root table."""
+        scaled = self.coords[x_indices] * self._pairing_scales
+        coords = self.coords[g_indices]
+        if scaled.size == 0 or coords.size == 0:
+            return np.empty((len(scaled), len(coords)), dtype=complex)
+        step = math.gcd(
+            self.exponent,
+            int(np.gcd.reduce(scaled, axis=None)) * int(np.gcd.reduce(coords, axis=None)),
+        )
+        return self._root_table(step)[scaled @ coords.T % self.exponent // step]
 
     def __repr__(self):
         return f"FiniteAbelianGroup{self.factors}"
@@ -471,13 +488,14 @@ def quotient(group: FiniteAbelianGroup, subgroup: Subgroup) -> QuotientGroup:
     """
     if subgroup.parent != group:
         raise ValueError("subgroup does not belong to the given group")
-    t = np.array(np.unravel_index(subgroup._triangular, group.factors))
+    t = group.coords[subgroup._triangular].T
     box, pivots = np.array(group.factors), (t != 0).argmax(axis=0)
     box[pivots] = t[pivots, np.arange(len(pivots))]
-    axes, h = np.ix_(*map(np.arange, box)), np.unravel_index(subgroup.indices, group.factors)
-    sums = np.ravel_multi_index([x[..., None] + y for x, y in zip(axes, h)], group.factors, "wrap")
+    axes, h = np.ix_(*map(np.arange, box)), group.coords[subgroup.indices].T
+    terms = zip(axes, h, group.factors, group._strides)
+    sums = sum((x[..., None] + y) % n * stride for x, y, n, stride in terms)
     projection = np.empty(group.order, dtype=np.int64)
-    projection[sums] = np.arange(box.prod()).reshape(*box, 1)
+    projection[sums.ravel()] = np.arange(box.prod()).repeat(subgroup.order)
     # the box plus H's first element, the identity, is the box: the representatives
     return QuotientGroup(subgroup, sums[..., 0].ravel(), projection)
 

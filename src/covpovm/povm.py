@@ -88,18 +88,24 @@ class SectorSpec:
 class SupportTable:
     """The support of a diagonal rep as arrays with one entry per support
     point, in basis order (sector-major, group index within a sector): group
-    index, sector, multiplicity and sector-measure weight. ``rows`` is the
-    point of each basis row; ``by_f_dim`` holds the positions of the points
-    of each multiplicity, smallest first; ``sector_f_dims`` holds the
-    multiplicity of every sector, one with an empty support included."""
+    index, sector, multiplicity and sector-measure weight. ``by_f_dim``
+    holds the positions of the points of each multiplicity, smallest first;
+    ``sector_f_dims`` holds the multiplicity of every sector, one with an
+    empty support included."""
 
     indices: np.ndarray
     sectors: np.ndarray
     f_dims: np.ndarray
     weights: np.ndarray
-    rows: np.ndarray
     by_f_dim: tuple[np.ndarray, ...]
     sector_f_dims: np.ndarray
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The point of each basis row. Built on first read, so that the
+        build compares the multiplicities with e_dim and with the matrices'
+        shapes before a table of their sum is allocated."""
+        return np.repeat(np.arange(len(self.f_dims)), self.f_dims)
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -180,9 +186,8 @@ class DiagonalRep:
         :meth:`of_arrays`, taken as they are, with int64 multiplicities."""
         sectors = np.asarray(sectors, dtype=np.int64)
         f_dims = sector_f_dims[sectors]
-        rows = np.repeat(np.arange(len(sectors)), f_dims)
         by_f_dim = tuple(np.flatnonzero(f_dims == f) for f in _unique(f_dims))
-        table = SupportTable(indices, sectors, f_dims, weights, rows, by_f_dim, sector_f_dims)
+        table = SupportTable(indices, sectors, f_dims, weights, by_f_dim, sector_f_dims)
         rep = cls.__new__(cls)
         rep.group, rep.support_table = group, table
         return rep
@@ -548,11 +553,13 @@ def build_covariant_povm(
     povm = CovariantPOVM(rep, ctx, e_dim, fields, class_measure(ctx, rep))
     nonfinite = np.zeros(len(table.indices), dtype=bool)
     deviation = np.zeros(len(table.indices))
-    for points, w in zip(table.by_f_dim, povm._isometry_stacks):
-        nonfinite[points] = ~np.isfinite(w).all(axis=(1, 2))
-        deviation[points] = np.abs(_adjoints(w) @ w - np.eye(w.shape[2])).max(axis=(1, 2))
+    with np.errstate(all="ignore"):  # an overflow is reported below
+        for points, w in zip(table.by_f_dim, povm._isometry_stacks):
+            nonfinite[points] = ~np.isfinite(w).all(axis=(1, 2))
+            deviation[points] = np.abs(_adjoints(w) @ w - np.eye(w.shape[2])).max(axis=(1, 2))
     _reject(rep, "isometry matrix has non-finite entries", nonfinite)
-    _reject(rep, "field matrix is not isometric", deviation > atol, deviation=deviation)
+    # a NaN deviation (an overflow to inf - inf in W^H W) fails the test too
+    _reject(rep, "field matrix is not isometric", ~(deviation <= atol), deviation=deviation)
     with np.errstate(all="ignore"):  # an overflow is reported below
         d = povm.point_densities
     _reject(rep, "density is not finite and > 0", ~((d > 0.0) & (d < np.inf)), weight=table.weights)

@@ -13,6 +13,7 @@ fixed order, so each file's bytes depend only on its arguments. Run as
     omega-zero        64 pairs (-0.0, -0.0)
     fibered-spec      the covpovm group spec of the fibered scenario
     z8-overflow       Z_8, H = <4>, a weight 1e308 whose density overflows
+    z8-isometry-overflow  Z_8, H = <4>, an isometry entry 1e308 whose isometry test overflows
     z8-exact          Z_8, H = <4>, isometries of exactly unit modulus
 """
 
@@ -85,6 +86,14 @@ def overflow_z8() -> dict:
     weight 1e308 at point 0 has an infinite density and the build fails."""
     support = [([0], 1e308)] + [([x], 1.0) for x in range(1, 5)]
     return scalar([8], [[4]], support, [([x], [1.0, 0.0]) for x in range(5)])
+
+
+def isometry_overflow_z8() -> dict:
+    """Z_8 with H = <4>: the isometry entry 1e308 at point 0 overflows
+    the isometry test W^H W - 1, so the build fails."""
+    support = [([x], 1.0) for x in range(4)]
+    matrices = [([0], [1e308, 0.0])] + [([x], [1.0, 0.0]) for x in range(1, 4)]
+    return scalar([8], [[4]], support, matrices)
 
 
 def exact_z8() -> dict:
@@ -196,6 +205,7 @@ KINDS = {
     "omega-zero": lambda: {"values": [[-0.0, -0.0]] * 64},
     "fibered-spec": lambda: spec_json(scenario_json(fibered_z8sq())),
     "z8-overflow": overflow_z8,
+    "z8-isometry-overflow": isometry_overflow_z8,
     "z8-exact": exact_z8,
 }
 

@@ -96,6 +96,26 @@ class TestBuildCommand:
         assert out["rejected"]["sector"] == 0
         assert out["rejected"]["point"] == [0]
 
+    @pytest.mark.parametrize(
+        "f_dim, e_dim, error",
+        [
+            (2**40, 1, "embedding dimension is smaller than the largest multiplicity"),
+            (2**63 - 1, 1, "embedding dimension is smaller than the largest multiplicity"),
+            (2**40, 2**40, "isometry matrix has the wrong shape"),
+        ],
+        ids=["f_dim 2**40", "f_dim 2**63-1", "e_dim and f_dim 2**40"],
+    )
+    def test_huge_multiplicity_rejected_before_any_row_table(
+        self, tmp_path, capsys, f_dim, e_dim, error
+    ):
+        # a basis-row table of f_dim rows per point cannot be allocated
+        huge = scalar_z12()
+        huge["sectors"][0]["f_dim"], huge["e_dim"] = f_dim, e_dim
+        assert main(["build", write(tmp_path, "s.json", huge)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"build rejected: {error}\n"
+        assert json.loads(captured.out)["rejected"]["error"] == error
+
     def test_malformed_json_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from covpovm import (
     DualCharacter,
     FiniteAbelianGroup,
+    GroupElement,
     Subgroup,
     annihilator,
     pairing,
@@ -460,3 +461,87 @@ class TestSetHelpers:
     def test_isin(self, values, of):
         values, of = np.array(values, dtype=np.int64), np.array(of, dtype=np.int64)
         assert _isin(values, of).tolist() == np.isin(values, of).tolist()
+
+
+@st.composite
+def sublattice_indices(draw, group):
+    """1-5 indices of points whose coordinates are all multiples of a drawn
+    m, so that tables whose exponents share a factor, coarse steps, occur."""
+    m = draw(st.integers(1, max(group.factors)))
+    on_lattice = np.flatnonzero((group.coords % m == 0).all(axis=1)).tolist()
+    return draw(st.lists(st.sampled_from(on_lattice), min_size=1, max_size=5))
+
+
+def pairing_step(group, x_indices, g_indices) -> int:
+    """gcd(L, a b): a the gcd of the scaled character coordinates
+    x_j L / n_j, b that of the element coordinates."""
+    scales = [group.exponent // n for n in group.factors]
+    a = math.gcd(*(c * s for i in x_indices for c, s in zip(group.coords[i].tolist(), scales)))
+    b = math.gcd(*(c for i in g_indices for c in group.coords[i].tolist()))
+    return math.gcd(group.exponent, a * b)
+
+
+class TestPairingTables:
+    """pairing_matrix reads one root table per step s, each root computed by
+    ``groups.pairing`` once for its step; a step that a cached step divides
+    is sliced from that table with no new call."""
+
+    @staticmethod
+    def counted_roots(mp) -> list:
+        """Patch ``groups.pairing`` to record the exponent t of each root it computes."""
+        computed = []
+
+        def counted(x, g):
+            computed.append(g.coords[0])
+            return pairing(x, g)
+
+        mp.setattr(groups_module, "pairing", counted)
+        return computed
+
+    @given(st.lists(st.integers(1, 16), min_size=1, max_size=3), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_tables_equal_pairing_and_compute_each_step_once(self, factors, data):
+        group = FiniteAbelianGroup(tuple(factors))
+        cached = set()
+        with pytest.MonkeyPatch.context() as mp:
+            computed = self.counted_roots(mp)
+            # several tables on one group, so that both coarse-then-fine and
+            # fine-then-coarse orders occur, and repeated steps
+            for _ in range(data.draw(st.integers(1, 4))):
+                xs = data.draw(sublattice_indices(group))
+                gs = data.draw(sublattice_indices(group))
+                step = pairing_step(group, xs, gs)
+                computed.clear()
+                table = group.pairing_matrix(xs, gs)
+                sliced = any(step % s == 0 for s in cached)
+                assert computed == ([] if sliced else list(range(0, group.exponent, step)))
+                cached.add(step)
+                brute = [
+                    [pairing(x, g) for g in group.points(GroupElement, gs)]
+                    for x in group.points(DualCharacter, xs)
+                ]
+                assert table.tolist() == brute
+
+    @pytest.mark.parametrize("coarse_first", [True, False])
+    def test_call_orders_on_the_lattice_case(self, coarse_first):
+        # Z_64 x Z_64 with H = <(4, 0), (0, 4)>: H-perp's scaled coordinates
+        # are multiples of 16, so its pairing with G/H reads 4 of the 64 roots
+        group = FiniteAbelianGroup((64, 64))
+        h = subgroup_from_generators(group, [group.element([4, 0]), group.element([0, 4])])
+        coarse = (annihilator(group, h).indices, quotient(group, h).rep_indices)
+        fine = (np.arange(group.order), np.arange(group.order))
+        order = [(coarse, 4), (fine, 64)] if coarse_first else [(fine, 64), (coarse, 0)]
+        with pytest.MonkeyPatch.context() as mp:
+            computed = self.counted_roots(mp)
+            for (xs, gs), calls in order:
+                computed.clear()
+                table = group.pairing_matrix(xs, gs)
+                assert len(computed) == calls
+                assert table[:3, :3].tolist() == [
+                    [pairing(x, g) for g in group.points(GroupElement, gs[:3])]
+                    for x in group.points(DualCharacter, xs[:3])
+                ]
+            computed.clear()
+            group.pairing_matrix(*coarse)
+            group.pairing_matrix(*fine)
+            assert computed == []

@@ -25,7 +25,15 @@ from covpovm import (
 from covpovm.cli import _oracle_report, main
 from covpovm.iojson import quotient_function_from_json, scenario_from_json
 from helpers import dilation, row_by_row, scalar_z12_povm, standard_instances
-from scenarios import overflow_z8, position, scalar, scalar_z12, scenario_json, write
+from scenarios import (
+    isometry_overflow_z8,
+    overflow_z8,
+    position,
+    scalar,
+    scalar_z12,
+    scenario_json,
+    write,
+)
 
 
 def nan_field_povm():
@@ -80,6 +88,34 @@ class TestOverflowingDensity:
         rejected = json.loads(out)["rejected"]
         assert (rejected["sector"], rejected["point"]) == (0, [0])
         assert "Infinity" not in out and "NaN" not in out
+
+
+class TestOverflowingIsometryTest:
+    # the suite turns a RuntimeWarning into an error, so an unsilenced
+    # overflow in W^H W fails these before the rejection is read
+    def test_build_names_sector_and_point(self):
+        with pytest.raises(PovmBuildError, match="not isometric") as exc:
+            scenario_from_json(isometry_overflow_z8()).build()
+        assert (exc.value.details["sector"], exc.value.details["point"]) == (0, [0])
+
+    def test_nan_deviation_is_not_isometric(self):
+        # entries 1e200 (1 +- i): every entry of W^H W overflows to
+        # inf - inf = NaN, and a NaN deviation is not within atol
+        big = 1e200 * np.array([[1 + 1j, 1 - 1j], [1 + 1j, 1 + 1j]])
+        scenario = scalar([8], [[4]], [([0], 1.0), ([1], 1.0)], [])
+        scenario["e_dim"], scenario["sectors"][0]["f_dim"] = 2, 2
+        pairs = [[[z.real, z.imag] for z in row] for row in big.tolist()]
+        eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        scenario["fields"][0]["matrices"] = [[[0], pairs], [[1], eye]]
+        with pytest.raises(PovmBuildError, match="not isometric") as exc:
+            scenario_from_json(scenario).build()
+        assert (exc.value.details["point"], math.isnan(exc.value.details["deviation"])) == ([0], True)
+
+    def test_cli_exits_4_with_one_stderr_line(self, tmp_path, capsys):
+        assert main(["build", write(tmp_path, "s.json", isometry_overflow_z8())]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "build rejected: field matrix is not isometric\n"
+        assert json.loads(captured.out)["rejected"]["point"] == [0]
 
 
 class TestNanFailsItsCheck:

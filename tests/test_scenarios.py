@@ -42,6 +42,8 @@ def test_position_equals_the_inline_draw(n, seed):
 # the smallest arguments that a caller passes, and the POVM of each scenario kind
 SMALLEST = {"position": [8, 8], "state": [4096, 4096], "omega": [16, 816]}
 POVMS = {"position": position, "fibered": fibered_z8sq, "lattice": lattice_z64sq}
+# the scenario kinds whose build is rejected, and the reason
+REJECTED = {"z8-overflow": "density", "z8-isometry-overflow": "not isometric"}
 
 
 @pytest.mark.parametrize("kind", list(KINDS))
@@ -65,8 +67,8 @@ def test_command_line_file_reads_back(tmp_path, kind):
         assert iojson.quotient_function_from_json(obj).shape == (args[0] if args else 64,)
     elif "spec_version" not in obj:
         iojson.subgroup_from_json(iojson.group_from_json(obj["group"]), obj["subgroup"])
-    elif kind == "z8-overflow":
-        with pytest.raises(PovmBuildError, match="density"):
+    elif kind in REJECTED:
+        with pytest.raises(PovmBuildError, match=REJECTED[kind]):
             iojson.scenario_from_json(obj).build()
     else:
         again = iojson.scenario_from_json(obj).build()
