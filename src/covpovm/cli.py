@@ -165,12 +165,12 @@ def cmd_build(args) -> int:
     scenario = iojson.scenario_from_json(_load_json(args.scenario))
     povm = scenario.build(atol=_tolerance(args))
     table = povm.rep.support_table
-    points = povm.rep.group.coords[table.indices].tolist()
-    densities = [list(row) for row in zip(points, povm.point_densities.tolist())]
-    sectors = [
-        {"f_dim": f, "support_size": len(rows), "densities": rows}
-        for f, rows in zip(table.sector_f_dims.tolist(), table.per_sector(densities))
-    ]
+    points = povm.rep.group.coords[table.indices]
+    densities = iojson.Records([points, povm.point_densities])
+    sectors = iojson.Records(
+        {"f_dim": table.sector_f_dims, "support_size": table.counts, "densities": densities},
+        counts=table.counts,
+    )
     _emit(
         {
             "spec_version": iojson.SPEC_VERSION,

@@ -5,16 +5,16 @@ emitted files are bit-stable golden data. Every reader validates shapes
 and reports offending keys; every writer emits deterministic orderings.
 See BASIS.md for the basis conventions behind matrix dumps. :func:`dump`
 writes every JSON text the CLI emits: the stock ``json.dumps(obj,
-indent=2)`` text, with the numeric arrays' blocks spliced in from their
-shapes, in pieces of bounded size.
+indent=2)`` text, with the blocks of numeric arrays and :class:`Records`
+tables spliced in from templates, in pieces of bounded size.
 """
 
 from __future__ import annotations
 
 import json
 import secrets
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from operator import itemgetter
@@ -29,6 +29,7 @@ from .povm import (
     DiagonalRep,
     FieldTable,
     IsometryField,
+    PovmBuildError,
     VerificationReport,
     _multiplicities,
     build_covariant_povm,
@@ -106,11 +107,11 @@ def subgroup_from_json(group: FiniteAbelianGroup, obj) -> Subgroup:
 
 def measure_to_json(weights) -> dict:
     """A measure on the dual quotient, given as its weight at each coset,
-    as its nonzero [coset, weight] pairs in coset order."""
+    as its nonzero [coset, weight] pairs in coset order: a :class:`Records`
+    table of int cosets and float weights."""
     weights = np.asarray(weights, dtype=float)
     support = np.flatnonzero(weights)
-    pairs = zip(support.tolist(), weights[support].tolist())
-    return {"domain": DOMAIN_DUAL_QUOTIENT, "weights": [list(pair) for pair in pairs]}
+    return {"domain": DOMAIN_DUAL_QUOTIENT, "weights": Records([support, weights[support]])}
 
 
 def quotient_function_from_json(obj) -> np.ndarray:
@@ -138,18 +139,37 @@ def partition_from_json(obj) -> list:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Parsed build request: group, subgroup, diagonal rep, isometry fields."""
+    """Parsed build request: group, subgroup, diagonal rep, isometry fields,
+    and the (sector, group index) keys, sector * |G| + index, of the points
+    listed with weight 0, which the rep leaves out."""
 
     group: FiniteAbelianGroup
     subgroup: Subgroup
     rep: DiagonalRep
     e_dim: int
     fields: Sequence[IsometryField]
+    zero_weight: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def build(self, atol: float = DEFAULT_ATOL) -> CovariantPOVM:
-        return build_covariant_povm(
-            self.rep, self.subgroup, self.fields, self.e_dim, atol=atol
-        )
+        """The POVM; a field matrix at a point listed with weight 0 is
+        rejected as such, not as a matrix outside the support."""
+        try:
+            return build_covariant_povm(
+                self.rep, self.subgroup, self.fields, self.e_dim, atol=atol
+            )
+        except PovmBuildError as exc:
+            sector, point = exc.details.get("sector"), exc.details.get("point")
+            if exc.details["error"] != _OUTSIDE or self._key(sector, point) not in self.zero_weight:
+                raise
+            message = "isometry field has a matrix at a point listed with weight 0"
+            message += f" (sector {sector}, point {point})"
+            raise PovmBuildError(message, sector=sector, point=point, weight=0.0) from None
+
+    def _key(self, sector: int, point: list) -> int:
+        return sector * self.group.order + int(self.group.ravel(np.array([point]))[0])
+
+
+_OUTSIDE = "isometry field has a matrix outside its sector's support"
 
 
 def scenario_from_json(obj) -> Scenario:
@@ -176,7 +196,9 @@ def scenario_from_json(obj) -> Scenario:
     for bad, what in ((~np.isfinite(weights), "non-finite"), (weights < 0.0, "negative")):
         if bad.any():
             raise ValueError(f"{what} weight {weights[bad][0]}{where(np.argmax(bad))}")
-    kept = order[weights[order] > 0.0]  # in basis order
+    positive = weights > 0.0
+    kept = order[positive[order]]  # in basis order
+    zero = (sectors * group.order + indices)[~positive]
     f_dims = _multiplicities(_int64(f_dims, "f_dim", lambda k: f" (sector {k})"))
     rep = DiagonalRep.of_sorted(group, sectors[kept], indices[kept], weights[kept], f_dims)
 
@@ -189,7 +211,7 @@ def scenario_from_json(obj) -> Scenario:
     where = _locator(declared[owners], coords)
     indices, _ = _indices(group, coords, owners, where)
     fields = FieldTable(group, declared, owners, indices, *_matrices(matrices, where))
-    return Scenario(group, subgroup, rep, e_dim, fields)
+    return Scenario(group, subgroup, rep, e_dim, fields, zero)
 
 
 def _locator(sectors, coords: list):
@@ -331,26 +353,80 @@ def report_to_json(report: VerificationReport, tolerance: float) -> dict:
 # --- writer ------------------------------------------------------------------
 #
 # dump(obj, fp) writes json.dumps(obj, indent=2, default=f), where f turns a
-# numpy array into its tolist() and rejects anything else. The stock encoder
-# writes everything but the numeric blocks (coordinate tables, [re, im]
-# entries), which reach it as arrays: the hook hands it a placeholder string
-# for each non-empty, finite int or float array, and the array's text goes
-# where the placeholder was, written from its shape in pieces of whole
-# axis-0 slices, each filled into a "%" template that holds the indented
-# text with a %d or %0r per leaf. A float leaf that is +0.0 (the one float
-# whose repr is 0.0) is not formatted: the template is kept as bytes, and
-# while a piece is filled the slot of each of its +0.0 leaves, three
-# characters like the text, holds 0.0, so the structural zeros of a block
-# kernel cost three byte writes, not a repr. The placeholder is a string
-# the stock encoder writes as "\u0000<nonce>\u0000" (NULs and a fresh random
-# nonce per call); a value or key of obj whose text holds it shows up as one
-# placeholder too many, and the skeleton is redone with a new nonce. All of
-# this runs before the first piece is written, so a failing dump writes
-# nothing.
+# numpy array or a Records table into its tolist() and rejects anything
+# else. The stock encoder writes everything but the numeric blocks, which
+# reach it as arrays (coordinate tables, [re, im] entries) or as Records
+# (build's sector and class-measure tables): the hook hands it a placeholder
+# string for each non-empty, finite int or float block, and the block's text
+# goes where the placeholder was, at the indent of the placeholder's line,
+# in pieces of about _PIECE_LEAVES leaves, each filled into a "%" template
+# that holds the indented text with a slot per leaf.
+#
+# An array is written from its shape, in pieces of whole axis-0 slices. Its
+# bytes template is built once per dump for each leaf format, inner shape
+# and indent; a block of fewer slices fills a prefix. A float leaf that is
+# +0.0 (the one float whose repr is 0.0) is not formatted: while a piece is
+# filled, the %0r slot of each of its +0.0 leaves, three characters like the
+# text, holds 0.0, so the structural zeros of a block kernel cost three byte
+# writes, not a repr. An int block whose values span fewer integers than it
+# has leaves formats each integer of the span once and fills %s slots from
+# that table, not %d per leaf.
+#
+# A Records table is written in pieces of whole records, from one str
+# template per record layout (per count of its ragged column), with a %d or
+# %r per leaf; the leaves of a piece are put in record order by index
+# arithmetic on the columns, not by a loop over the records.
+#
+# The placeholder is a string the stock encoder writes as
+# "\u0000<nonce>\u0000" (NULs and a fresh random nonce per call); a value or
+# key of obj whose text holds it shows up as one placeholder too many, and
+# the skeleton is redone with a new nonce. All of this runs before the first
+# piece is written, so a failing dump writes nothing.
 
 _nonce = partial(secrets.token_hex, 8)
 _default = json.JSONEncoder().default
-_PIECE_LEAVES = 1 << 14  # leaves per piece of an array block, at least one slice
+_PIECE_LEAVES = 1 << 14  # leaves per piece of a block, at least one slice or record
+
+
+class Records:
+    """A JSON list of records given as columns, which :func:`dump` writes
+    from one ``%`` template per record layout. ``columns`` maps keys to
+    columns, and each record is an object, or lists the columns, and each
+    record is a list. A column is a 1-d array (one number per record), a 2-d
+    one (a list of that many numbers per record) or, at most one of them, a
+    :class:`Records` without counts, the ragged column: record i holds the
+    next ``counts[i]`` of its records. :meth:`tolist` gives the lists that
+    ``json.dumps`` writes to the same text."""
+
+    def __init__(self, columns: Mapping | Sequence, counts=None):
+        self.keys = list(columns) if isinstance(columns, Mapping) else None
+        columns = columns.values() if self.keys is not None else columns
+        self.columns = [c if isinstance(c, Records) else np.asarray(c) for c in columns]
+        self.counts = None if counts is None else np.asarray(counts, dtype=np.int64)
+        ragged = [c for c in self.columns if isinstance(c, Records)]
+        nested = any(r.counts is not None for r in ragged)
+        if not self.columns or len(ragged) != (counts is not None) or nested:
+            raise ValueError("a record table needs columns, and counts for its one ragged column")
+        lengths = {len(self)} | {len(c) for c in self.columns if not isinstance(c, Records)}
+        if len(lengths) != 1 or ragged and len(ragged[0]) != self.counts.sum():
+            raise ValueError("the columns of a record table differ in length")
+
+    def __len__(self) -> int:
+        if self.counts is not None:
+            return len(self.counts)
+        return len(self.columns[0])
+
+    def tolist(self) -> list:
+        values = []
+        for column in self.columns:
+            if isinstance(column, Records):
+                rows, ends = column.tolist(), np.cumsum(self.counts).tolist()
+                values.append([rows[a:b] for a, b in zip([0, *ends[:-1]], ends)])
+            else:
+                values.append(column.tolist())
+        if self.keys is None:
+            return [list(record) for record in zip(*values)]
+        return [dict(zip(self.keys, record)) for record in zip(*values)]
 
 
 def dump(obj, fp) -> None:
@@ -363,42 +439,72 @@ def dump(obj, fp) -> None:
 
 def dumps(obj) -> str:
     """JSON text equal to ``json.dumps(obj, indent=2)``, errors included;
-    a numpy array is written as its ``tolist()``."""
+    a numpy array or a :class:`Records` table is written as its
+    ``tolist()``."""
     return "".join(_pieces(obj))
 
 
 def _pieces(obj) -> Iterator[str]:
     """The text of obj in pieces. The stock encoder's skeleton, with its
     errors, is built when this is called, not when the pieces are drawn."""
-    marker, arrays = "\0%s\0" % _nonce(), []
+    marker, blocks = "\0%s\0" % _nonce(), []
 
     def hook(o):
-        if not isinstance(o, np.ndarray):
+        if isinstance(o, Records):
+            spliced = len(o) and _records_spliced(o)
+        elif isinstance(o, np.ndarray):
+            spliced = o.ndim and o.size and _numeric(o)
+        else:
             return _default(o)  # raises the stock TypeError
-        kind = o.dtype.kind
-        # A NaN makes the min NaN and an infinity is the min or the max, so
-        # two reductions check finiteness with no temporary of the array's size.
-        if (
-            type(o) is np.ndarray and o.ndim and o.size and kind in "iuf"
-            and o.dtype.itemsize <= 8 and (kind != "f" or np.isfinite([o.min(), o.max()]).all())
-        ):
-            arrays.append(o)
+        if spliced:
+            blocks.append(o)
             return marker
         return o.tolist()
 
     parts = json.dumps(obj, indent=2, default=hook).split(json.dumps(marker))
-    if len(parts) != len(arrays) + 1:  # obj itself writes the placeholder's text
+    if len(parts) != len(blocks) + 1:  # obj itself writes the placeholder's text
         return _pieces(obj)
-    return _spliced(parts, arrays)
+    return _spliced(parts, blocks)
 
 
-def _spliced(parts: list[str], arrays: list[np.ndarray]) -> Iterator[str]:
-    """The skeleton's parts with each array's block between two of them, at
-    the indent of the line its placeholder was on."""
+def _numeric(a: np.ndarray) -> bool:
+    """Whether a is an int or float ndarray, not a subclass, of at most
+    8-byte items, all finite. A NaN makes the min NaN and an infinity is
+    the min or the max, so two reductions check finiteness with no
+    temporary of the array's size."""
+    kind = a.dtype.kind
+    return (
+        type(a) is np.ndarray and kind in "iuf" and a.dtype.itemsize <= 8
+        and (kind != "f" or not a.size or np.isfinite([a.min(), a.max()]).all())
+    )
+
+
+def _records_spliced(table: Records) -> bool:
+    """Whether the table's keys are strings and its columns, and those of
+    its ragged column, are 1-d or 2-d numeric arrays that :func:`_numeric`
+    accepts."""
+    for t in (table, *(c for c in table.columns if isinstance(c, Records))):
+        if t.keys is not None and set(map(type, t.keys)) != {str}:
+            return False
+        columns = (c for c in t.columns if not isinstance(c, Records))
+        if not all(c.ndim in (1, 2) and _numeric(c) for c in columns):
+            return False
+    return True
+
+
+def _spliced(parts: list[str], blocks: list) -> Iterator[str]:
+    """The skeleton's parts with each block between two of them, at the
+    indent of the line its placeholder was on. The array templates are
+    shared by the blocks of this one dump."""
+    templates = {}
     yield parts[0]
-    for before, a, after in zip(parts, arrays, parts[1:]):
+    for before, block, after in zip(parts, blocks, parts[1:]):
         line = before[before.rfind("\n") + 1 :]
-        yield from _shaped_pieces(a, (len(line) - len(line.lstrip(" "))) // 2)
+        level = (len(line) - len(line.lstrip(" "))) // 2
+        if isinstance(block, Records):
+            yield from _record_pieces(block, level)
+        else:
+            yield from _shaped_pieces(block, level, templates)
         yield after
 
 
@@ -419,44 +525,160 @@ def _layout(level: int, depth: int) -> tuple[str, str, list[str]]:
     return head, tail, seps
 
 
-def _shaped_pieces(a: np.ndarray, level: int) -> Iterator[str]:
+class _Template:
+    """The bytes template of ``step`` axis-0 slices of an array of inner
+    shape ``inner`` at indent ``level``, with one ``slot`` (%d, %s or %0r,
+    which formats as %r) per leaf, and the head, tail and separator of the
+    block's text; for %0r also the offset of every slot. The template of
+    fewer slices, and its slots, are prefixes of these."""
+
+    def __init__(self, slot: str, inner: tuple, level: int, step: int):
+        self.head, self.tail, seps = _layout(level, 1 + len(inner))
+        row = slot
+        for n, sep in zip(reversed(inner), seps):
+            row = sep.join([row] * n)
+        self.sep = seps[-1]
+        row, sep = row.encode(), self.sep.encode()
+        self.step, self.period = step, len(row) + len(sep)
+        self.text = bytearray(row + sep) * step
+        del self.text[len(self.text) - len(sep) :]
+        if slot == "%0r":
+            dtype = np.int32 if len(self.text) < 2**31 else np.int64
+            in_row = np.flatnonzero(np.frombuffer(row, dtype=np.uint8) == ord("%")).astype(dtype)
+            self.slots = np.add.outer(np.arange(step, dtype=dtype) * self.period, in_row).ravel()
+            self.view = np.frombuffer(self.text, dtype=np.uint8)
+
+    def filled(self, slices: int, leaves: list) -> str:
+        """The template of ``slices`` slices filled with the leaves."""
+        size = slices * self.period - len(self.sep)
+        text = self.text if size == len(self.text) else self.text[:size]
+        return (text % tuple(leaves)).decode("ascii")
+
+    def filled_floats(self, slices: int, leaves: np.ndarray) -> str:
+        """The template of ``slices`` slices filled with float leaves, with
+        the text 0.0 in the slot of each +0.0 leaf; the template is left as
+        it was."""
+        zero = (leaves == 0) & ~np.signbit(leaves)
+        at, view = self.slots[: len(zero)][zero], self.view
+        view[at], view[at + 1], view[at + 2] = b"0.0"
+        filled = self.filled(slices, leaves[~zero].tolist())
+        view[at], view[at + 1], view[at + 2] = b"%0r"
+        return filled
+
+
+def _shaped_pieces(a: np.ndarray, level: int, templates: dict) -> Iterator[str]:
     """Indented text of a non-empty, finite int or float array at indent
     ``level``, in pieces of whole axis-0 slices, about ``_PIECE_LEAVES``
-    leaves each: a bytes template with a %d or %0r (which formats as %r)
-    per leaf, filled row-major. A float leaf that is +0.0 is not formatted:
-    for its piece, its slot, three characters wide, holds the text 0.0."""
-    head, tail, seps = _layout(level, a.ndim)
-    floats = a.dtype.kind == "f"
-    row = "%0r" if floats else "%d"
-    for n, sep in zip(reversed(a.shape[1:]), seps):
-        row = sep.join([row] * n)
-    row, sep = row.encode(), seps[-1].encode()
+    leaves each, each filled row-major into a template of ``templates``,
+    which holds one per slot, inner shape and indent and gets one that is
+    missing or too short."""
     step = min(len(a), max(1, _PIECE_LEAVES * len(a) // a.size))  # slices per piece
-    period = len(row) + len(sep)
-    template = bytearray(row + sep) * step
-    del template[len(template) - len(sep) :]
-    # The offset of every slot in the template: those of one slice, repeated;
-    # a shorter last piece's template and slots are prefixes of them.
-    dtype = np.int32 if len(template) < 2**31 else np.int64
-    in_row = np.flatnonzero(np.frombuffer(row, dtype=np.uint8) == ord("%")).astype(dtype)
-    slots = np.add.outer(np.arange(step, dtype=dtype) * period, in_row).ravel()
-    view = np.frombuffer(template, dtype=np.uint8)
-    yield head
+    floats, texts = a.dtype.kind == "f", None
+    if not floats:
+        low, high = int(a.min()), int(a.max())
+        if high - low + 1 < a.size:  # a table of the span's texts
+            texts = np.array([b"%d" % v for v in range(low, high + 1)], dtype=object)
+            if a.dtype.itemsize < 8:  # the offsets from low may overflow
+                a = a.astype(np.int64)
+    slot = "%0r" if floats else "%d" if texts is None else "%s"
+    template = templates.get((slot, a.shape[1:], level))
+    if template is None or template.step < step:
+        template = templates[slot, a.shape[1:], level] = _Template(slot, a.shape[1:], level, step)
+    yield template.head
     for start in range(0, len(a), step):
-        leaves = a[start : start + step].ravel()
-        zero = (leaves == 0) & ~np.signbit(leaves) if floats else np.zeros(len(leaves), bool)
         if start:
-            yield seps[-1]
-        size = min(step, len(a) - start) * period - len(sep)
-        yield _filled(template, view, size, slots[: len(zero)][zero], leaves[~zero])
-    yield tail
+            yield template.sep
+        leaves = a[start : start + step].ravel()
+        slices = min(step, len(a) - start)
+        if floats:
+            yield template.filled_floats(slices, leaves)
+        elif texts is None:
+            yield template.filled(slices, leaves.tolist())
+        else:
+            yield template.filled(slices, texts[leaves - low].tolist())
+    yield template.tail
 
 
-def _filled(template: bytearray, view: np.ndarray, size: int, at: np.ndarray, leaves) -> str:
-    """The first ``size`` bytes of the template, ``view`` its byte view,
-    filled with the leaves, with the text 0.0 in place of the %0r slot at
-    each offset in ``at``; the template is left as it was."""
-    view[at], view[at + 1], view[at + 2] = b"0.0"
-    filled = (template if size == len(template) else template[:size]) % tuple(leaves.tolist())
-    view[at], view[at + 1], view[at + 2] = b"%0r"
-    return filled.decode("ascii")
+def _listed(items: list[str], level: int, brackets: str = "[]") -> str:
+    """The indented text, at indent ``level``, of a list (or, with brackets
+    "{}", an object) whose items, one indent deeper, have these texts."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+
+
+def _record_text(table: Records, level: int, count: int) -> str:
+    """The template of a record of the table at indent ``level`` whose
+    ragged column holds ``count`` records: its indented text with a %d or
+    %r per leaf, and the stock encoder's text of each key, with % doubled."""
+    items = []
+    for column in table.columns:
+        if isinstance(column, Records):
+            items.append(_listed([_record_text(column, level + 2, 0)] * count, level + 1))
+        else:
+            slot = "%r" if column.dtype.kind == "f" else "%d"
+            items.append(slot if column.ndim == 1 else _listed([slot] * column.shape[1], level + 1))
+    if table.keys is None:
+        return _listed(items, level)
+    keys = [json.dumps(key).replace("%", "%%") + ": " for key in table.keys]
+    return _listed(list(map(str.__add__, keys, items)), level, "{}")
+
+
+def _record_pieces(table: Records, level: int) -> Iterator[str]:
+    """Indented text of a non-empty table at indent ``level``, in pieces of
+    whole records, about ``_PIECE_LEAVES`` leaves each: the records'
+    templates, one per count of the ragged column, joined and filled with
+    the leaves of the piece in record order."""
+    pad = "\n" + "  " * (level + 1)
+    columns = [c for c in table.columns if not isinstance(c, Records)]
+    split = next((j for j, c in enumerate(table.columns) if isinstance(c, Records)), len(columns))
+    rows = table.columns[split] if split < len(table.columns) else None
+    counts = np.zeros(len(table), np.int64) if rows is None else table.counts
+    # leaves per record outside the ragged column, those before it, and per row
+    widths = list(map(_width, columns))
+    row_widths = [] if rows is None else list(map(_width, rows.columns))
+    fixed, lead, per_row = sum(widths), sum(widths[:split]), sum(row_widths)
+    bounds, total = [0, len(table)], fixed * len(table) + per_row * int(counts.sum())
+    if total > _PIECE_LEAVES:
+        ends = np.cumsum(fixed + counts * per_row)
+        cuts = np.searchsorted(ends, np.arange(_PIECE_LEAVES, total, _PIECE_LEAVES)) + 1
+        bounds = [0, *np.unique(cuts).tolist()]
+        bounds += [len(table)] if bounds[-1] < len(table) else []
+    row_bounds = np.concatenate(([0], np.cumsum(counts)))[bounds].tolist()
+    texts = {}
+    yield "[" + pad
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if k:
+            yield "," + pad
+        leaves = _leaves(columns, widths, lo, hi)
+        if row_bounds[k + 1] > row_bounds[k]:  # the rows' leaves go where the others do not
+            spans = counts[lo:hi] * per_row
+            at = (np.arange(hi - lo) * fixed + np.cumsum(spans) - spans)[:, None] + np.arange(fixed)
+            at[:, lead:] += spans[:, None]  # the leaves after the ragged column
+            merged = np.empty(leaves.size + int(spans.sum()), dtype=object)
+            in_row = np.ones(len(merged), dtype=bool)
+            in_row[at], merged[at] = False, leaves
+            merged[in_row] = _leaves(rows.columns, row_widths, *row_bounds[k : k + 2]).ravel()
+            leaves = merged
+        layouts = counts[lo:hi].tolist()
+        for count in set(layouts) - texts.keys():
+            texts[count] = _record_text(table, level + 1, count)
+        yield ("," + pad).join([texts[c] for c in layouts]) % tuple(leaves.ravel().tolist())
+    yield pad[:-2] + "]"
+
+
+def _width(column: np.ndarray) -> int:
+    """Leaves per record of an array column."""
+    return column.shape[1] if column.ndim == 2 else 1
+
+
+def _leaves(columns: list, widths: list, lo: int, hi: int) -> np.ndarray:
+    """Records lo..hi of the array columns as Python ints and floats in an
+    object array, one row of leaves per record, the columns side by side."""
+    out = np.empty((hi - lo, sum(widths)), dtype=object)
+    at = 0
+    for column, width in zip(columns, widths):
+        out[:, at : at + width] = column[lo:hi].reshape(hi - lo, width)
+        at += width
+    return out

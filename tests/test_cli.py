@@ -447,11 +447,16 @@ class TestJsonRoundTrips:
         ]
 
     def test_class_measure_to_json(self):
-        # the nonzero weights in coset order, as floats
+        # the nonzero weights in coset order, as floats: a record table of
+        # [coset, weight] rows, written as the text of those lists
         got = iojson.measure_to_json(np.array([1.0, 0.0, 0.25, 0.0]))
-        assert got == {"domain": "dual_quotient", "weights": [[0, 1.0], [2, 0.25]]}
-        assert all(type(i) is int and type(w) is float for i, w in got["weights"])
-        assert json.loads(iojson.dumps(got)) == got
+        weights = got["weights"].tolist()
+        assert set(got) == {"domain", "weights"} and got["domain"] == "dual_quotient"
+        assert weights == [[0, 1.0], [2, 0.25]]
+        assert all(type(i) is int and type(w) is float for i, w in weights)
+        as_lists = {"domain": "dual_quotient", "weights": weights}
+        assert iojson.dumps(got) == json.dumps(as_lists, indent=2)
+        assert json.loads(iojson.dumps(got)) == as_lists
 
     def test_matrix(self):
         rng = np.random.default_rng(0)

@@ -22,6 +22,7 @@ from covpovm import (
     subgroup_from_generators,
     validate_rep,
 )
+from covpovm import iojson
 from covpovm.cli import main
 from helpers import (
     brute_equivalence_deviation,
@@ -160,6 +161,42 @@ def test_cli_build_field_matrix_outside_support_exits_4(tmp_path, capsys):
     rejected = json.loads(capsys.readouterr().out)["rejected"]
     assert rejected["sector"] == 0
     assert rejected["point"] == [5]
+
+
+def test_cli_build_field_matrix_at_zero_weight_named(tmp_path, capsys):
+    # the reader leaves a point listed with weight 0 out of the support; a
+    # matrix there is named as at a zero weight, not as outside the support
+    support = [([0], 1.0), ([3], 0.0), ([6], 0.5)]
+    matrices = [([0], [1.0, 0.0]), ([3], [0.0, 1.0]), ([6], [0.0, -1.0])]
+    scenario = scalar([12], [[4]], support, matrices)
+    message = "isometry field has a matrix at a point listed with weight 0 (sector 0, point [3])"
+    assert main(["build", write(tmp_path, "s.json", scenario)]) == 4
+    out, err = capsys.readouterr()
+    assert err == f"build rejected: {message}\n"
+    assert json.loads(out)["rejected"] == {
+        "error": message, "sector": 0, "point": [3], "weight": 0.0,
+    }
+    # the listed coordinates reduce mod the factors, and -0.0 is a zero weight
+    scenario["sectors"][0]["support"][1] = [[15], -0.0]
+    scenario["fields"][0]["matrices"][1][0] = [-9]
+    with pytest.raises(PovmBuildError) as exc:
+        iojson.scenario_from_json(scenario).build()
+    assert str(exc.value) == message
+
+
+def test_matrix_outside_support_beside_a_zero_weight_keeps_its_text(tmp_path, capsys):
+    # a zero weight elsewhere, or in another sector, does not rename it
+    scenario = scalar([12], [[4]], [([0], 1.0), ([3], 0.0)], [([0], [1.0, 0.0]), ([5], [7.0, 0.0])])
+    scenario["sectors"].append({"f_dim": 1, "support": [[[5], 0.0], [[7], 1.0]]})
+    scenario["fields"].append({"sector": 1, "matrices": [[[7], [[[1.0, 0.0]]]]]})
+    assert main(["build", write(tmp_path, "s.json", scenario)]) == 4
+    out, err = capsys.readouterr()
+    assert err == "build rejected: isometry field has a matrix outside its sector's support\n"
+    assert json.loads(out)["rejected"] == {
+        "error": "isometry field has a matrix outside its sector's support",
+        "sector": 0,
+        "point": [5],
+    }
 
 
 def test_support_table_is_in_basis_order():

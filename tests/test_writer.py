@@ -647,3 +647,218 @@ class TestShapedText:
         assert_stock_text(out)
         generators = json.loads(out)["subgroup"]["generators"]
         assert lists == [[8, 8], generators, *generators]
+
+
+# --- record tables -------------------------------------------------------------
+
+INT64_EDGES = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
+RECORD_FLOATS = [-0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, 1e16]
+NONFINITE = [math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def int_columns(draw, n, width=None):
+    """An int64 or uint64 column of n records (2-d of ``width`` when given):
+    across int64 with its edges, or uint64 above 2**63."""
+    shape = (n,) if width is None else (n, width)
+    if draw(st.booleans()):
+        leaves = st.integers(2**63, 2**64 - 1) | st.sampled_from([2**63, 2**64 - 1])
+        dtype = np.uint64
+    else:
+        leaves = st.integers(-(2**63), 2**63 - 1) | st.sampled_from(INT64_EDGES)
+        dtype = np.int64
+    values = draw(st.lists(leaves, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+@st.composite
+def float_columns(draw, n, nonfinite=False):
+    """A float column of n records with -0.0, 5e-324 and 1e308 among its
+    leaves, and a NaN or an infinity when ``nonfinite``."""
+    leaves = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(RECORD_FLOATS)
+    a = np.array(draw(st.lists(leaves, min_size=n, max_size=n)), dtype=float)
+    if nonfinite and n:
+        a[draw(st.integers(0, n - 1))] = draw(st.sampled_from(NONFINITE))
+    return a
+
+
+@st.composite
+def record_tables(draw):
+    """A table of 0-40 records: as objects (f_dim, counts and a ragged
+    column of [[x...], d] rows, 1-3 coordinates, counts including 0) or as
+    [coset, weight] lists; a NaN or an infinity in one float column, now
+    and then, which sends the table to the list form."""
+    n = draw(st.integers(0, 40))
+    nonfinite = draw(st.integers(0, 9)) == 0
+    if draw(st.booleans()):
+        return iojson.Records([draw(int_columns(n)), draw(float_columns(n, nonfinite))])
+    counts = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.int64)
+    rank, rows = draw(st.integers(1, 3)), int(counts.sum())
+    points = iojson.Records([draw(int_columns(rows, rank)), draw(float_columns(rows, nonfinite))])
+    columns = {"f_dim": draw(int_columns(n)), "support_size": counts, "densities": points}
+    if draw(st.booleans()):  # the ragged column first, and a column after it
+        columns = {"densities": points, "support_size": counts, "f_dim": columns["f_dim"]}
+    return iojson.Records(columns, counts=counts)
+
+
+def as_lists(obj):
+    """obj with every record table and array as its tolist()."""
+    if isinstance(obj, (iojson.Records, np.ndarray)):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [as_lists(v) for v in obj]
+    return obj
+
+
+class TestRecordTables:
+    @given(st.lists(record_tables(), min_size=1, max_size=2), st.sampled_from([3, 16, PIECE]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_stock_encoder_on_the_lists(self, tables, piece, data):
+        # nested at random indents; small pieces cut the tables between records
+        obj = nest(tables if len(tables) > 1 else tables[0], data)
+        want = json.dumps(as_lists(obj), indent=2)
+        sink = Recorder()
+        with patch.object(iojson, "_PIECE_LEAVES", piece):
+            iojson.dump(obj, sink)
+            assert_same_text(iojson.dumps(obj), want)
+        assert_same_text("".join(sink.pieces), want)
+
+    def test_pieces_are_whole_records(self):
+        counts = np.array([0, 3, 1, 0, 2] * 40)
+        points = iojson.Records([np.arange(2 * counts.sum()).reshape(-1, 2), np.ones(counts.sum())])
+        table = iojson.Records({"n": counts, "rows": points}, counts=counts)
+        sink = Recorder()
+        with patch.object(iojson, "_PIECE_LEAVES", 20):
+            iojson.dump({"t": table}, sink)
+        text = "".join(sink.pieces)
+        assert_same_text(text, json.dumps({"t": table.tolist()}, indent=2))
+        blocks = [p for p in sink.pieces if p.startswith('{\n      "n"')]
+        assert len(blocks) > 10
+        assert all(json.loads(f"[{block}]") for block in blocks)  # each parses alone
+
+    def test_nonfinite_column_is_written_as_lists(self):
+        table = iojson.Records([np.arange(3), np.array([1.0, math.nan, -math.inf])])
+        text = iojson.dumps({"w": table})
+        assert_same_text(text, json.dumps({"w": [[0, 1.0], [1, math.nan], [2, -math.inf]]}, indent=2))
+        assert "NaN" in text and "-Infinity" in text
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"a": np.array([True, False])},  # bools are written as true and false
+            {"a": np.array([1.5, 2.5], dtype=np.float32), "b": np.array([1, 2], dtype=np.int8)},
+            {"a": np.array([1.0, 2.0], dtype=np.longdouble)},
+            {1: np.array([1, 2])},  # a key that is not a string
+            {'"%d\n\\é': np.array([1, 2]), "%%s": np.zeros((2, 0))},
+            [np.zeros((2, 0), dtype=np.int64), np.array([3, 4])],
+        ],
+    )
+    def test_edge_columns(self, columns):
+        # the text of the lists, or the stock encoder's error on them
+        table = iojson.Records(columns)
+        for obj in (table, [table], {"k": [1, {"j": table}]}):
+            try:
+                want = json.dumps(as_lists(obj), indent=2)
+            except TypeError as exc:
+                with pytest.raises(TypeError, match=str(exc)):
+                    iojson.dumps(obj)
+            else:
+                assert_same_text(iojson.dumps(obj), want)
+
+    @pytest.mark.parametrize(
+        "columns, counts",
+        [
+            ([], None),
+            ([np.arange(2), np.arange(3)], None),
+            ([iojson.Records([np.arange(2)])], None),
+            ([np.arange(2), iojson.Records([np.arange(3)])], [1, 1]),
+            ([iojson.Records([np.arange(1)]), iojson.Records([np.arange(1)])], [1]),
+        ],
+    )
+    def test_malformed_tables_rejected(self, columns, counts):
+        with pytest.raises(ValueError):
+            iojson.Records(columns, counts=counts)
+
+    def test_peak_memory_does_not_grow_with_the_text(self):
+        # 65536 records of one row each, like build on Z_65536 pos.
+        n = 65536
+        rng = np.random.default_rng(7)
+        points = iojson.Records([np.arange(n).reshape(-1, 1), rng.random(n)])
+        ones = np.ones(n, dtype=np.int64)
+        table = iojson.Records({"f_dim": ones, "support_size": ones, "densities": points}, counts=ones)
+        size, peak = dumped_size_and_peak({"sectors": table})
+        assert size > 10_000_000
+        assert peak < 4_000_000
+
+    def test_build_tables_reach_the_writer_as_records(self, tmp_path, capsys):
+        # the sector and class-measure tables of covpovm build reach the
+        # stock encoder as record tables, not as lists
+        scenario, _ = z8sq_fibered_files()
+        seen = []
+        stock_dumps = json.dumps
+
+        def recording(obj, **kwargs):
+            hook = kwargs.get("default")
+            if hook is not None:
+                seen.append(obj)
+            return stock_dumps(obj, **kwargs)
+
+        with patch.object(iojson.json, "dumps", recording):
+            assert main(["build", write(tmp_path, "s.json", scenario)]) == 0
+        out = capsys.readouterr().out
+        assert_stock_text(out)
+        (report,) = seen
+        assert isinstance(report["sectors"], iojson.Records)
+        assert isinstance(report["class_measure"]["weights"], iojson.Records)
+        assert lists_in(report) == []
+
+
+class TestIntTables:
+    @given(
+        st.sampled_from(["narrow", "wide"]),
+        st.sampled_from([np.int8, np.int16, np.int64, np.uint8, np.uint64]),
+        st.integers(1, 3),
+        st.integers(0, 2**32),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_int_blocks_match_stock_encoder(self, span, dtype, ndim, seed, data):
+        # narrow: fewer distinct integers than leaves, written from a table
+        # of their texts; wide: every leaf formatted by %d
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(1, 6, size=ndim))
+        shape = (int(rng.integers(1, 2 * PIECE // math.prod(shape[1:]) + 2)), *shape[1:])
+        size = math.prod(shape)
+        if span == "narrow":
+            width = max(1, min(size - 1, 30))
+            low = data.draw(st.sampled_from([int(info.min), int(info.max) - width, 0]))
+            a = rng.integers(low, low + width, size=shape, dtype=dtype, endpoint=True)
+        else:
+            a = rng.integers(info.min, info.max, size=shape, dtype=dtype, endpoint=True)
+            a.reshape(-1)[: 2] = [info.min, info.max][: size]
+        obj = nest([a, a[:1]], data)
+        sink = Recorder()
+        iojson.dump(obj, sink)
+        want = json.dumps(obj, indent=2, default=lambda x: x.tolist())
+        assert_same_text("".join(sink.pieces), want)
+
+    def test_templates_are_shared_within_a_dump(self):
+        # blocks of one inner shape at one indent share one template per
+        # slot; a block of more slices than it holds gets a longer one
+        built = []
+        real = iojson._Template
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        obj = {"a": np.arange(8).reshape(4, 2), "b": np.arange(40).reshape(20, 2) % 3,
+               "c": np.arange(6).reshape(3, 2), "d": np.eye(2),
+               "e": np.arange(0, 200, 10).reshape(10, 2)}
+        with patch.object(iojson, "_Template", counting):
+            text = iojson.dumps(obj)
+        assert_same_text(text, json.dumps(as_lists(obj), indent=2))
+        assert [(args[0], args[3]) for args in built] == [("%d", 4), ("%s", 20), ("%0r", 2), ("%d", 10)]
